@@ -61,9 +61,9 @@ let respawn_backoff_ms =
 let kill_after_outcomes =
   Arg.(value & opt (some int) None
        & info [ "kill-after-outcomes" ] ~docv:"N"
-         ~doc:"Crash-injection hook for CI: SIGKILL one worker once the \
-               journal holds $(docv) outcomes, then let supervision \
-               recover it.")
+         ~doc:"Crash-injection hook for CI: once the journal holds \
+               $(docv) outcomes, SIGKILL one worker that holds a lease, \
+               then let supervision recover it.")
 
 let worker_exe_arg =
   Arg.(value & opt (some string) None
@@ -143,8 +143,11 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
       | Unix.WSIGNALED s -> (Printf.sprintf "signal %d" s, false)
       | Unix.WSTOPPED s -> (Printf.sprintf "stopped %d" s, false)
     in
+    (* one follower for the supervisor's life: a tick folds only what
+       the workers appended since the previous tick *)
+    let journal = Q.follow ~path:queue in
     let complete () =
-      match Q.load ~path:queue with
+      match Q.catch_up journal with
       | Ok v -> Q.is_complete v
       | Error _ -> false
     in
@@ -215,7 +218,15 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
       | Some n when not !kill_hook_fired ->
         let outcomes = Array.length v.Q.states - Q.remaining v in
         if outcomes >= n then begin
-          (match Array.find_opt (fun s -> s.live) slots with
+          (* the victim must hold a lease: then the queue cannot finish
+             before its lease expires, so supervision always gets to
+             recover it.  None holds one right now: try next tick. *)
+          let holds_lease s =
+            Array.exists
+              (function Q.Leased { holder; _ } -> holder = s.owner | _ -> false)
+              v.Q.states
+          in
+          (match Array.find_opt (fun s -> s.live && holds_lease s) slots with
            | Some s ->
              kill_hook_fired := true;
              Printf.eprintf
@@ -231,7 +242,7 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
       if Atomic.get draining then `Drain
       else begin
         reap_and_respawn ();
-        match Q.load ~path:queue with
+        match Q.catch_up journal with
         | Error e ->
           Printf.eprintf "ldx_campaignd: %s\n%!" e;
           `Error e
@@ -246,7 +257,11 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
                  draining or unrecoverable — check once more *)
               escalate ()
             end;
-            Unix.sleepf 0.05;
+            (* an armed crash hook ticks fast, or a quick campaign
+               could finish between two ticks and never see its kill *)
+            Unix.sleepf
+              (if kill_after_outcomes <> None && not !kill_hook_fired then 0.001
+               else 0.05);
             supervise ()
           end
       end
@@ -269,7 +284,7 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
            end)
         slots
     in
-    (match supervise () with
+    (match Fun.protect ~finally:(fun () -> Q.unfollow journal) supervise with
      | `Complete ->
        shutdown ();
        (match Campaign.Service.collect ~path:queue c.Service_common.params with

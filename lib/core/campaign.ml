@@ -889,10 +889,11 @@ module Service = struct
       if loaded.Store.l_manifest.Store.fingerprint = fp then
         (* same campaign: keep the journal (outcomes and all) and heal
            any torn records on disk — this is what makes restarting the
-           supervisor a resume instead of a redo *)
+           supervisor a resume instead of a redo.  Heartbeats shrink to
+           one per owner, so restarts do not carry every earlier one. *)
         Store.close
           (Store.checkpoint_entries ~path ~sync loaded.Store.l_manifest
-             loaded.Store.l_entries)
+             (Q.compact_heartbeats loaded.Store.l_entries))
       else fresh ()
 
   let worker ?obs ?stop ?(sync = false) ?(retry = no_retries) ?deadline

@@ -289,7 +289,9 @@ module Service : sig
       [path] already holds a journal with the {e same} fingerprint, its
       entries are kept (outcomes and leases) and its torn records are
       healed on disk — restarting the supervisor resumes the campaign;
-      a fingerprint mismatch re-initializes from scratch. *)
+      a fingerprint mismatch re-initializes from scratch.  The heal
+      keeps one heartbeat per owner
+      ({!Ldx_queue.Queue.compact_heartbeats}). *)
   val init :
     ?sync:bool -> ?retry:retry_policy -> ?deadline:int -> path:string ->
     config:Engine.config ->

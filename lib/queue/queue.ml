@@ -4,7 +4,7 @@
    - arbitration is structural, not temporal: the fold accepts the
      FIRST record for a given (index, epoch) and ignores later ones, so
      whoever's write(2) landed first owns the lease — claimants verify
-     by re-reading after they append;
+     by catching up with the file after they append;
    - the fold is clock-free: expiry is judged only by claimants, at
      claim time, against the effective deadline the fold computed —
      so every process reading the file derives the identical view;
@@ -30,64 +30,82 @@ type view = {
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
+(* The fold, one journal entry at a time: [view_of] runs it over a
+   whole load, a follower over the entries each catch-up appends. *)
+type fold = {
+  f_manifest : Store.manifest;
+  f_states : task_state array;      (* lease deadlines before heartbeats *)
+  f_expired : string list array;    (* newest charge first *)
+  heartbeats : (string, int) Hashtbl.t;
+      (* owner -> latest heartbeat deadline; deadlines only move forward *)
+}
+
+let fold_init (m : Store.manifest) : fold =
+  let n = List.length m.Store.tasks in
+  { f_manifest = m;
+    f_states = Array.make n (Free { next_epoch = 0 });
+    f_expired = Array.make n [];
+    heartbeats = Hashtbl.create 7 }
+
+let fold_step (f : fold) (e : Store.entry) : unit =
+  let states = f.f_states and expired = f.f_expired in
+  let n = Array.length states in
+  match e with
+  | Store.Outcome { index; payload } ->
+    if index >= 0 && index < n then
+      (match states.(index) with
+       | Done _ -> ()     (* first outcome wins; duplicates ignored *)
+       | Free _ | Leased _ -> states.(index) <- Done { payload })
+  | Store.Lease { index; owner; epoch; deadline_us } ->
+    if index >= 0 && index < n then
+      (match states.(index) with
+       | Done _ -> ()
+       | Free { next_epoch } when epoch = next_epoch ->
+         states.(index) <- Leased { holder = owner; epoch; deadline_us }
+       | Free _ -> ()     (* stale epoch: lost race *)
+       | Leased cur when epoch = cur.epoch + 1 ->
+         (* reclaim of an expired lease — the claimant checked the
+            clock before appending; here we only arbitrate.  The
+            previous holder is charged with an expiry (it did not
+            release), which is what quarantine escalation counts. *)
+         if not (List.mem cur.holder expired.(index)) then
+           expired.(index) <- cur.holder :: expired.(index);
+         states.(index) <- Leased { holder = owner; epoch; deadline_us }
+       | Leased _ -> ())
+  | Store.Heartbeat { owner; deadline_us } ->
+    let prev =
+      Option.value (Hashtbl.find_opt f.heartbeats owner) ~default:min_int
+    in
+    if deadline_us > prev then Hashtbl.replace f.heartbeats owner deadline_us
+  | Store.Release { index; owner; epoch } ->
+    if index >= 0 && index < n then
+      (match states.(index) with
+       | Leased cur when cur.holder = owner && cur.epoch = epoch ->
+         states.(index) <- Free { next_epoch = epoch + 1 }
+       | _ -> ())
+
+(* Heartbeats apply after all records: a lease is as alive as its
+   holder's latest heartbeat, wherever in the file that sits.  Copies,
+   so the fold can go on. *)
+let view_of_fold (f : fold) ~torn : view =
+  { manifest = f.f_manifest;
+    states =
+      Array.map
+        (function
+          | Leased cur as st ->
+            (match Hashtbl.find_opt f.heartbeats cur.holder with
+             | Some d when d > cur.deadline_us ->
+               Leased { cur with deadline_us = d }
+             | _ -> st)
+          | st -> st)
+        f.f_states;
+    expired_owners = Array.map List.rev f.f_expired;
+    torn }
+
 let view_of (l : Store.loaded) : view =
-  let n = List.length l.Store.l_manifest.Store.tasks in
-  let states = Array.make n (Free { next_epoch = 0 }) in
-  let expired = Array.make n [] in
-  (* owner -> latest heartbeat deadline; deadlines only move forward *)
-  let heartbeats : (string, int) Hashtbl.t = Hashtbl.create 7 in
-  List.iter
-    (fun (e : Store.entry) ->
-       match e with
-       | Store.Outcome { index; payload } ->
-         if index >= 0 && index < n then
-           (match states.(index) with
-            | Done _ -> ()     (* first outcome wins; duplicates ignored *)
-            | Free _ | Leased _ -> states.(index) <- Done { payload })
-       | Store.Lease { index; owner; epoch; deadline_us } ->
-         if index >= 0 && index < n then
-           (match states.(index) with
-            | Done _ -> ()
-            | Free { next_epoch } when epoch = next_epoch ->
-              states.(index) <- Leased { holder = owner; epoch; deadline_us }
-            | Free _ -> ()     (* stale epoch: lost race *)
-            | Leased cur when epoch = cur.epoch + 1 ->
-              (* reclaim of an expired lease — the claimant checked the
-                 clock before appending; here we only arbitrate.  The
-                 previous holder is charged with an expiry (it did not
-                 release), which is what quarantine escalation counts. *)
-              if not (List.mem cur.holder expired.(index)) then
-                expired.(index) <- cur.holder :: expired.(index);
-              states.(index) <- Leased { holder = owner; epoch; deadline_us }
-            | Leased _ -> ())
-       | Store.Heartbeat { owner; deadline_us } ->
-         let prev =
-           Option.value (Hashtbl.find_opt heartbeats owner) ~default:min_int
-         in
-         if deadline_us > prev then Hashtbl.replace heartbeats owner deadline_us
-       | Store.Release { index; owner; epoch } ->
-         if index >= 0 && index < n then
-           (match states.(index) with
-            | Leased cur when cur.holder = owner && cur.epoch = epoch ->
-              states.(index) <- Free { next_epoch = epoch + 1 }
-            | _ -> ()))
-    l.Store.l_entries;
-  (* fold heartbeats into effective deadlines: a lease is as alive as
-     its holder's latest heartbeat *)
-  Array.iteri
-    (fun i st ->
-       match st with
-       | Leased cur ->
-         (match Hashtbl.find_opt heartbeats cur.holder with
-          | Some d when d > cur.deadline_us ->
-            states.(i) <- Leased { cur with deadline_us = d }
-          | _ -> ())
-       | Free _ | Done _ -> ())
-    states;
-  { manifest = l.Store.l_manifest;
-    states;
-    expired_owners = Array.map List.rev expired;
-    torn = l.Store.l_torn }
+  let f = fold_init l.Store.l_manifest in
+  List.iter (fold_step f) l.Store.l_entries;
+  view_of_fold f ~torn:l.Store.l_torn
 
 let load ~path =
   Result.map view_of (Store.load ~path)
@@ -104,6 +122,43 @@ let outcomes v =
   |> List.mapi (fun i st -> (i, st))
   |> List.filter_map (fun (i, st) ->
       match st with Done { payload } -> Some (i, payload) | _ -> None)
+
+let compact_heartbeats (entries : Store.entry list) : Store.entry list =
+  let latest = Hashtbl.create 7 in
+  let owners = ref [] in      (* first-seen order, newest first *)
+  let others =
+    List.filter
+      (function
+        | Store.Heartbeat { owner; deadline_us } ->
+          (match Hashtbl.find_opt latest owner with
+           | None ->
+             owners := owner :: !owners;
+             Hashtbl.replace latest owner deadline_us
+           | Some d ->
+             if deadline_us > d then Hashtbl.replace latest owner deadline_us);
+          false
+        | Store.Outcome _ | Store.Lease _ | Store.Release _ -> true)
+      entries
+  in
+  others
+  @ List.rev_map
+      (fun owner ->
+         Store.Heartbeat { owner; deadline_us = Hashtbl.find latest owner })
+      !owners
+
+(* -------------------------------------------------------------------- *)
+(* Following the journal *)
+
+type follower = { journal : string; fold : fold Store.follower }
+
+let follow ~path =
+  { journal = path; fold = Store.follow ~path ~init:fold_init ~step:fold_step }
+
+let catch_up f =
+  Result.map (fun (fold, torn) -> view_of_fold fold ~torn)
+    (Store.catch_up f.fold)
+
+let unfollow f = Store.unfollow f.fold
 
 (* -------------------------------------------------------------------- *)
 (* Appending *)
@@ -150,24 +205,29 @@ let pick_claimable v ~now_us =
   in
   go 0
 
-let claim ~path ~owner ~now_us ~ttl_us ?(sync = false) () =
+let claim_with f ~owner ~now_us ~ttl_us ?(sync = false) () =
   let ( let* ) = Result.bind in
   let rec go view =
     match pick_claimable view ~now_us with
     | None -> Ok (if is_complete view then Drained else Wait)
     | Some (index, epoch, reclaimed_from) ->
-      append ~path ~sync
+      append ~path:f.journal ~sync
         (Store.Lease { index; owner; epoch; deadline_us = now_us + ttl_us });
-      (* never trust the pre-append read: the fold over the re-read
-         file is the arbiter *)
-      let* view = load ~path in
+      (* never trust the pre-append read: the fold, caught up past our
+         own record, is the arbiter *)
+      let* view = catch_up f in
       (match view.states.(index) with
        | Leased { holder; epoch = e; _ } when holder = owner && e = epoch ->
          Ok (Claimed { index; epoch; reclaimed_from })
        | _ -> go view (* lost the race; try the next claimable task *))
   in
-  let* view = load ~path in
+  let* view = catch_up f in
   go view
+
+let claim ~path ~owner ~now_us ~ttl_us ?sync () =
+  let f = follow ~path in
+  Fun.protect ~finally:(fun () -> unfollow f) @@ fun () ->
+  claim_with f ~owner ~now_us ~ttl_us ?sync ()
 
 let heartbeat ~path ~owner ~deadline_us ?(sync = false) () =
   append ~path ~sync (Store.Heartbeat { owner; deadline_us })
@@ -184,7 +244,7 @@ let complete ~path ~index ~payload ?(sync = false) () =
 module Worker = struct
   type outcome = Complete | Drained
 
-  let run ?obs ?(stop = fun () -> false) ?(now_us = now_us)
+  let run ?obs ?(stop = fun () -> false) ?now_us:(clock = now_us)
       ?(sleep_us = fun us -> Unix.sleepf (float_of_int us /. 1e6))
       ?(sync = false) ~path ~owner ~ttl_us ~heartbeat_us ~poll_us task =
     let emit ev = Obs.Sink.emit_opt obs ev in
@@ -201,9 +261,10 @@ module Worker = struct
         let rd, wr = Unix.pipe ~cloexec:true () in
         let d =
           Domain.spawn (fun () ->
-              (* the heartbeat domain always runs on the real clock:
-                 its job is to convince OTHER processes' real-clock
-                 expiry checks that we are alive *)
+              (* the heartbeat domain always runs on the real clock,
+                 never the injected [clock]: its job is to convince
+                 OTHER processes' real-clock expiry checks that we are
+                 alive *)
               let rec beat () =
                 if not (Atomic.get hb_stop) then
                   match
@@ -226,8 +287,10 @@ module Worker = struct
         Some (d, rd, wr)
       end
     in
+    let journal = follow ~path in
     Fun.protect
       ~finally:(fun () ->
+        unfollow journal;
         Atomic.set hb_stop true;
         Option.iter
           (fun (d, rd, wr) ->
@@ -244,7 +307,7 @@ module Worker = struct
         Drained
       end
       else
-        match claim ~path ~owner ~now_us:(now_us ()) ~ttl_us ~sync () with
+        match claim_with journal ~owner ~now_us:(clock ()) ~ttl_us ~sync () with
         | Error e -> failwith e
         | Ok Wait ->
           sleep_us poll_us;

@@ -40,8 +40,20 @@
       reclaimed from a slow-but-alive worker.
 
     Claimants never trust their pre-append read: {!claim} appends the
-    lease record, re-reads the file, and reports victory only if the
-    fold says so.
+    lease record, catches up with the file, and reports victory only if
+    the fold says so.
+
+    {2 Following the journal}
+
+    Claims read the file through a {!follower}, which folds only the
+    records appended since its last catch-up (see
+    {!Ldx_store.Store.follow}).  A claim therefore costs
+    O(records appended since the previous claim + tasks), not
+    O(journal).  The
+    follower refolds from offset 0 when an atomic-rename checkpoint has
+    replaced the file or it was truncated, and its view always equals
+    {!view_of} over a full [Store.load] of the file cut after its last
+    newline.
 
     {2 Expiry and heartbeats}
 
@@ -88,6 +100,30 @@ val is_complete : view -> bool
     finished task). *)
 val outcomes : view -> (int * string) list
 
+(** [compact_heartbeats entries] keeps one heartbeat per owner, at that
+    owner's latest deadline, after the other entries (which keep their
+    order).  {!view_of} does not change, since the fold applies each
+    owner's latest heartbeat after all records; a checkpoint that
+    compacts stops carrying every heartbeat of every earlier run. *)
+val compact_heartbeats :
+  Ldx_store.Store.entry list -> Ldx_store.Store.entry list
+
+(** {1 Following the journal} *)
+
+type follower
+
+(** [follow ~path] reads nothing yet; the first {!catch_up} reads the
+    whole file. *)
+val follow : path:string -> follower
+
+(** Fold the records appended since the last catch-up and return the
+    view: equal to [load] on the file cut after its last newline.
+    [Error] like {!load}. *)
+val catch_up : follower -> (view, string) result
+
+(** Close the descriptor the follower holds. *)
+val unfollow : follower -> unit
+
 (** {1 Appending}
 
     All writers go through [append]: one [write(2)] of
@@ -109,11 +145,23 @@ type claim_result =
                  (live leases elsewhere) — poll again *)
   | Drained  (** every task is [Done] *)
 
-(** [claim ~path ~owner ~now_us ~ttl_us ()] tries to win a lease on the
-    first [Free]-or-expired task: append a claim with deadline
-    [now_us + ttl_us], re-read, and loop (a lost race moves on to the
-    next claimable task) until a claim sticks or nothing is claimable.
-    A lease is expired once [now_us > deadline_us] (strict). *)
+(** [claim_with f ~owner ~now_us ~ttl_us ()] tries to win a lease on
+    the first [Free]-or-expired task: catch [f] up, append a claim with
+    deadline [now_us + ttl_us], catch up again, and loop (a lost race
+    moves on to the next claimable task) until a claim sticks or
+    nothing is claimable.  A lease is expired once
+    [now_us > deadline_us] (strict). *)
+val claim_with :
+  follower ->
+  owner:string ->
+  now_us:int ->
+  ttl_us:int ->
+  ?sync:bool ->
+  unit ->
+  (claim_result, string) result
+
+(** One-shot {!claim_with} on a fresh follower of [path]: one full read,
+    then catch-ups. *)
 val claim :
   path:string ->
   owner:string ->
@@ -155,7 +203,8 @@ module Worker : sig
       uses the real clock).  [Wait] sleeps [poll_us] between polls.
 
       [now_us]/[sleep_us] exist for deterministic tests; production
-      callers take the defaults (real clock / [Unix.sleepf]).
+      callers take the defaults (real clock / [Unix.sleepf]).  The
+      loop claims through one {!follower} for its whole run.
 
       If [task] raises, the lease is released (so a peer can take
       over) and the exception propagates — but note the campaign

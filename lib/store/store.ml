@@ -230,113 +230,140 @@ let parse_entry (tag : char) (rest : string) : entry option =
      | _ -> None)
   | _ -> None
 
+(* The one line parser.  [load] feeds it every line of a file and
+   [follow] every complete line appended since its last catch-up, so
+   the header, manifest and tear rules below exist exactly once. *)
+type reader = {
+  r_path : string;
+  mutable lineno : int;                  (* lines fed so far *)
+  mutable version : int;                 (* from line 0 *)
+  mutable err : string option;           (* sticky: the first failure *)
+  mutable fp : string option;
+  mutable meta : (string * string) list;   (* reversed *)
+  mutable tasks : (int * string) list;     (* (index, label), reversed *)
+  mutable torn : int;
+  mutable in_journal : bool;
+      (* once set, the manifest is final: manifest records after the
+         first journal line are counted torn, not parsed *)
+}
+
+let reader path =
+  { r_path = path; lineno = 0; version = 1; err = None; fp = None;
+    meta = []; tasks = []; torn = 0; in_journal = false }
+
+let expected_header r = "# " ^ (if r.version >= 2 then header_v2 else header)
+
+(* Feed one line (its '\n' stripped); a valid journal record comes back
+   as [Some entry]. *)
+let feed (r : reader) (line : string) : entry option =
+  let lineno = r.lineno in
+  r.lineno <- lineno + 1;
+  let fail msg =
+    r.err <- Some (Printf.sprintf "%s: line %d: %s" r.r_path (lineno + 1) msg);
+    None
+  in
+  let torn () = r.torn <- r.torn + 1; None in
+  if r.err <> None then None
+  else if lineno = 0 then begin
+    if line = "# " ^ header_v2 then r.version <- 2;
+    if line = expected_header r then None
+    else fail (Printf.sprintf "expected header %S" (expected_header r))
+  end
+  else if line = "" then None
+  else
+    match line.[0] with
+    | '#' -> None
+    | 'o' | 'l' | 'h' | 'r' as c when c = 'o' || r.version >= 2 ->
+      r.in_journal <- true;
+      (* the journal is where torn writes live.  v1 files have one
+         writer, so a record that fails its checksum (or was cut short)
+         is dropped along with everything after it — a tear mid-file
+         means the file is not append-only and nothing downstream can
+         be trusted.  v2 files have many [O_APPEND] writers, each
+         prefixing its record with a newline: a peer killed
+         mid-write(2) leaves a damaged record in the MIDDLE of the file
+         while later appends are intact, so v2 drops bad records
+         individually — each one still vouched for (or condemned) by
+         its own checksum. *)
+      if r.version < 2 && r.torn > 0 then torn ()
+      else (
+        match parse_record line with
+        | Some (tag, rest) ->
+          (match parse_entry tag rest with Some _ as e -> e | None -> torn ())
+        | None -> torn ())
+    | _ when r.in_journal ->
+      (* junk after the journal started: same torn-record treatment *)
+      torn ()
+    | 'f' ->
+      (match split_once ' ' line with
+       | Some ("f", fp) when r.fp = None -> r.fp <- Some fp; None
+       | _ -> fail "malformed fingerprint record")
+    | 'm' ->
+      (match parse_record line with
+       | Some ('m', rest) ->
+         (match split_once ' ' rest with
+          | Some (k, v) ->
+            (match unescape v with
+             | Ok v -> r.meta <- (k, v) :: r.meta; None
+             | Error e -> fail e)
+          | None -> fail "malformed manifest record")
+       | _ -> fail "manifest record failed its checksum")
+    | 't' ->
+      (match parse_record line with
+       | Some ('t', rest) ->
+         (match split_once ' ' rest with
+          | Some (i, v) ->
+            (match (int_of_string_opt i, unescape v) with
+             | Some i, Ok v -> r.tasks <- (i, v) :: r.tasks; None
+             | _ -> fail "malformed task record")
+          | None -> fail "malformed task record")
+       | _ -> fail "task record failed its checksum")
+    | _ -> fail (Printf.sprintf "unknown record %S" line)
+
+(* Feed [r] every '\n'-terminated line of [s], and with [~tail:true]
+   the unterminated rest as well.  Returns the offset just past the
+   last '\n' fed. *)
+let feed_lines r s ~tail (k : entry -> unit) : int =
+  let rec go pos =
+    match String.index_from_opt s pos '\n' with
+    | Some nl ->
+      Option.iter k (feed r (String.sub s pos (nl - pos)));
+      go (nl + 1)
+    | None ->
+      if tail then
+        Option.iter k (feed r (String.sub s pos (String.length s - pos)));
+      pos
+  in
+  go 0
+
+let manifest_of (r : reader) : (manifest, string) result =
+  match (r.err, r.fp) with
+  | Some e, _ -> Error e
+  | None, None -> Error (r.r_path ^ ": missing fingerprint record")
+  | None, Some fp ->
+    (* task records carry their index so order on disk is free; sort
+       back into task order *)
+    let tasks =
+      List.sort (fun (a, _) (b, _) -> compare a b) (List.rev r.tasks)
+      |> List.map snd
+    in
+    Ok { fingerprint = fp; meta = List.rev r.meta; tasks }
+
 let load ~path : (loaded, string) result =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m
   | text ->
-    let lines = String.split_on_char '\n' text in
-    (* a file ending in '\n' splits into a trailing "" — harmless, the
-       blank-line filter below drops it; a file NOT ending in '\n' has
-       its (possibly torn) final line carried as-is, and the checksum
-       decides its fate *)
-    let version =
-      match lines with
-      | first :: _ when first = "# " ^ header_v2 -> 2
-      | _ -> 1
-    in
-    let journal_tag c = c = 'o' || (version >= 2 && (c = 'l' || c = 'h' || c = 'r')) in
-    let err = ref None in
-    let fingerprint = ref None in
-    let meta = ref [] in
-    let tasks = ref [] in       (* (index, label) *)
+    let r = reader path in
     let entries = ref [] in
-    let torn = ref 0 in
-    let in_journal = ref false in
-    let fail lineno msg =
-      if !err = None then
-        err := Some (Printf.sprintf "%s: line %d: %s" path (lineno + 1) msg)
-    in
-    let int_field rest k =
-      match split_once ' ' rest with
-      | Some (i, v) ->
-        (match (int_of_string_opt i, unescape v) with
-         | Some i, Ok v -> k i v
-         | _ -> None)
-      | None -> None
-    in
-    let expected_header = "# " ^ (if version >= 2 then header_v2 else header) in
-    List.iteri
-      (fun lineno line ->
-         if !err = None && line <> "" && (lineno > 0 || line = expected_header)
-         then
-           match line.[0] with
-           | '#' -> ()
-           | c when journal_tag c ->
-             in_journal := true;
-             (* the journal is where torn writes live.  v1 files have
-                one writer, so a record that fails its checksum (or was
-                cut short) is dropped along with everything after it — a
-                tear mid-file means the file is not append-only and
-                nothing downstream can be trusted.  v2 files have many
-                [O_APPEND] writers, each prefixing its record with a
-                newline: a peer killed mid-write(2) leaves a damaged
-                record in the MIDDLE of the file while later appends are
-                intact, so v2 drops bad records individually — each one
-                still vouched for (or condemned) by its own checksum. *)
-             if version < 2 && !torn > 0 then incr torn
-             else
-               (match parse_record line with
-                | Some (tag, rest) ->
-                  (match parse_entry tag rest with
-                   | Some e -> entries := e :: !entries
-                   | None -> incr torn)
-                | None -> incr torn)
-           | _ when !in_journal ->
-             (* junk after the journal started: same torn-record
-                treatment *)
-             incr torn
-           | 'f' ->
-             (match split_once ' ' line with
-              | Some ("f", fp) when !fingerprint = None ->
-                fingerprint := Some fp
-              | _ -> fail lineno "malformed fingerprint record")
-           | 'm' ->
-             (match parse_record line with
-              | Some ('m', rest) ->
-                (match split_once ' ' rest with
-                 | Some (k, v) ->
-                   (match unescape v with
-                    | Ok v -> meta := (k, v) :: !meta
-                    | Error e -> fail lineno e)
-                 | None -> fail lineno "malformed manifest record")
-              | _ -> fail lineno "manifest record failed its checksum")
-           | 't' ->
-             (match parse_record line with
-              | Some ('t', rest) ->
-                (match int_field rest (fun i v -> Some (i, v)) with
-                 | Some t -> tasks := t :: !tasks
-                 | None -> fail lineno "malformed task record")
-              | _ -> fail lineno "task record failed its checksum")
-           | _ -> fail lineno (Printf.sprintf "unknown record %S" line)
-         else if !err = None && lineno = 0 && line <> expected_header then
-           fail lineno
-             (Printf.sprintf "expected header %S" expected_header))
-      lines;
-    (match (!err, !fingerprint) with
-     | Some e, _ -> Error e
-     | None, None -> Error (path ^ ": missing fingerprint record")
-     | None, Some fp ->
-       let tasks =
-         (* task records carry their index so order on disk is free;
-            sort back into task order *)
-         List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !tasks)
-         |> List.map snd
-       in
-       let entries = List.rev !entries in
-       Ok
-         { l_manifest =
-             { fingerprint = fp; meta = List.rev !meta; tasks };
-           l_version = version;
+    (* the final line goes in even without its '\n': it may be a torn
+       record, and the checksum decides its fate *)
+    ignore
+      (feed_lines r text ~tail:true (fun e -> entries := e :: !entries));
+    Result.map
+      (fun m ->
+         let entries = List.rev !entries in
+         { l_manifest = m;
+           l_version = r.version;
            l_entries = entries;
            l_outcomes =
              List.filter_map
@@ -344,4 +371,105 @@ let load ~path : (loaded, string) result =
                  | Outcome { index; payload } -> Some (index, payload)
                  | Lease _ | Heartbeat _ | Release _ -> None)
                entries;
-           l_torn = !torn })
+           l_torn = r.torn })
+      (manifest_of r)
+
+(* ------------------------------------------------------------------ *)
+(* Following.                                                          *)
+
+type 'acc follower = {
+  f_path : string;
+  init : manifest -> 'acc;
+  step : 'acc -> entry -> unit;
+  mutable fd : Unix.file_descr option;
+      (* the file folded so far, held open so that its inode number
+         cannot be recycled by a later checkpoint while we compare
+         against it *)
+  mutable ident : int * int;             (* (st_dev, st_ino) of [fd] *)
+  mutable offset : int;                  (* just past the last '\n' fed *)
+  mutable rd : reader;
+  mutable acc : 'acc option;             (* seeded at the first journal line *)
+}
+
+let follow ~path ~init ~step =
+  { f_path = path; init; step; fd = None; ident = (0, 0); offset = 0;
+    rd = reader path; acc = None }
+
+let unfollow f =
+  Option.iter Unix.close f.fd;
+  f.fd <- None
+
+(* The fold, seeded once the journal section has started: from then on
+   the manifest cannot change.  [None] before that, or when the
+   manifest is broken (which then stays broken). *)
+let seeded f =
+  match f.acc with
+  | Some _ as a -> a
+  | None when not f.rd.in_journal -> None
+  | None ->
+    (match manifest_of f.rd with
+     | Ok m ->
+       let a = f.init m in
+       f.acc <- Some a;
+       Some a
+     | Error _ -> None)
+
+(* [len] bytes from [pos], fewer if the file was cut short meanwhile *)
+let read_at fd ~pos ~len : string =
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  let buf = Bytes.create len in
+  let rec go got =
+    if got = len then got
+    else
+      match Unix.read fd buf got (len - got) with
+      | 0 -> got
+      | n -> go (got + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
+  in
+  Bytes.sub_string buf 0 (go 0)
+
+(* Point [f] at the file now at its path and return that file's size.
+   The held descriptor stays if it is still that file and was not
+   truncated below [offset]; otherwise (first call, an atomic-rename
+   checkpoint, a truncation) the fold starts over at offset 0 on the
+   new descriptor.  Identity and size come from the descriptor we go on
+   to read, so a rename racing this call cannot pair one file's offset
+   with another file's bytes. *)
+let reopen f : int =
+  let fd = Unix.openfile f.f_path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  match Unix.fstat fd with
+  | exception e -> Unix.close fd; raise e
+  | st ->
+    let ident = (st.Unix.st_dev, st.Unix.st_ino) in
+    if f.fd <> None && ident = f.ident && st.Unix.st_size >= f.offset then
+      Unix.close fd
+    else begin
+      unfollow f;
+      f.fd <- Some fd;
+      f.ident <- ident;
+      f.offset <- 0;
+      f.rd <- reader f.f_path;
+      f.acc <- None
+    end;
+    st.Unix.st_size
+
+let catch_up f =
+  match
+    let size = reopen f in
+    read_at (Option.get f.fd) ~pos:f.offset ~len:(size - f.offset)
+  with
+  | exception Unix.Unix_error (e, _, _) ->
+    Error (f.f_path ^ ": " ^ Unix.error_message e)
+  | text ->
+    (* an unterminated final line stays unconsumed: it may be a peer's
+       append still in flight, and is read again next time *)
+    let consumed =
+      feed_lines f.rd text ~tail:false (fun e ->
+          Option.iter (fun a -> f.step a e) (seeded f))
+    in
+    f.offset <- f.offset + consumed;
+    (match seeded f with
+     | Some a -> Ok (a, f.rd.torn)
+     | None ->
+       (* still in the manifest section: a fresh, empty fold *)
+       Result.map (fun m -> (f.init m, f.rd.torn)) (manifest_of f.rd))

@@ -166,3 +166,46 @@ type loaded = {
     an atomic checkpoint, so damage there is real corruption, not a
     torn append). *)
 val load : path:string -> (loaded, string) result
+
+(** {1 Following}
+
+    A follower folds a store file incrementally.  It remembers the
+    file's identity and the byte offset just past the last complete
+    line it has folded, and each {!catch_up} reads, checksums and folds
+    only the bytes appended since, up to the size the file has when the
+    catch-up opens it (so every append that returned before the call is
+    included).  It parses with {!load}'s line
+    parser, so after every catch-up its fold equals the fold over
+    [l_entries] of {!load} on the file cut after its last newline: an
+    unterminated final line is left for the next catch-up, because it
+    may be an append still in flight.
+
+    The fold starts over from offset 0 when the path names a different
+    file than last time (an atomic-rename {!checkpoint}) or the file is
+    shorter than the offset (a truncation).  Both are judged on the
+    descriptor that is then read, and the previous file's descriptor is
+    held open until then, so its inode number cannot be reused for the
+    replacement.  A truncation that the file regrows past the offset
+    between two catch-ups looks like appends; store files only grow
+    between checkpoints, so only an outside hand can do that. *)
+
+type 'acc follower
+
+(** [follow ~path ~init ~step] opens nothing yet.  The fold is seeded
+    with [init manifest] once the journal section starts, and [step]
+    folds each valid journal entry into it, in file order. *)
+val follow :
+  path:string ->
+  init:(manifest -> 'acc) ->
+  step:('acc -> entry -> unit) ->
+  'acc follower
+
+(** Catch up with the file: the fold so far and the torn-record count
+    ({!loaded.l_torn}).  Before the journal section starts, the fold is
+    a fresh [init manifest].  [Error] on I/O failure, and where {!load}
+    would fail. *)
+val catch_up : 'acc follower -> ('acc * int, string) result
+
+(** Close the descriptor the follower holds.  A later {!catch_up}
+    starts over from offset 0. *)
+val unfollow : 'acc follower -> unit

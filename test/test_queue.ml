@@ -185,6 +185,45 @@ let test_worker_stop_drains_after_inflight () =
     (Q.outcomes v = [ (0, "out-0") ]);
   check int "the rest were never claimed" 2 (Q.remaining v)
 
+let heartbeat_records path =
+  match Store.load ~path with
+  | Error e -> Alcotest.fail e
+  | Ok l ->
+    List.filter_map
+      (function
+        | Store.Heartbeat { owner; deadline_us } -> Some (owner, deadline_us)
+        | Store.Outcome _ | Store.Lease _ | Store.Release _ -> None)
+      l.Store.l_entries
+
+(* An injected clock drives claims only: heartbeats must convince other
+   processes' real-clock expiry checks, so their deadlines come from the
+   real clock even when the worker runs on a fake one. *)
+let test_worker_heartbeat_uses_real_clock () =
+  with_tmp @@ fun path ->
+  mk_queue ~path 1;
+  let ttl_us = 1_000_000 in
+  let before = Q.now_us () in
+  let outcome =
+    Q.Worker.run ~now_us:(fun () -> 0) ~path ~owner:"w1" ~ttl_us
+      ~heartbeat_us:1_000 ~poll_us:1
+      (fun _ ->
+         (* hold the task until the heartbeat domain has written *)
+         let give_up = Unix.gettimeofday () +. 10. in
+         while heartbeat_records path = [] && Unix.gettimeofday () < give_up do
+           Unix.sleepf 0.001
+         done;
+         "done")
+  in
+  check bool "worker drained the queue" true (outcome = Q.Worker.Complete);
+  match heartbeat_records path with
+  | [] -> Alcotest.fail "no heartbeat was written"
+  | hbs ->
+    List.iter
+      (fun (_, deadline_us) ->
+         check bool "heartbeat deadline is real now + ttl" true
+           (deadline_us >= before + ttl_us))
+      hbs
+
 (* ------------------------------------------------------------------ *)
 (* Campaign service (in-process).                                      *)
 
@@ -293,6 +332,217 @@ let test_service_escalation () =
      | Some (Campaign.Quarantined _, _) -> ()
      | _ -> Alcotest.fail "expected a Quarantined payload")
   | _ -> Alcotest.fail "expected Done"
+
+(* Restarting the supervisor heals the journal; its heartbeats shrink
+   to one per owner, at the owner's latest deadline, and the fold reads
+   the healed file exactly as it read the original. *)
+let test_service_heal_compacts_heartbeats () =
+  with_tmp @@ fun path ->
+  let prog = instrumented attribution_src in
+  let config = svc_config in
+  let params = svc_params config in
+  Campaign.Service.init ~path ~config prog attribution_world params;
+  ignore (claim_exn ~path ~owner:"w1" ~now_us:0 ~ttl_us:100);
+  ignore (claim_exn ~path ~owner:"w2" ~now_us:0 ~ttl_us:100);
+  List.iter
+    (fun (owner, deadline_us) -> Q.heartbeat ~path ~owner ~deadline_us ())
+    [ ("w1", 500); ("w2", 300); ("w1", 900); ("w3", 50); ("w1", 700);
+      ("w2", 800) ];
+  ignore (claim_exn ~path ~owner:"w3" ~now_us:0 ~ttl_us:100);
+  let before = view path in
+  Campaign.Service.init ~path ~config prog attribution_world params;
+  check bool "the heal leaves the view as it was" true (view path = before);
+  check bool "one heartbeat per owner, at its latest deadline" true
+    (List.sort compare (heartbeat_records path)
+     = [ ("w1", 900); ("w2", 800); ("w3", 50) ])
+
+(* ------------------------------------------------------------------ *)
+(* Following the journal.                                              *)
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let append_raw path s =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc s)
+
+(* Two followers claim in turn on one file.  [a]'s claim of (0, 0) is
+   still in flight (all but its final newline on disk), so [b]'s
+   follower cannot fold it and [b] picks task 0 too; [b]'s record lands
+   second, terminating [a]'s.  The first record wins, [b] moves on, and
+   both followers end up agreeing with a full read. *)
+let test_followers_interleave_first_record_wins () =
+  with_tmp @@ fun path ->
+  mk_queue ~path 3;
+  let fa = Q.follow ~path and fb = Q.follow ~path in
+  Fun.protect ~finally:(fun () -> Q.unfollow fa; Q.unfollow fb) @@ fun () ->
+  let claim f owner now_us =
+    match Q.claim_with f ~owner ~now_us ~ttl_us:100 () with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let a_line =
+    Store.entry_line
+      (Store.Lease { index = 0; owner = "a"; epoch = 0; deadline_us = 100 })
+  in
+  append_raw path ("\n" ^ String.sub a_line 0 (String.length a_line - 1));
+  (match claim fb "b" 0 with
+   | Q.Claimed { index = 1; epoch = 0; reclaimed_from = None } -> ()
+   | _ -> Alcotest.fail "b should lose task 0 to a's earlier record");
+  (match claim fa "a" 0 with
+   | Q.Claimed { index = 2; epoch = 0; reclaimed_from = None } -> ()
+   | _ -> Alcotest.fail "a holds task 0, so its next claim is task 2");
+  (match claim fb "b" 101 with
+   | Q.Claimed { index = 0; epoch = 1; reclaimed_from = Some "a" } -> ()
+   | _ -> Alcotest.fail "b should reclaim a's expired task 0");
+  let full = view path in
+  List.iter
+    (fun f ->
+       match Q.catch_up f with
+       | Ok v -> check bool "follower view equals a full read" true (v = full)
+       | Error e -> Alcotest.fail e)
+    [ fa; fb ];
+  check bool "a is charged with the expiry" true
+    (full.Q.expired_owners.(0) = [ "a" ])
+
+type follow_op =
+  | Append of Store.entry
+  | Torn of Store.entry * int  (* a killed peer's "\n" ^ first k bytes *)
+  | Catch_up
+  | Recheckpoint               (* atomic rename: a new file at the path *)
+  | Truncate of int            (* to this permille of the size *)
+
+let show_op = function
+  | Append e -> "append " ^ String.escaped (Store.entry_line e)
+  | Torn (e, k) ->
+    Printf.sprintf "torn %d of %s" k (String.escaped (Store.entry_line e))
+  | Catch_up -> "catch-up"
+  | Recheckpoint -> "re-checkpoint"
+  | Truncate p -> Printf.sprintf "truncate to %d/1000" p
+
+let follow_tasks = 3
+
+(* v1 journals carry outcomes only; v2 every record kind, with indices
+   one beyond the task range on both sides *)
+let gen_follow_entry ~v1 =
+  let open QCheck.Gen in
+  let index = int_range (-1) follow_tasks in
+  let owner = oneofl [ "w1"; "w2"; "w3" ] in
+  let epoch = int_range 0 3 in
+  let deadline = int_range 0 1_000 in
+  let outcome =
+    map2
+      (fun index payload -> Store.Outcome { index; payload })
+      index (oneofl [ "ok"; "two words"; "a\nb" ])
+  in
+  if v1 then outcome
+  else
+    frequency
+      [ (4,
+         map4
+           (fun index owner epoch deadline_us ->
+              Store.Lease { index; owner; epoch; deadline_us })
+           index owner epoch deadline);
+        (2,
+         map2
+           (fun owner deadline_us -> Store.Heartbeat { owner; deadline_us })
+           owner deadline);
+        (2,
+         map3
+           (fun index owner epoch -> Store.Release { index; owner; epoch })
+           index owner epoch);
+        (2, outcome) ]
+
+let gen_follow_case =
+  let open QCheck.Gen in
+  let* v1 = bool in
+  let entry = gen_follow_entry ~v1 in
+  let op =
+    frequency
+      [ (5, map (fun e -> Append e) entry);
+        (1,
+         let* e = entry in
+         let+ k = int_bound (String.length (Store.entry_line e) - 2) in
+         Torn (e, k));
+        (3, return Catch_up) ]
+  in
+  let* ops = list_size (int_bound 40) op in
+  (* exactly one re-checkpoint and one truncation, anywhere *)
+  let insert x ops =
+    let+ at = int_bound (List.length ops) in
+    List.filteri (fun i _ -> i < at) ops
+    @ (x :: List.filteri (fun i _ -> i >= at) ops)
+  in
+  let* ops = insert Recheckpoint ops in
+  let* permille = int_bound 1000 in
+  let+ ops = insert (Truncate permille) ops in
+  (v1, ops)
+
+let arb_follow_case =
+  QCheck.make gen_follow_case ~print:(fun (v1, ops) ->
+      Printf.sprintf "%s: %s" (if v1 then "v1" else "v2")
+        (String.concat "; " (List.map show_op ops)))
+
+(* After every catch-up the follower's view equals Queue.view_of of a
+   full Store.load of the file cut after its last newline. *)
+let follower_matches_full_read (v1, ops) =
+  with_tmp @@ fun path ->
+  let manifest =
+    { Store.fingerprint = Store.fingerprint [ "follow" ];
+      meta = [ ("tasks", string_of_int follow_tasks) ];
+      tasks = List.init follow_tasks (Printf.sprintf "task#%d") }
+  in
+  let checkpoint entries =
+    Store.close
+      (if v1 then
+         Store.checkpoint ~path manifest
+           (List.filter_map
+              (function
+                | Store.Outcome { index; payload } -> Some (index, payload)
+                | _ -> None)
+              entries)
+       else Store.checkpoint_entries ~path manifest entries)
+  in
+  checkpoint [];
+  let f = Q.follow ~path in
+  Fun.protect ~finally:(fun () -> Q.unfollow f) @@ fun () ->
+  with_tmp @@ fun cut_path ->
+  let agrees () =
+    let text = read_all path in
+    let cut =
+      match String.rindex_opt text '\n' with
+      | Some i -> String.sub text 0 (i + 1)
+      | None -> ""
+    in
+    Out_channel.with_open_bin cut_path (fun oc -> output_string oc cut);
+    match (Q.catch_up f, Q.load ~path:cut_path) with
+    | Ok v, Ok full -> v = full
+    | Error _, Error _ -> true
+    | Ok _, Error e | Error e, Ok _ ->
+      QCheck.Test.fail_reportf "follower and full read disagree: %s" e
+  in
+  List.for_all
+    (function
+      | Append e -> append_raw path ("\n" ^ Store.entry_line e); true
+      | Torn (e, k) ->
+        append_raw path ("\n" ^ String.sub (Store.entry_line e) 0 k);
+        true
+      | Catch_up -> agrees ()
+      | Recheckpoint ->
+        checkpoint
+          (match Store.load ~path with
+           | Ok l -> l.Store.l_entries
+           | Error _ -> []);
+        true
+      | Truncate permille ->
+        Unix.truncate path ((Unix.stat path).Unix.st_size * permille / 1000);
+        agrees ())
+    ops
+  && agrees ()
+
+let follower_prop =
+  QCheck.Test.make ~count:300
+    ~name:"follower view = full read of the file cut after its last newline"
+    arb_follow_case follower_matches_full_read
 
 (* ------------------------------------------------------------------ *)
 (* Kill-anywhere: SIGKILL real worker processes at random points.      *)
@@ -410,10 +660,17 @@ let tests =
       test_worker_runs_each_task_once;
     Alcotest.test_case "worker stop = drain after the in-flight task" `Quick
       test_worker_stop_drains_after_inflight;
+    Alcotest.test_case "heartbeats run on the real clock" `Quick
+      test_worker_heartbeat_uses_real_clock;
     Alcotest.test_case "service table matches --jobs 1" `Quick
       test_service_matches_single_process;
     Alcotest.test_case "service refuses a foreign fingerprint" `Quick
       test_service_fingerprint_mismatch;
     Alcotest.test_case "killer tasks escalate to quarantine" `Quick
       test_service_escalation;
+    Alcotest.test_case "heal keeps one heartbeat per owner" `Quick
+      test_service_heal_compacts_heartbeats;
+    Alcotest.test_case "two followers: first record still wins" `Quick
+      test_followers_interleave_first_record_wins;
+    QCheck_alcotest.to_alcotest follower_prop;
     QCheck_alcotest.to_alcotest kill_anywhere_prop ]
