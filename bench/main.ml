@@ -34,6 +34,22 @@ let bench_only =
   | Some s when s <> "" -> Some s
   | _ -> if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None
 
+(* Wall seconds of one call, and the least of three ([setup] runs
+   untimed before each).  Entries whose ratios gate CI take [best]: on
+   a small shared host one scheduler hiccup in a single sample would
+   decide the ratio. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  ignore (f ());
+  Unix.gettimeofday () -. t0
+
+let best ?(setup = ignore) f =
+  let once () = setup (); time f in
+  let t1 = once () in
+  let t2 = once () in
+  let t3 = once () in
+  Float.min t1 (Float.min t2 t3)
+
 (* ------------------------------------------------------------------ *)
 (* Kernels.                                                            *)
 
@@ -493,11 +509,6 @@ let recorded_counters () =
    kernel (in addition to its Bechamel rows): one warm-up, then one
    timed run each, so the JSON carries an honest end-to-end speedup. *)
 let campaign_comparison () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   run_campaign ~jobs:1 ();
   let sequential_s = time (run_campaign ~jobs:1) in
   let jobs = 4 in
@@ -538,19 +549,6 @@ let campaign_comparison () =
    [service_cold_s] lets every worker record its own master — the true
    cold multi-process cost, reported but not gated. *)
 let service_summary () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  (* min-of-3 on both sides: the ratio gates CI, and on a small shared
-     host a single scheduler hiccup in either sample would decide it *)
-  let best f =
-    let t1 = time f in
-    let t2 = time f in
-    let t3 = time f in
-    Float.min t1 (Float.min t2 t3)
-  in
   let w, prog = Lazy.force campaign_prepared in
   let master =
     Engine.master_pass (Workload.leak_config w) prog w.Workload.world
@@ -585,11 +583,6 @@ let service_summary () =
    injection machinery's overhead on the dual-execution hot path. *)
 let chaos_summary () =
   let pairs = Lazy.force chaos_prepared in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let sweep plan_of () =
     List.iter
       (fun (prog, plan) ->
@@ -623,7 +616,9 @@ let chaos_summary () =
    kernel (acceptance: <= 5% overhead), plus the resume experiment —
    journal a 20-task seed sweep, truncate to the first 10 outcomes
    (a kill at a record boundary), and resume: only the unjournaled
-   half may re-run, pinned by the store.* counters recorded here. *)
+   half may re-run, pinned by the store.* counters recorded here and
+   gated exactly by bench-diff.  Every leg is min-of-3, and every
+   timed resume starts from the same cut journal. *)
 let truncate_journal path keep =
   let lines =
     In_channel.with_open_bin path In_channel.input_all
@@ -646,11 +641,6 @@ let truncate_journal path keep =
         out)
 
 let durable_summary () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let w, prog = Lazy.force campaign_prepared in
   let config = Workload.leak_config w in
   let params = Lazy.force durable_params in
@@ -658,32 +648,35 @@ let durable_summary () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let run ?journal () =
-    ignore (Campaign.run ~jobs:1 ?journal ~config prog w.Workload.world params)
+  let run ?journal ?sync () =
+    ignore
+      (Campaign.run ~jobs:1 ?journal ?sync ~config prog w.Workload.world params)
+  in
+  let resume ?obs () =
+    match
+      Campaign.resume ~jobs:1 ?obs ~journal:path ~config prog w.Workload.world
+        params
+    with
+    | Ok _ -> ()
+    | Error e -> failwith ("durable bench: resume rejected: " ^ e)
   in
   run ();
-  let baseline_s = time (fun () -> run ()) in
-  let journaled_s = time (fun () -> run ~journal:path ()) in
+  let baseline_s = best (fun () -> run ()) in
+  let journaled_s = best (fun () -> run ~journal:path ()) in
   (* the ?sync knob: same journaled run with fsync-per-append — the
      power-loss-durability tax, recorded as a delta over buffered
      journaling *)
-  let journaled_sync_s =
-    time (fun () ->
-        ignore
-          (Campaign.run ~jobs:1 ~journal:path ~sync:true ~config prog
-             w.Workload.world params))
-  in
+  let journaled_sync_s = best (fun () -> run ~journal:path ~sync:true ()) in
   truncate_journal path 10;
-  let rc = Ldx_obs.Recorder.create () in
-  let resume_s =
-    time (fun () ->
-        match
-          Campaign.resume ~jobs:1 ~obs:(Ldx_obs.Recorder.sink rc) ~journal:path
-            ~config prog w.Workload.world params
-        with
-        | Ok _ -> ()
-        | Error e -> failwith ("durable bench: resume rejected: " ^ e))
+  let cut = In_channel.with_open_bin path In_channel.input_all in
+  let restore () =
+    Out_channel.with_open_bin path (fun oc -> output_string oc cut)
   in
+  let resume_s = best ~setup:restore (fun () -> resume ()) in
+  (* an untimed probe resume with a recording sink for the counters *)
+  restore ();
+  let rc = Ldx_obs.Recorder.create () in
+  resume ~obs:(Ldx_obs.Recorder.sink rc) ();
   let snap = Ldx_obs.Recorder.snapshot rc in
   let c name = Ldx_obs.Metrics.counter snap name in
   J.Obj
@@ -712,17 +705,6 @@ let durable_summary () =
    identity — are gated exactly; the speedup gates against the 1.5x
    floor in wall-time-checking runs. *)
 let incremental_summary () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    Unix.gettimeofday () -. t0
-  in
-  let best f =
-    let t1 = time f in
-    let t2 = time f in
-    let t3 = time f in
-    Float.min t1 (Float.min t2 t3)
-  in
   ignore (run_incremental ~incremental:false ());
   let baseline_s = best (fun () -> run_incremental ~incremental:false ()) in
   ignore (run_incremental ~incremental:true ());

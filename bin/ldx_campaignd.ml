@@ -62,8 +62,10 @@ let kill_after_outcomes =
   Arg.(value & opt (some int) None
        & info [ "kill-after-outcomes" ] ~docv:"N"
          ~doc:"Crash-injection hook for CI: once the journal holds \
-               $(docv) outcomes, SIGKILL one worker that holds a lease, \
-               then let supervision recover it.")
+               $(docv) outcomes, SIGKILL one live worker, then let \
+               supervision recover it.  While armed, the supervisor \
+               holds one task's lease itself, so the queue cannot \
+               finish before the kill and the respawn.")
 
 let worker_exe_arg =
   Arg.(value & opt (some string) None
@@ -100,6 +102,45 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
     in
     let spec_argv = Array.of_list (Service_common.to_argv spec) in
     let my_pid = Unix.getpid () in
+    (* The crash hook's gate: while the hook is armed, the supervisor
+       holds one task's lease, heartbeating it as a worker would, so the
+       queue cannot finish before the hook has killed a worker and the
+       slot has been respawned.  Without it, a campaign of a few
+       milliseconds can finish before the first tick.  The gate opens
+       once the victim's death has been handled, and on every exit.  It
+       is not armed when the hook cannot fire: the gate's task never
+       counts toward the N outcomes. *)
+    let gate_owner = Printf.sprintf "hook.p%d" my_pid in
+    let gate =
+      ref
+        (match kill_after_outcomes with
+         | Some n when n < List.length c.Service_common.params ->
+           (match
+              Q.claim ~path:queue ~owner:gate_owner ~now_us:(Q.now_us ())
+                ~ttl_us:(ttl_ms * 1000) ~sync ()
+            with
+            | Ok (Q.Claimed { index; epoch; _ }) -> Some (index, epoch)
+            | Ok (Q.Wait | Q.Drained) | Error _ -> None)
+         | Some _ | None -> None)
+    in
+    let gate_beat_us = ref (Q.now_us ()) in
+    let beat_gate () =
+      let now = Q.now_us () in
+      if !gate <> None && heartbeat_ms > 0
+         && now - !gate_beat_us >= heartbeat_ms * 1000
+      then begin
+        gate_beat_us := now;
+        Q.heartbeat ~path:queue ~owner:gate_owner
+          ~deadline_us:(now + (ttl_ms * 1000)) ~sync ()
+      end
+    in
+    let open_gate () =
+      Option.iter
+        (fun (index, epoch) ->
+           gate := None;
+           Q.release ~path:queue ~index ~owner:gate_owner ~epoch ~sync ())
+        !gate
+    in
     let spawn slot_id gen =
       let owner = Printf.sprintf "w%d.%d.p%d" slot_id gen my_pid in
       let argv =
@@ -185,7 +226,8 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
                      "ldx_campaignd: respawned worker %s (pid %d, backoff \
                       %.1fs)\n%!"
                      owner pid backoff
-                 end
+                 end;
+                 if !kill_hook_fired then open_gate ()
                end
                else s.deaths <- 0
              | exception Unix.Unix_error (Unix.ECHILD, _, _) -> s.live <- false)
@@ -218,15 +260,9 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
       | Some n when not !kill_hook_fired ->
         let outcomes = Array.length v.Q.states - Q.remaining v in
         if outcomes >= n then begin
-          (* the victim must hold a lease: then the queue cannot finish
-             before its lease expires, so supervision always gets to
-             recover it.  None holds one right now: try next tick. *)
-          let holds_lease s =
-            Array.exists
-              (function Q.Leased { holder; _ } -> holder = s.owner | _ -> false)
-              v.Q.states
-          in
-          (match Array.find_opt (fun s -> s.live && holds_lease s) slots with
+          (* any live worker will do: the gate keeps the queue open
+             until its death has been handled *)
+          (match Array.find_opt (fun s -> s.live) slots with
            | Some s ->
              kill_hook_fired := true;
              Printf.eprintf
@@ -257,10 +293,11 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
                  draining or unrecoverable — check once more *)
               escalate ()
             end;
-            (* an armed crash hook ticks fast, or a quick campaign
-               could finish between two ticks and never see its kill *)
+            beat_gate ();
+            (* while the gate is held, tick at least once per heartbeat *)
             Unix.sleepf
-              (if kill_after_outcomes <> None && not !kill_hook_fired then 0.001
+              (if !gate <> None && heartbeat_ms > 0 then
+                 Float.min 0.05 (float_of_int heartbeat_ms /. 1000.)
                else 0.05);
             supervise ()
           end
@@ -284,7 +321,11 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
            end)
         slots
     in
-    (match Fun.protect ~finally:(fun () -> Q.unfollow journal) supervise with
+    (match
+       Fun.protect
+         ~finally:(fun () -> open_gate (); Q.unfollow journal)
+         supervise
+     with
      | `Complete ->
        shutdown ();
        (match Campaign.Service.collect ~path:queue c.Service_common.params with

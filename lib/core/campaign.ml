@@ -159,38 +159,21 @@ let default_runner : runner =
 
 (* ---------- durable journal encoding ---------- *)
 
-(* Outcome payloads are hex so they survive the store's line format
-   unscathed; "-" stands for the empty string (hex of "" would vanish
-   between the separators). *)
-let to_hex (s : string) : string =
-  if s = "" then "-"
-  else begin
-    let b = Buffer.create (2 * String.length s) in
-    String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-    Buffer.contents b
-  end
-
-let of_hex (s : string) : string option =
-  if s = "-" then Some ""
-  else if String.length s mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init
-           (String.length s / 2)
-           (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
-
 (* [Engine.result] is plain data (records, variants, strings, ints —
    audited: no closures anywhere under it), so [Marshal] round-trips it
    exactly; replaying a journaled outcome is verbatim, which is what
-   makes interrupted-then-resumed renders byte-identical. *)
+   makes interrupted-then-resumed renders byte-identical.  Byte strings
+   ride as [Store.hex_encode] so they survive the store's line format
+   unscathed. *)
 let encode_status (s : status) (attempts : int) : string =
+  let fields tag hex =
+    String.concat " " (tag :: string_of_int attempts :: hex)
+  in
   let res tag (r : Engine.result) =
-    Printf.sprintf "%s %d %s" tag attempts (to_hex (Marshal.to_string r []))
+    fields tag [ Store.hex_encode (Marshal.to_string r []) ]
   in
   let dead tag exn backtrace =
-    Printf.sprintf "%s %d %s %s" tag attempts (to_hex exn) (to_hex backtrace)
+    fields tag [ Store.hex_encode exn; Store.hex_encode backtrace ]
   in
   match s with
   | Ok r -> res "ok" r
@@ -199,18 +182,26 @@ let encode_status (s : status) (attempts : int) : string =
   | Crashed { exn; backtrace } -> dead "crash" exn backtrace
   | Quarantined { exn; backtrace } -> dead "quarantine" exn backtrace
 
+(* The exact inverse of [encode_status]: a payload it cannot have
+   written ("4_" or "4A" as hex, "0x1" as a count) is refused, so no two
+   journal byte strings decode to the same outcome. *)
 let decode_status (payload : string) : (status * int) option =
+  let count a =
+    match int_of_string_opt a with
+    | Some n when String.equal (string_of_int n) a -> Some n
+    | _ -> None
+  in
   let result h k =
-    match of_hex h with
-    | None -> None
-    | Some m ->
+    match Store.hex_decode h with
+    | Error _ -> None
+    | Ok m ->
       (match (Marshal.from_string m 0 : Engine.result) with
        | r -> Some (k r)
        | exception _ -> None)
   in
   match String.split_on_char ' ' payload with
   | [ tag; a; h ] -> (
-      match int_of_string_opt a with
+      match count a with
       | None -> None
       | Some attempts -> (
         match tag with
@@ -219,8 +210,8 @@ let decode_status (payload : string) : (status * int) option =
         | "timeout" -> result h (fun r -> (Timed_out r, attempts))
         | _ -> None))
   | [ tag; a; e; b ] -> (
-      match (int_of_string_opt a, of_hex e, of_hex b) with
-      | Some attempts, Some exn, Some backtrace -> (
+      match (count a, Store.hex_decode e, Store.hex_decode b) with
+      | Some attempts, Result.Ok exn, Result.Ok backtrace -> (
         match tag with
         | "crash" -> Some (Crashed { exn; backtrace }, attempts)
         | "quarantine" -> Some (Quarantined { exn; backtrace }, attempts)

@@ -264,6 +264,9 @@ val fingerprint :
     guarded them. *)
 val encode_outcome : status -> int -> string
 
+(** Accepts exactly what {!encode_outcome} writes: every hex field
+    through {!Ldx_store.Store.hex_decode}, and a canonical decimal
+    attempt count.  [None] for anything else. *)
 val decode_outcome : string -> (status * int) option
 
 (** {1 The cross-process campaign service}

@@ -79,24 +79,17 @@ let compare_walls ~buf ~checks ~regressions ~threshold base cur =
        | _ -> ())
     base
 
-(* Incremental-campaign entry: its deterministic fields (task count,
-   decouple verdict, shared prefix cycles, table identity) must match
-   the baseline exactly — they derive from the virtual-cycle model, so
-   this holds on any host.  The measured speedup must clear the floor
-   the run itself carries; like wall times it is skipped under
-   [cycles_only], where host timing is meaningless. *)
-let incremental_det_fields =
-  [ "tasks"; "decoupled"; "suffixes_replayed"; "prefix_cycles";
-    "tables_identical" ]
-
-let compare_incremental ~buf ~checks ~regressions ~cycles_only base cur =
+(* Deterministic fields of a bench entry: each must match the baseline
+   exactly.  They derive from the virtual-cycle model or from counters,
+   so this holds on any host, and it applies under [cycles_only] too. *)
+let compare_exact ~buf ~checks ~regressions entry fields base cur =
   match (base, cur) with
-  | None, _ -> ()  (* baseline predates the incremental entry *)
+  | None, _ -> ()  (* baseline predates the entry *)
   | Some _, None ->
     incr checks;
     incr regressions;
     Buffer.add_string buf
-      "REGRESSION incremental                  missing from current run\n"
+      (Printf.sprintf "REGRESSION %-28s missing from current run\n" entry)
   | Some bf, Some cf ->
     List.iter
       (fun key ->
@@ -108,14 +101,27 @@ let compare_incremental ~buf ~checks ~regressions ~cycles_only base cur =
            if cval <> Some bval then begin
              incr regressions;
              Buffer.add_string buf
-               (Printf.sprintf "REGRESSION %-28s %-18s %s -> %s\n"
-                  "incremental" key (scalar_to_string bval)
+               (Printf.sprintf "REGRESSION %-28s %-18s %s -> %s\n" entry key
+                  (scalar_to_string bval)
                   (match cval with
                    | Some v -> scalar_to_string v
                    | None -> "missing"))
            end)
-      incremental_det_fields;
-    if not cycles_only then begin
+      fields
+
+(* Incremental-campaign entry: task count, decouple verdict, shared
+   prefix cycles and table identity are exact.  The measured speedup
+   must clear the floor the run itself carries; like wall times it is
+   skipped under [cycles_only], where host timing is meaningless. *)
+let incremental_det_fields =
+  [ "tasks"; "decoupled"; "suffixes_replayed"; "prefix_cycles";
+    "tables_identical" ]
+
+let compare_incremental ~buf ~checks ~regressions ~cycles_only base cur =
+  compare_exact ~buf ~checks ~regressions "incremental" incremental_det_fields
+    base cur;
+  match cur with
+  | Some cf when base <> None && not cycles_only -> begin
       incr checks;
       let floor =
         Option.value
@@ -135,6 +141,12 @@ let compare_incremental ~buf ~checks ~regressions ~cycles_only base cur =
         Buffer.add_string buf
           "REGRESSION incremental                  speedup missing\n"
     end
+  | _ -> ()
+
+(* Durable entry: a resume of the journal cut to 10 of 20 outcomes
+   replays exactly the 10 journaled outcomes and re-runs exactly the
+   other 10. *)
+let durable_det_fields = [ "resume_replayed"; "resume_rerun" ]
 
 let compare ?(threshold = 0.3) ?(cycles_only = false) ~baseline ~current () =
   let* () = check_schema baseline in
@@ -150,6 +162,9 @@ let compare ?(threshold = 0.3) ?(cycles_only = false) ~baseline ~current () =
   compare_incremental ~buf ~checks ~regressions ~cycles_only
     (section "incremental" baseline)
     (section "incremental" current);
+  compare_exact ~buf ~checks ~regressions "durable" durable_det_fields
+    (section "durable" baseline)
+    (section "durable" current);
   let* () =
     if cycles_only then Ok ()
     else

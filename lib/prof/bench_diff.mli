@@ -9,6 +9,10 @@
       [wall_cycles], ...) that differs between baseline and current is
       a regression.  A workload present in the baseline but missing
       from the current run is also a regression.
+    - The deterministic fields of the [incremental] entry (task count,
+      decouple verdict, prefix cycles, table identity) and of the
+      [durable] entry ([resume_replayed], [resume_rerun]) are compared
+      the same way, also under [cycles_only].
     - [wall_times] is host wall time and noisy; a kernel regresses only
       when [current > baseline * (1 + threshold)].  With [cycles_only]
       wall times are skipped entirely — the mode CI uses, where shared

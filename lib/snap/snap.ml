@@ -190,42 +190,16 @@ let fingerprint (t : t) : string = Store.fingerprint [ header; payload t ]
 (* ------------------------------------------------------------------ *)
 (* Wire form: one line, ["ldx-snap/1 <digest> <hex payload>"].         *)
 
-let hex_of (s : string) : string =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let unhex (s : string) : (string, string) result =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error "ldx-snap: odd hex length"
-  else begin
-    let digit c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | _ -> -1
-    in
-    let exception Bad in
-    match
-      String.init (n / 2) (fun i ->
-          let h = digit s.[2 * i] and l = digit s.[(2 * i) + 1] in
-          if h < 0 || l < 0 then raise Bad;
-          Char.chr ((h lsl 4) lor l))
-    with
-    | body -> Ok body
-    | exception Bad -> Error "ldx-snap: bad hex digit"
-  end
-
 let to_string (t : t) : string =
   let body = payload t in
   Printf.sprintf "%s %s %s" header (Store.fingerprint [ header; body ])
-    (hex_of body)
+    (Store.hex_encode body)
 
 let of_string (s : string) : (t, string) result =
   match String.split_on_char ' ' (String.trim s) with
   | [ h; digest; hx ] when String.equal h header -> (
-      match unhex hx with
-      | Error _ as e -> e
+      match Store.hex_decode hx with
+      | Error e -> Error ("ldx-snap: " ^ e)
       | Ok body ->
         if not (String.equal digest (Store.fingerprint [ header; body ])) then
           Error "ldx-snap: digest mismatch (torn or corrupt payload)"

@@ -10,33 +10,107 @@ let header_v2 = "ldx-store/2"
 (* FNV-1a 64-bit: tiny, dependency-free, and plenty for torn-write
    detection — the threat model is a half-written line after a crash,
    not an adversary forging collisions. *)
-let fnv64 (s : string) : int64 =
-  let offset_basis = 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c ->
-       h := Int64.logxor !h (Int64.of_int (Char.code c));
-       h := Int64.mul !h prime)
-    s;
+let fnv_offset_basis = 0xcbf29ce484222325L
+
+(* [h] folded over every byte of [s].  No closure captures the local
+   [h], so the native compiler keeps it unboxed and the loop allocates
+   nothing per byte. *)
+let fnv_feed (h : int64) (s : string) : int64 =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
-let hash_hex s = Printf.sprintf "%016Lx" (fnv64 s)
+let fnv64 (s : string) : int64 = fnv_feed fnv_offset_basis s
+
+let hex_digits = "0123456789abcdef"
+
+let hex_of_hash (h : int64) : string =
+  Bytes.init 16 (fun i ->
+      hex_digits.[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i)))
+                  land 15])
+  |> Bytes.unsafe_to_string
+
+let hash_hex s = hex_of_hash (fnv64 s)
 
 (* Length-prefixing keeps part boundaries significant, so moving bytes
-   between adjacent parts always changes the digest. *)
+   between adjacent parts always changes the digest.  The parts are
+   hashed in place: the digest is that of
+   [String.concat "" (List.map (fun p -> len p ^ ":" ^ p) parts)],
+   without building that string. *)
 let fingerprint (parts : string list) : string =
-  hash_hex
-    (String.concat ""
-       (List.map (fun p -> string_of_int (String.length p) ^ ":" ^ p) parts))
+  hex_of_hash
+    (List.fold_left
+       (fun h p ->
+          let h = fnv_feed h (string_of_int (String.length p)) in
+          fnv_feed (fnv_feed h ":") p)
+       fnv_offset_basis parts)
+
+(* The one hex codec of every persisted payload: lower-case digit pairs,
+   and "-" for the empty string (so the field never vanishes between
+   separators).  [nibble] maps a byte to its digit value, and every
+   byte that is not a lower-case hex digit to 0xff. *)
+let nibble =
+  let t = Bytes.make 256 '\xff' in
+  String.iteri (fun i c -> Bytes.set t (Char.code c) (Char.chr i)) hex_digits;
+  Bytes.unsafe_to_string t
+
+let hex_encode (s : string) : string =
+  let n = String.length s in
+  if n = 0 then "-"
+  else begin
+    let b = Bytes.create (2 * n) in
+    (* unchecked: [i < n], and a nibble indexes the 16 digits *)
+    for i = 0 to n - 1 do
+      let c = Char.code (String.unsafe_get s i) in
+      Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+      Bytes.unsafe_set b
+        ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+    done;
+    Bytes.unsafe_to_string b
+  end
+
+let hex_decode (s : string) : (string, string) result =
+  let n = String.length s in
+  if s = "-" then Ok ""
+  else if n = 0 then Error "empty hex"
+  else if n land 1 = 1 then Error "odd hex length"
+  else begin
+    let b = Bytes.create (n / 2) in
+    (* unchecked: [2i + 1 < n], and a byte indexes the 256-entry table *)
+    let rec go i =
+      if i = n / 2 then Ok (Bytes.unsafe_to_string b)
+      else
+        let hi = String.unsafe_get s (2 * i)
+        and lo = String.unsafe_get s ((2 * i) + 1) in
+        let hi = Char.code (String.unsafe_get nibble (Char.code hi))
+        and lo = Char.code (String.unsafe_get nibble (Char.code lo)) in
+        if hi lor lo > 15 then Error "bad hex digit"
+        else begin
+          Bytes.unsafe_set b i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0
+  end
 
 let escape = String.escaped
 
+(* [Scanf.unescaped] reads [s] as the inside of an OCaml string literal:
+   only a backslash starts an escape and only a double quote ends the
+   literal, every other byte stands for itself.  So a string with
+   neither is its own unescaping, and skips the scanner. *)
 let unescape (s : string) : (string, string) result =
-  match Scanf.unescaped s with
-  | v -> Ok v
-  | exception Scanf.Scan_failure m -> Error ("bad escape: " ^ m)
-  | exception Failure m -> Error ("bad escape: " ^ m)
+  if not (String.exists (fun c -> c = '\\' || c = '"') s) then Ok s
+  else
+    match Scanf.unescaped s with
+    | v -> Ok v
+    | exception Scanf.Scan_failure m -> Error ("bad escape: " ^ m)
+    | exception Failure m -> Error ("bad escape: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Records.                                                            *)
@@ -193,42 +267,53 @@ let split_once ch s =
   | Some i ->
     Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
-(* "<tag> <crc> <rest>" with a matching checksum, or None. *)
+(* "<tag> <crc> <rest>" with a matching checksum, or None.  A crc is
+   16 digits, so its separator sits at offset 18. *)
 let parse_record (line : string) : (char * string) option =
-  if String.length line < 2 || line.[1] <> ' ' then None
+  let n = String.length line in
+  if n < 2 || line.[1] <> ' ' then None
   else
-    match split_once ' ' (String.sub line 2 (String.length line - 2)) with
-    | Some (crc, rest) when crc = hash_hex rest -> Some (line.[0], rest)
+    match String.index_from_opt line 2 ' ' with
+    | Some 18 ->
+      let rest = String.sub line 19 (n - 19) in
+      if String.equal (String.sub line 2 16) (hash_hex rest) then
+        Some (line.[0], rest)
+      else None
     | _ -> None
 
 (* Decode the checksummed [rest] of a journal record; [None] = a
    malformed body under a VALID checksum, which the torn-tail rule
    treats like any other damage. *)
 let parse_entry (tag : char) (rest : string) : entry option =
-  let fields = String.split_on_char ' ' rest in
-  match (tag, fields) with
-  | 'o', index :: payload ->
-    (match (int_of_string_opt index, unescape (String.concat " " payload)) with
-     | Some index, Ok payload -> Some (Outcome { index; payload })
-     | _ -> None)
-  | 'l', [ index; owner; epoch; deadline ] ->
-    (match
-       (int_of_string_opt index, int_of_string_opt epoch,
-        int_of_string_opt deadline)
-     with
-     | Some index, Some epoch, Some deadline_us when owner <> "" ->
-       Some (Lease { index; owner; epoch; deadline_us })
-     | _ -> None)
-  | 'h', [ owner; deadline ] ->
-    (match int_of_string_opt deadline with
-     | Some deadline_us when owner <> "" -> Some (Heartbeat { owner; deadline_us })
-     | _ -> None)
-  | 'r', [ index; owner; epoch ] ->
-    (match (int_of_string_opt index, int_of_string_opt epoch) with
-     | Some index, Some epoch when owner <> "" ->
-       Some (Release { index; owner; epoch })
-     | _ -> None)
-  | _ -> None
+  if tag = 'o' then
+    (* the payload is everything after the index, spaces and all *)
+    let index, payload =
+      Option.value (split_once ' ' rest) ~default:(rest, "")
+    in
+    match (int_of_string_opt index, unescape payload) with
+    | Some index, Ok payload -> Some (Outcome { index; payload })
+    | _ -> None
+  else
+    match (tag, String.split_on_char ' ' rest) with
+    | 'l', [ index; owner; epoch; deadline ] ->
+      (match
+         (int_of_string_opt index, int_of_string_opt epoch,
+          int_of_string_opt deadline)
+       with
+       | Some index, Some epoch, Some deadline_us when owner <> "" ->
+         Some (Lease { index; owner; epoch; deadline_us })
+       | _ -> None)
+    | 'h', [ owner; deadline ] ->
+      (match int_of_string_opt deadline with
+       | Some deadline_us when owner <> "" ->
+         Some (Heartbeat { owner; deadline_us })
+       | _ -> None)
+    | 'r', [ index; owner; epoch ] ->
+      (match (int_of_string_opt index, int_of_string_opt epoch) with
+       | Some index, Some epoch when owner <> "" ->
+         Some (Release { index; owner; epoch })
+       | _ -> None)
+    | _ -> None
 
 (* The one line parser.  [load] feeds it every line of a file and
    [follow] every complete line appended since its last catch-up, so

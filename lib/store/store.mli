@@ -61,13 +61,34 @@ val fnv64 : string -> int64
 val hash_hex : string -> string
 
 (** Digest of an ordered list of parts (length-prefixed, so part
-    boundaries matter: [["ab";"c"] <> ["a";"bc"]]). *)
+    boundaries matter: [["ab";"c"] <> ["a";"bc"]]).  Equal to
+    [hash_hex] of the concatenated ["<len>:<part>"] pieces, which are
+    hashed in place rather than built. *)
 val fingerprint : string list -> string
+
+(** {1 Hex}
+
+    The one hex codec of persisted payloads (journal outcomes, snapshot
+    wire forms): two lower-case digits per byte, and ["-"] for the
+    empty string, so the field never vanishes between separators. *)
+
+val hex_encode : string -> string
+
+(** Exact inverse of {!hex_encode}: it accepts only what the encoder
+    emits (["-"], or a non-empty even-length run of [0-9a-f]) and
+    refuses everything else — an odd length, an upper-case or non-hex
+    digit, the empty string. *)
+val hex_decode : string -> (string, string) result
+
+(** {1 Escaping} *)
 
 (** Escape a payload to a single line (C-style, ['\\'] escapes); inverse
     {!unescape}. *)
 val escape : string -> string
 
+(** [Scanf.unescaped], as a result.  A string holding neither ['\\']
+    nor ['"'] is returned as it is without scanning: for such strings
+    the scanner is the identity. *)
 val unescape : string -> (string, string) result
 
 (** {1 Manifest} *)

@@ -814,6 +814,84 @@ let prop_resume_truncated (p : Ldx_lang.Ast.program) =
          [ 1; 4 ])
     cuts
 
+(* ---------- journal outcome codec ---------- *)
+
+(* A fixed [Engine.result] with no shared substructure, so its
+   [Marshal] image is the same under any build of the same layout. *)
+let fixed_result =
+  let side stdout trap exit_code cycles =
+    { Engine.cycles; steps = cycles / 3; syscalls = 4; stdout; trap;
+      exit_code; faults_injected = 0 }
+  in
+  { Engine.trace = []; reports = []; leak = true; tainted_sinks = 1;
+    total_sinks = 2; syscall_diffs = 3; diffs_before_first_report = 1;
+    total_syscalls = 9; mutated_inputs = 1;
+    master = side "master out\n" None (Some 0) 1200;
+    slave = side "slave out\n" (Some "fuel exhausted") None 1350;
+    wall_cycles = 1350; dyn_cnt_avg = 2.5; dyn_cnt_max = 7;
+    max_seg_depth = 2; master_schedule = None }
+
+(* Payloads recorded from an earlier build of the codec. *)
+let test_outcome_known_answers () =
+  check Alcotest.string "crashed"
+    "crash 2 4661696c7572652822626f6f6d2229 \
+     526169736564206174204c64782e660a43616c6c65642066726f6d204c64782e67"
+    (Campaign.encode_outcome
+       (Campaign.Crashed
+          { exn = "Failure(\"boom\")";
+            backtrace = "Raised at Ldx.f\nCalled from Ldx.g" })
+       2);
+  check Alcotest.string "quarantined, empty backtrace"
+    "quarantine 3 6b696c6c6564203320776f726b6572732028612c622c6329 -"
+    (Campaign.encode_outcome
+       (Campaign.Quarantined
+          { exn = "killed 3 workers (a,b,c)"; backtrace = "" })
+       3);
+  check Alcotest.string "ok"
+    "ok 1 8495a6be0000005a0000000900000035000000300800004300404041414243414941\
+     f00104b0010190442b6d6173746572206f75740a40904040f00105460101c2442a736c61\
+     7665206f75740a902e6675656c2065786861757374656440400105460c0000000000000440\
+     474240"
+    (Campaign.encode_outcome (Campaign.Ok fixed_result) 1)
+
+(* [decode_outcome] accepts exactly what [encode_outcome] writes: every
+   status round-trips, and a payload the encoder never emits is
+   refused rather than read as a neighbouring outcome. *)
+let test_outcome_decoding_strict () =
+  let statuses =
+    [ (Campaign.Ok fixed_result, 1);
+      (Campaign.Fuel_exhausted fixed_result, 2);
+      (Campaign.Timed_out fixed_result, 3);
+      (Campaign.Crashed { exn = "E"; backtrace = "" }, 1);
+      (Campaign.Crashed { exn = ""; backtrace = "a b\nc" }, 2);
+      (Campaign.Quarantined { exn = "x y"; backtrace = "\x00\xff" }, 4) ]
+  in
+  List.iter
+    (fun (s, a) ->
+       let p = Campaign.encode_outcome s a in
+       check bool ("round-trip " ^ p) true
+         (Campaign.decode_outcome p = Some (s, a)))
+    statuses;
+  check bool "the well-formed neighbour decodes" true
+    (Campaign.decode_outcome "crash 2 41 -"
+     = Some (Campaign.Crashed { exn = "A"; backtrace = "" }, 2));
+  check bool "a real result in upper-case hex is refused" true
+    (Campaign.decode_outcome
+       (String.uppercase_ascii
+          (Campaign.encode_outcome (Campaign.Timed_out fixed_result) 1))
+     = None
+     && Campaign.decode_outcome
+          ("ok 1 "
+           ^ String.uppercase_ascii
+               (Ldx_store.Store.hex_encode (Marshal.to_string fixed_result [])))
+        = None);
+  List.iter
+    (fun p ->
+       check bool ("refused: " ^ p) true (Campaign.decode_outcome p = None))
+    [ "crash 2 4_ -"; "crash 2 4A -"; "crash 2 414 -"; "crash 2 4g -";
+      "crash 2 41 "; "crash 2  -"; "crash 0x2 41 -"; "crash +2 41 -";
+      "crash 2_ 41 -"; "ok 1 8495A6BE"; "crash 2 41"; "bogus 2 41 -" ]
+
 let qtest name count gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count ~print:Gen_minic.print_program gen prop)
@@ -864,6 +942,10 @@ let tests =
       test_campaign_drain_and_resume;
     Alcotest.test_case "parallel campaigns honour stop" `Quick
       test_campaign_drain_parallel;
+    Alcotest.test_case "outcome codec known answers" `Quick
+      test_outcome_known_answers;
+    Alcotest.test_case "outcome decoding is strict" `Quick
+      test_outcome_decoding_strict;
     qtest "P14 campaign jobs=4 deterministic" 40 Gen_minic.gen_program
       prop_campaign_deterministic;
     qtest "P15 kill-anywhere resume renders identically" 10

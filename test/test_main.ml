@@ -28,4 +28,5 @@ let () =
       ("prof", Test_prof.tests);
       ("properties", Test_properties.tests);
       ("diff-vm", Test_diff_vm.tests);
-      ("snapshot", Test_snapshot.tests) ]
+      ("snapshot", Test_snapshot.tests);
+      ("journals", Test_journals.tests) ]

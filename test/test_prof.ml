@@ -267,6 +267,40 @@ let test_bench_diff_missing_workload () =
   check bool "dropped workload is a regression" true
     ((diff_exn bench_fixture pruned).Bench_diff.bd_regressions >= 1)
 
+(* The durable entry's resume counters are exact, and stay gated when
+   wall times are skipped. *)
+let test_bench_diff_durable_exact () =
+  let with_durable ~replayed ~rerun ~resume_s =
+    match bench_fixture with
+    | J.Obj l ->
+      J.Obj
+        (l
+         @ [ ( "durable",
+               J.Obj
+                 [ ("resume_replayed", J.Int replayed);
+                   ("resume_rerun", J.Int rerun);
+                   ("resume_s", J.Float resume_s) ] ) ])
+    | _ -> assert false
+  in
+  let base = with_durable ~replayed:10 ~rerun:10 ~resume_s:0.1 in
+  List.iter
+    (fun cycles_only ->
+       check int "timing alone never trips it" 0
+         (diff_exn ~cycles_only base
+            (with_durable ~replayed:10 ~rerun:10 ~resume_s:9.))
+           .Bench_diff.bd_regressions;
+       check int "one extra re-run trips it" 1
+         (diff_exn ~cycles_only base
+            (with_durable ~replayed:10 ~rerun:11 ~resume_s:0.1))
+           .Bench_diff.bd_regressions;
+       check int "a lost replay trips it" 1
+         (diff_exn ~cycles_only base
+            (with_durable ~replayed:9 ~rerun:10 ~resume_s:0.1))
+           .Bench_diff.bd_regressions;
+       check int "a missing entry trips it" 1
+         (diff_exn ~cycles_only base bench_fixture).Bench_diff.bd_regressions)
+    [ true; false ]
+
 (* ------------------------------------------------------------------ *)
 (* Campaign trace lanes.                                               *)
 
@@ -401,6 +435,8 @@ let tests =
       test_bench_diff_threshold;
     Alcotest.test_case "bench-diff missing workload" `Quick
       test_bench_diff_missing_workload;
+    Alcotest.test_case "bench-diff durable resume counters exact" `Quick
+      test_bench_diff_durable_exact;
     Alcotest.test_case "campaign trace golden" `Quick
       test_campaign_trace_golden;
     Alcotest.test_case "campaign trace at jobs>1" `Quick

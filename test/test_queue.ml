@@ -640,6 +640,115 @@ let kill_anywhere_prop =
   QCheck.Test.make ~count:3 ~name:"kill-anywhere: SIGKILL loses nothing"
     QCheck.small_nat kill_anywhere_round
 
+(* The supervisor's CI crash hook on a campaign of a few milliseconds:
+   every run must kill a worker and respawn it before the queue can
+   finish, and render the uninterrupted table.  Sampling the journal
+   alone lost that race whenever the campaign finished before the
+   supervisor's first tick. *)
+let supervisor_exe () =
+  List.find_opt Sys.file_exists
+    [ "../bin/ldx_campaignd.exe"; "bin/ldx_campaignd.exe" ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let crash_hook_seeds = 12
+
+(* Run [ldx_campaignd] with the crash hook armed after 2 outcomes on a
+   [crash_hook_seeds]-task campaign of [attribution_src], workers
+   started through [worker_exe]; check that it exits 0, respawns its
+   victim and prints the uninterrupted table, and return the queue's
+   final view. *)
+let run_crash_hook ~label ~exe ?worker_exe () =
+  let prog_file = Filename.temp_file "ldx_test_queue" ".minic" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove prog_file with Sys_error _ -> ())
+  @@ fun () ->
+  Out_channel.with_open_text prog_file (fun oc ->
+      output_string oc attribution_src);
+  let reference =
+    Campaign.render
+      (Campaign.run ~jobs:1 ~config:svc_config
+         (instrumented attribution_src) attribution_world
+         (Campaign.of_seeds svc_config (List.init crash_hook_seeds Fun.id)))
+  in
+  with_tmp @@ fun path ->
+  with_tmp @@ fun out ->
+  with_tmp @@ fun err ->
+  let fd name = Unix.openfile name [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let out_fd = fd out and err_fd = fd err in
+  let argv =
+    Array.concat
+      [ [| exe; "--queue"; path; "--workers"; "3";
+           "--kill-after-outcomes"; "2"; "--ttl-ms"; "100";
+           "--heartbeat-ms"; "20"; "--poll-ms"; "2";
+           "--respawn-backoff-ms"; "1" |];
+        (match worker_exe with
+         | Some w -> [| "--worker-exe"; w |]
+         | None -> [||]);
+        [| prog_file; "--endpoint"; "x=11"; "--endpoint"; "y=22";
+           "--sink"; "network"; "--sweep-seeds";
+           string_of_int crash_hook_seeds |] ]
+  in
+  let pid = Unix.create_process exe argv Unix.stdin out_fd err_fd in
+  let _, status = Unix.waitpid [] pid in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let log = read_file err in
+  let has needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length log
+      && (String.sub log i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  check bool (label ^ " exits 0") true (status = Unix.WEXITED 0);
+  check bool (label ^ " respawns the victim") true (has "respawned worker");
+  check Alcotest.string (label ^ " table") reference (read_file out);
+  match Q.load ~path with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" label e
+
+let test_crash_hook_always_respawns () =
+  match supervisor_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    for round = 1 to 3 do
+      ignore
+        (run_crash_hook ~label:(Printf.sprintf "round %d" round) ~exe ()
+         : Q.view)
+    done
+
+(* The gate is a lease like any other: the supervisor must keep it
+   alive by heartbeats.  Workers that take three TTLs to start would
+   otherwise find it expired, reclaim its task and charge the
+   supervisor with a kill. *)
+let test_crash_hook_gate_outlives_ttl () =
+  match supervisor_exe (), worker_exe () with
+  | None, _ | _, None -> Alcotest.skip ()
+  | Some exe, Some worker ->
+    let worker =
+      if Filename.is_relative worker then Filename.concat (Sys.getcwd ()) worker
+      else worker
+    in
+    let wrapper = Filename.temp_file "ldx_test_queue" ".sh" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove wrapper with Sys_error _ -> ())
+    @@ fun () ->
+    Out_channel.with_open_text wrapper (fun oc ->
+        Printf.fprintf oc "#!/bin/sh\nsleep 0.3\nexec %s \"$@\"\n"
+          (Filename.quote worker));
+    Unix.chmod wrapper 0o755;
+    let v = run_crash_hook ~label:"slow start" ~exe ~worker_exe:wrapper () in
+    Array.iteri
+      (fun i owners ->
+         List.iter
+           (fun o ->
+              if String.starts_with ~prefix:"hook." o then
+                Alcotest.failf "task %d: the gate expired (%s charged)" i o)
+           owners)
+      v.Q.expired_owners
+
 (* ------------------------------------------------------------------ *)
 
 let tests =
@@ -673,4 +782,8 @@ let tests =
     Alcotest.test_case "two followers: first record still wins" `Quick
       test_followers_interleave_first_record_wins;
     QCheck_alcotest.to_alcotest follower_prop;
-    QCheck_alcotest.to_alcotest kill_anywhere_prop ]
+    QCheck_alcotest.to_alcotest kill_anywhere_prop;
+    Alcotest.test_case "crash hook always respawns its victim" `Quick
+      test_crash_hook_always_respawns;
+    Alcotest.test_case "crash hook gate outlives the lease TTL" `Quick
+      test_crash_hook_gate_outlives_ttl ]

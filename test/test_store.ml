@@ -44,12 +44,57 @@ let find_sub hay needle =
 (* ------------------------------------------------------------------ *)
 (* Hashing and escaping primitives.                                    *)
 
-(* FNV-1a 64 of the empty string is the offset basis — a known vector
-   pins the constants (and thus every checksum in every journal). *)
+(* FNV-1a 64 of the empty string is the offset basis; "a" and "foobar"
+   are the standard published vectors.  Together they pin the constants,
+   the per-byte step and the rendering — and thus every checksum in
+   every journal. *)
 let test_fnv_known_vector () =
   check string "offset basis" "cbf29ce484222325" (Store.hash_hex "");
-  check bool "hashing is not constant" true
-    (Store.hash_hex "a" <> Store.hash_hex "b")
+  check string "\"a\"" "af63dc4c8601ec8c" (Store.hash_hex "a");
+  check string "\"foobar\"" "85944171f73967e8" (Store.hash_hex "foobar");
+  check string "fnv64 agrees with hash_hex" "85944171f73967e8"
+    (Printf.sprintf "%016Lx" (Store.fnv64 "foobar"))
+
+(* Strings recorded from an earlier build of the codec: the persisted
+   bytes of every record kind must not move. *)
+let test_codec_known_answers () =
+  check string "fingerprint of no parts" "cbf29ce484222325"
+    (Store.fingerprint []);
+  check string "fingerprint" "842c07c5cd849828"
+    (Store.fingerprint [ "ldx-campaign/1"; ""; "a b\n\"q\"\\"; "\x00\xff" ]);
+  List.iter
+    (fun (name, entry, line) ->
+       check string name line (Store.entry_line entry))
+    [ ( "outcome",
+        Store.Outcome { index = 3; payload = "ok 1 \"q\"\\\n\t\x00\xff end" },
+        "o 046ba8871af3f9a7 3 ok 1 \\\"q\\\"\\\\\\n\\t\\000\\255 end\n" );
+      ( "lease",
+        Store.Lease
+          { index = 7; owner = "w0-12345"; epoch = 2;
+            deadline_us = 1760000000123456 },
+        "l c55d757af2a72d62 7 w0-12345 2 1760000000123456\n" );
+      ( "heartbeat",
+        Store.Heartbeat { owner = "w1-999"; deadline_us = 1760000000654321 },
+        "h 14e385c2532ddf84 w1-999 1760000000654321\n" );
+      ( "release",
+        Store.Release { index = 0; owner = "w2-1"; epoch = 5 },
+        "r 352eda49b0d599ed 0 w2-1 5\n" ) ]
+
+(* The hex codec accepts exactly what it emits. *)
+let test_hex_strict () =
+  List.iter
+    (fun s ->
+       match Store.hex_decode s with
+       | Ok v -> Alcotest.failf "hex_decode %S accepted, gave %S" s v
+       | Error _ -> ())
+    [ "4_"; "4A"; "AB"; "4"; "abc"; "4g"; "4 "; " 4"; "\x004"; "0x41"; "";
+      "--"; "-0" ];
+  List.iter
+    (fun (hex, v) ->
+       check (Alcotest.result string string) hex (Ok v) (Store.hex_decode hex))
+    [ ("-", ""); ("41", "A"); ("00ff7f80", "\x00\xff\x7f\x80") ];
+  check string "empty string encodes as -" "-" (Store.hex_encode "");
+  check string "lower-case pairs" "00ff0a41" (Store.hex_encode "\x00\xff\nA")
 
 let test_escape_round_trip () =
   List.iter
@@ -334,8 +379,43 @@ let test_sync_smoke () =
     check bool "synced store loads back" true
       (l.Store.l_outcomes = [ (0, "ok") ] && l.Store.l_torn = 0)
 
+(* ------------------------------------------------------------------ *)
+(* Codec properties.                                                   *)
+
+(* Random byte strings in which '\\' and '"' are common, so that both
+   the scanner's escapes (valid and broken) and the fast path's
+   no-escape strings come up. *)
+let gen_escapey =
+  QCheck2.Gen.(
+    string_size ~gen:(frequency [ (3, return '\\'); (2, return '"');
+                                  (1, oneofl [ 'n'; 't'; '0'; '1'; 'x'; 'f' ]);
+                                  (4, char) ])
+      (int_bound 24))
+
+let prop_unescape_is_scanf =
+  QCheck2.Test.make ~count:2000 ~print:String.escaped
+    ~name:"unescape agrees with Scanf.unescaped (value or failure)"
+    gen_escapey
+    (fun s ->
+       let scanf =
+         match Scanf.unescaped s with v -> Some v | exception _ -> None
+       in
+       match (Store.unescape s, scanf) with
+       | Ok v, Some w -> String.equal v w
+       | Error _, None -> true
+       | _ -> false)
+
+let prop_hex_round_trip =
+  QCheck2.Test.make ~count:1000 ~print:String.escaped
+    ~name:"hex_decode inverts hex_encode" QCheck2.Gen.string
+    (fun s -> Store.hex_decode (Store.hex_encode s) = Ok s)
+
 let tests =
   [ Alcotest.test_case "fnv-1a known vector" `Quick test_fnv_known_vector;
+    Alcotest.test_case "codec known answers" `Quick test_codec_known_answers;
+    Alcotest.test_case "hex decoding is strict" `Quick test_hex_strict;
+    QCheck_alcotest.to_alcotest prop_unescape_is_scanf;
+    QCheck_alcotest.to_alcotest prop_hex_round_trip;
     Alcotest.test_case "escape round-trips payloads" `Quick
       test_escape_round_trip;
     Alcotest.test_case "fingerprint part boundaries matter" `Quick
