@@ -18,9 +18,13 @@
    - every instruction carrying its origin block id, which keeps the
      profile's [prof_base + bid] block-attribution contract intact.
 
-   The constant type is a parameter ('v) injected through {!consts}:
-   the VM instantiates it with runtime values, the tainting baselines
-   with shadow values, so both engines share this one lowering. *)
+   Two type parameters are injected through {!consts}, so both engines
+   share this one lowering: the constant type ('v: runtime values in
+   the VM, shadow values in the tainting baselines) and the executable
+   form of an expression ('c), built once per expression by
+   [c_expr] from the lowered ['v fexpr].  The VM makes closures over
+   the register file; the tracker keeps the [fexpr] and interprets
+   it. *)
 
 module Ast = Ldx_lang.Ast
 
@@ -78,25 +82,26 @@ let n_ops = 14
    - branch: e1 = cond, a = then pc, b = else pc
    - ret: e1 (Const unit when the IR returns nothing)
    - call_arity: name = callee, a = #args, b = #params, args, dst
-   - call_missing: name = callee, args, dst *)
-type 'v finstr = {
+   - call_missing: name = callee, args, dst
+   Expressions are carried in the engine's compiled form ('c). *)
+type 'c finstr = {
   op : int;
   i_bid : int;             (* origin block: profile attribution target *)
   dst : int;               (* destination slot; -1 = none *)
   dst_name : string option;  (* syscall only: the driver-facing dst *)
   a : int;
   b : int;
-  e1 : 'v fexpr;
-  e2 : 'v fexpr;
-  args : 'v fexpr array;
+  e1 : 'c;
+  e2 : 'c;
+  args : 'c array;
   name : string;
   pops : int array;
   fresh : bool;
 }
 
-type 'v func = {
+type 'c func = {
   f_ir : Ir.func;
-  code : 'v finstr array;
+  code : 'c finstr array;
   block_pc : int array;    (* bid -> pc of the block's first instruction *)
   entry_pc : int;
   nslots : int;
@@ -113,18 +118,22 @@ type 'v func = {
      path uses this to retire a whole run in one dispatch. *)
 }
 
-type 'v program = {
+type 'c program = {
   p_ir : Ir.program;
-  funcs : 'v func array;   (* aligned with [p_ir.funcs] *)
+  funcs : 'c func array;   (* aligned with [p_ir.funcs] *)
   fidx : (string, int) Hashtbl.t;  (* fname -> index, first occurrence *)
 }
 
-(* Constant injections: how source literals become runtime values. *)
-type 'v consts = {
+(* Injections: how source literals become the engine's values, and how
+   a lowered expression becomes its executable form.  [c_expr names e]
+   runs once per expression at compile time; [names] maps the
+   function's slots to source names (trap messages). *)
+type ('v, 'c) consts = {
   c_unit : 'v;
   c_int : int -> 'v;
   c_str : string -> 'v;
   c_fun : string -> 'v;
+  c_expr : string array -> 'v fexpr -> 'c;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -183,10 +192,10 @@ let collect_slots (f : Ir.func) : (string, int) Hashtbl.t * string array =
 (* ------------------------------------------------------------------ *)
 (* Code emission.                                                      *)
 
-let compile_func (cs : 'v consts) (prog : Ir.program)
+let compile_func (cs : ('v, 'c) consts) (prog : Ir.program)
     (fidx : (string, int) Hashtbl.t) (slot_of : (string, int) Hashtbl.t)
-    (slot_names : string array) (f : Ir.func) : 'v func =
-  let nil = Const cs.c_unit in
+    (slot_names : string array) (f : Ir.func) : 'c func =
+  let nil = cs.c_expr slot_names (Const cs.c_unit) in
   let mk ?(dst = -1) ?(dst_name = None) ?(a = 0) ?(b = 0) ?(e1 = nil)
       ?(e2 = nil) ?(args = [||]) ?(name = "") ?(pops = [||])
       ?(fresh = false) op i_bid =
@@ -212,7 +221,8 @@ let compile_func (cs : 'v consts) (prog : Ir.program)
     | Ast.Call (name, args) ->
       Builtin (name, Array.of_list (List.map cexpr args))
   in
-  let cargs args = Array.of_list (List.map cexpr args) in
+  let cx e = cs.c_expr slot_names (cexpr e) in
+  let cargs args = Array.of_list (List.map cx args) in
   let slot x = Hashtbl.find slot_of x in
   let slot_opt = function Some d -> slot d | None -> -1 in
   let nb = Array.length f.Ir.blocks in
@@ -232,11 +242,10 @@ let compile_func (cs : 'v consts) (prog : Ir.program)
          (fun (ins : Ir.instr) ->
             match ins with
             | Ir.Assign (x, e) ->
-              emit (mk op_assign bi ~dst:(slot x) ~e1:(cexpr e))
+              emit (mk op_assign bi ~dst:(slot x) ~e1:(cx e))
             | Ir.Store (a, i, e) ->
               emit
-                (mk op_store bi ~a:(slot a) ~name:a ~e1:(cexpr i)
-                   ~e2:(cexpr e))
+                (mk op_store bi ~a:(slot a) ~name:a ~e1:(cx i) ~e2:(cx e))
             | Ir.Call { dst; callee; args; fresh_frame } ->
               let args = cargs args in
               let dst = slot_opt dst in
@@ -256,7 +265,7 @@ let compile_func (cs : 'v consts) (prog : Ir.program)
                    emit (mk op_call bi ~a:fi ~args ~dst ~fresh:fresh_frame))
             | Ir.Call_indirect { dst; fptr; args; site } ->
               emit
-                (mk op_call_indirect bi ~e1:(cexpr fptr) ~args:(cargs args)
+                (mk op_call_indirect bi ~e1:(cx fptr) ~args:(cargs args)
                    ~dst:(slot_opt dst) ~b:site)
             | Ir.Syscall { dst; sys; args; site } ->
               emit
@@ -274,9 +283,9 @@ let compile_func (cs : 'v consts) (prog : Ir.program)
        | Ir.Jump l -> emit (mk op_jump bi ~a:block_pc.(l))
        | Ir.Branch (c, bt, bf) ->
          emit
-           (mk op_branch bi ~e1:(cexpr c) ~a:block_pc.(bt) ~b:block_pc.(bf))
+           (mk op_branch bi ~e1:(cx c) ~a:block_pc.(bt) ~b:block_pc.(bf))
        | Ir.Ret None -> emit (mk op_ret bi)
-       | Ir.Ret (Some e) -> emit (mk op_ret bi ~e1:(cexpr e)))
+       | Ir.Ret (Some e) -> emit (mk op_ret bi ~e1:(cx e)))
     f.Ir.blocks;
   let instr_runs = Array.make (Array.length code) 0 in
   for pc = Array.length code - 1 downto 0 do
@@ -296,7 +305,7 @@ let compile_func (cs : 'v consts) (prog : Ir.program)
     slot_of;
     instr_runs }
 
-let compile (cs : 'v consts) (prog : Ir.program) : 'v program =
+let compile (cs : ('v, 'c) consts) (prog : Ir.program) : 'c program =
   let nf = Array.length prog.Ir.funcs in
   let fidx = Hashtbl.create (2 * nf) in
   Array.iteri
@@ -321,13 +330,13 @@ let op_names =
      "loop_enter"; "loop_back"; "loop_exit"; "jump"; "branch"; "ret";
      "call_arity"; "call_missing" |]
 
-let func_to_string (fl : 'v func) : string =
+let func_to_string (fl : 'c func) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "flat %s: %d instrs, %d slots (%d params)\n"
        fl.f_ir.Ir.fname (Array.length fl.code) fl.nslots fl.nparams);
   Array.iteri
-    (fun pc (ins : 'v finstr) ->
+    (fun pc (ins : 'c finstr) ->
        Buffer.add_string buf
          (Printf.sprintf "  %3d: b%-2d %-13s dst=%d a=%d b=%d%s\n" pc
             ins.i_bid op_names.(ins.op) ins.dst ins.a ins.b

@@ -423,6 +423,15 @@ type master_out = {
   msched : Schedule.t option;                  (* when config.record_sched *)
 }
 
+(* The master's compiled program, when it was compiled from [prog]
+   itself: every slave-side machine of one recording runs on it instead
+   of recompiling.  It is immutable after compile, so concurrent
+   campaign domains share it as they share the rest of [master_out]. *)
+let compiled_for (mo : master_out) (prog : Ir.program) :
+  Machine.compiled option =
+  if mo.mmachine.Machine.prog == prog then Some mo.mmachine.Machine.fprog
+  else None
+
 let records_for (mo : master_out) (tid : int) : record array =
   let n = Array.length mo.mlog in
   let rec go i =
@@ -685,7 +694,7 @@ let fresh_slave_ctx ?obs ?prof (config : config) (prog : Ir.program)
   in
   let m =
     Machine.create ~seed:config.slave_seed ~sched ~max_steps:config.max_steps
-      ?prof prog os
+      ?prof ?fprog:(compiled_for mo prog) prog os
   in
   (match obs with
    | Some s -> install_obs s Obs.Event.Slave m os

@@ -206,6 +206,13 @@ type master_out = {
   msched : Schedule.t option;         (** under [config.record_sched] *)
 }
 
+(** The master's compiled program ([mmachine]'s [fprog]) when it was
+    compiled from this very [prog] (physical equality), else [None].
+    Every slave-side machine of one recording is created from it, so a
+    verdict compiles its program once and a campaign once per master
+    recording. *)
+val compiled_for : master_out -> Ir.program -> Machine.compiled option
+
 (** The master's records for one spawn index ([| |] if it never made a
     syscall). *)
 val records_for : master_out -> int -> record array

@@ -34,7 +34,8 @@ let run ?(config = Engine.default_config) ?(window = 0) (prog : Ir.program)
   let os = Os.create ~pid:1001 world in
   Os.set_faults os config.faults;
   let m =
-    Machine.create ~seed:config.slave_seed ~max_steps:config.max_steps prog os
+    Machine.create ~seed:config.slave_seed ~max_steps:config.max_steps
+      ?fprog:(Engine.compiled_for mo prog) prog os
   in
   let matched = ref 0 in
   let mismatch = ref false in

@@ -63,8 +63,9 @@ let tokenize (src : string) : t list =
   and lex_int start i =
     if i < n && is_digit src.[i] then lex_int start (i + 1)
     else begin
-      emit (INT (int_of_string (String.sub src start (i - start)))) start;
-      go i
+      match int_of_string_opt (String.sub src start (i - start)) with
+      | Some v -> emit (INT v) start; go i
+      | None -> fail "integer literal out of range" start
     end
   and lex_ident start i =
     if i < n && is_ident_char src.[i] then lex_ident start (i + 1)

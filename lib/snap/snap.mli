@@ -88,7 +88,7 @@ val os_of_sos : sos -> Ldx_osim.Os.t
     decouple point on.  Obs hooks and the lock gate start unset. *)
 val restore :
   ?prof:Profile.t -> ?sched:Sched.state ->
-  ?fprog:Ldx_vm.Value.t Ldx_cfg.Flat.program -> Ir.program -> t ->
+  ?fprog:Machine.compiled -> Ir.program -> t ->
   Machine.t
 
 (** {1 Identity} *)

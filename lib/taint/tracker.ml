@@ -263,11 +263,14 @@ and exec_block st (fn : Ir.func) locals (bid : int) : Shadow.t =
    reproduced exactly.  Calls still use host recursion, preserving the
    tree walker's stack-overflow behavior on deep recursion. *)
 
-let shadow_consts : Shadow.t Flat.consts =
+(* The tracker interprets the lowered expressions itself ([eval_flat]
+   below), so its compiled form is the [fexpr] unchanged. *)
+let shadow_consts : (Shadow.t, Shadow.t Flat.fexpr) Flat.consts =
   { Flat.c_unit = Shadow.clean Shadow.Unit;
     c_int = (fun n -> Shadow.clean (Shadow.Int n));
     c_str = (fun s -> Shadow.clean (Shadow.Str s));
-    c_fun = (fun f -> Shadow.clean (Shadow.Fptr f)) }
+    c_fun = (fun f -> Shadow.clean (Shadow.Fptr f));
+    c_expr = (fun _names e -> e) }
 
 (* Unset-register sentinel (physical identity, like {!Value.undef}: the
    record is a unique allocation, never program-reachable). *)
@@ -339,8 +342,8 @@ let rec eval_flat st (regs : Shadow.t array) (names : string array)
          else Value.trap "string index %d out of bounds" k
        | _ -> Value.trap "indexing non-array")
 
-let rec exec_flat st (fprog : Shadow.t Flat.program)
-    (fl : Shadow.t Flat.func) (regs : Shadow.t array) : Shadow.t =
+let rec exec_flat st (fprog : Shadow.t Flat.fexpr Flat.program)
+    (fl : Shadow.t Flat.fexpr Flat.func) (regs : Shadow.t array) : Shadow.t =
   let code = fl.Flat.code in
   let names = fl.Flat.slot_names in
   let rec go pc : Shadow.t =
@@ -431,8 +434,8 @@ let rec exec_flat st (fprog : Shadow.t Flat.program)
   in
   go fl.Flat.entry_pc
 
-and call_function_flat st (fprog : Shadow.t Flat.program) (fname : string)
-    (args : Shadow.t list) : Shadow.t =
+and call_function_flat st (fprog : Shadow.t Flat.fexpr Flat.program)
+    (fname : string) (args : Shadow.t list) : Shadow.t =
   match Hashtbl.find_opt fprog.Flat.fidx fname with
   | None ->
     (* same Invalid_argument as the tree walker's find_func_exn *)

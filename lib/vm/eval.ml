@@ -70,8 +70,10 @@ let apply_builtin name (args : t list) : t =
     Int
       (if String.length s >= sp && String.sub s 0 sp = p then 1 else 0)
   | "repeat", [ Str s; Int n ] ->
-    if n <= 0 then Str ""
-    else if n * String.length s > 10_000_000 then trap "repeat: too large"
+    (* divide instead of multiplying: [n * len] overflows for huge [n]
+       and would let the loop below run ~2^61 times *)
+    if n <= 0 || s = "" then Str ""
+    else if n > 10_000_000 / String.length s then trap "repeat: too large"
     else begin
       let buf = Buffer.create (n * String.length s) in
       for _ = 1 to n do Buffer.add_string buf s done;
@@ -122,6 +124,17 @@ let apply_unop (op : Ast.unop) (a : t) : t =
   | Ast.Not, x -> int (if truthy x then 0 else 1)
   | Ast.Neg, (Str _ | Arr _ | Fptr _ | Unit) -> trap "negation of non-int"
 
+(* [a[i]] on evaluated operands. *)
+let apply_index (va : t) (vi : t) : t =
+  match (va, vi) with
+  | Arr arr, Int k ->
+    if k >= 0 && k < Array.length arr then arr.(k)
+    else trap "index %d out of bounds (len %d)" k (Array.length arr)
+  | Str s, Int k ->
+    if k >= 0 && k < String.length s then int (Char.code s.[k])
+    else trap "string index %d out of bounds (len %d)" k (String.length s)
+  | _ -> trap "indexing non-array"
+
 (* Evaluate a pure expression against locals. *)
 let rec eval (locals : (string, t) Hashtbl.t) (e : Ast.expr) : t =
   match e with
@@ -140,14 +153,7 @@ let rec eval (locals : (string, t) Hashtbl.t) (e : Ast.expr) : t =
   | Ast.Index (a, i) ->
     let va = eval locals a in
     let vi = eval locals i in
-    (match (va, vi) with
-     | Arr arr, Int k ->
-       if k >= 0 && k < Array.length arr then arr.(k)
-       else trap "index %d out of bounds (len %d)" k (Array.length arr)
-     | Str s, Int k ->
-       if k >= 0 && k < String.length s then int (Char.code s.[k])
-       else trap "string index %d out of bounds (len %d)" k (String.length s)
-     | _ -> trap "indexing non-array")
+    apply_index va vi
   | Ast.Call (name, args) ->
     let vargs = List.map (eval locals) args in
     apply_builtin name vargs
@@ -175,83 +181,281 @@ let rec eval_reg (slot_of : (string, int) Hashtbl.t) (regs : t array)
   | Ast.Index (a, i) ->
     let va = eval_reg slot_of regs a in
     let vi = eval_reg slot_of regs i in
-    (match (va, vi) with
-     | Arr arr, Int k ->
-       if k >= 0 && k < Array.length arr then arr.(k)
-       else trap "index %d out of bounds (len %d)" k (Array.length arr)
-     | Str s, Int k ->
-       if k >= 0 && k < String.length s then int (Char.code s.[k])
-       else trap "string index %d out of bounds (len %d)" k (String.length s)
-     | _ -> trap "indexing non-array")
+    apply_index va vi
   | Ast.Call (name, args) ->
     let vargs = List.map (eval_reg slot_of regs) args in
     apply_builtin name vargs
 
-(* Evaluate a compiled flat expression: constants preallocated, variable
-   reads are array loads (undefined slots trap through the sentinel).
-   [names] maps slots back to source names for the trap message. *)
+(* ------------------------------------------------------------------ *)
+(* Closure compilation of the flat form (the VM's [Flat.consts.c_expr]).
+   [compile_flat names e] runs once per expression, at [Flat.compile]
+   time, and returns a closure over the register file, so the VM
+   dispatches on the expression's shape once instead of at every step.
+
+   The closures compute exactly what [eval_reg] computes on the source
+   expression: operands evaluate left to right, a read of an unset slot
+   traps as an undefined variable before the operator runs, and every
+   result that is not an int fast path comes from [apply_binop],
+   [apply_unop], [apply_builtin] or [apply_index].  The fast paths
+   ([+ - *] and the six comparisons on two ints, in-bounds indexing)
+   return what those functions would, int results boxed through
+   [Value.int] as [apply_binop] does.  A fast path may test a slot for
+   [Int] before testing it for [undef]: the sentinel is an [Arr] with
+   an empty payload, so it always falls through to the checked path.
+
+   Each operator's closures are written out per operand shape.  A
+   shared template taking the int operation as a function argument is
+   shorter, but without flambda that argument stays an indirect call:
+   it measured about 8 % fewer oneshot verdicts per second (perfbench,
+   three 10 s pairs, 2-vCPU x86-64 host). *)
+
 module Flat = Ldx_cfg.Flat
 
-let rec eval_flat (regs : t array) (names : string array)
-    (e : t Flat.fexpr) : t =
-  match e with
-  | Flat.Const v -> v
-  | Flat.Reg i ->
-    (* unsafe: slots are lowering-assigned, always < Array.length regs *)
-    let v = Array.unsafe_get regs i in
-    if v == undef then trap "undefined variable %s" names.(i) else v
-  | Flat.Unop (op, a) -> apply_unop op (eval_flat regs names a)
-  | Flat.Binop (op, a, b) ->
-    let va = eval_flat regs names a in
-    let vb = eval_flat regs names b in
-    apply_binop op va vb
-  | Flat.Index (a, i) ->
-    let va = eval_flat regs names a in
-    let vi = eval_flat regs names i in
-    (match (va, vi) with
-     | Arr arr, Int k ->
-       if k >= 0 && k < Array.length arr then arr.(k)
-       else trap "index %d out of bounds (len %d)" k (Array.length arr)
-     | Str s, Int k ->
-       if k >= 0 && k < String.length s then int (Char.code s.[k])
-       else trap "string index %d out of bounds (len %d)" k (String.length s)
-     | _ -> trap "indexing non-array")
-  | Flat.Builtin (name, args) ->
-    let n = Array.length args in
-    let rec build i =
-      if i = n then []
-      else
-        let v = eval_flat regs names args.(i) in
-        v :: build (i + 1)
-    in
-    apply_builtin name (build 0)
-  (* specialized shapes: same semantics as the general arms above, with
-     the leaf evaluations inlined (operand order preserved for traps) *)
-  | Flat.BinopRR (op, i, j) ->
-    let va = Array.unsafe_get regs i in
-    let vb = Array.unsafe_get regs j in
-    if va == undef then trap "undefined variable %s" names.(i)
-    else if vb == undef then trap "undefined variable %s" names.(j)
-    else apply_binop op va vb
-  | Flat.BinopRC (op, i, v) ->
-    let va = Array.unsafe_get regs i in
-    if va == undef then trap "undefined variable %s" names.(i)
-    else apply_binop op va v
-  | Flat.BinopCR (op, v, j) ->
-    let vb = Array.unsafe_get regs j in
-    if vb == undef then trap "undefined variable %s" names.(j)
-    else apply_binop op v vb
-  | Flat.IndexRR (x, y) ->
-    let va = Array.unsafe_get regs x in
-    let vi = Array.unsafe_get regs y in
-    if va == undef then trap "undefined variable %s" names.(x)
-    else if vi == undef then trap "undefined variable %s" names.(y)
+type code = t array -> t
+
+let v_true = int 1
+let v_false = int 0
+
+(* Evaluate [args] left to right. *)
+let eval_args (args : code array) (regs : t array) : t list =
+  let n = Array.length args in
+  let rec build i =
+    if i = n then []
     else
+      let v = (Array.unsafe_get args i) regs in
+      v :: build (i + 1)
+  in
+  build 0
+
+(* [op] over two evaluated operands. *)
+let binop_closure (op : Ast.binop) (ca : code) (cb : code) : code =
+  match op with
+  | Ast.Add ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with Int x, Int y -> int (x + y) | _ -> apply_binop op a b)
+  | Ast.Sub ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with Int x, Int y -> int (x - y) | _ -> apply_binop op a b)
+  | Ast.Mul ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with Int x, Int y -> int (x * y) | _ -> apply_binop op a b)
+  | Ast.Eq ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with
+       | Int x, Int y -> if x = y then v_true else v_false
+       | _ -> apply_binop op a b)
+  | Ast.Ne ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with
+       | Int x, Int y -> if x <> y then v_true else v_false
+       | _ -> apply_binop op a b)
+  | Ast.Lt ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with
+       | Int x, Int y -> if x < y then v_true else v_false
+       | _ -> apply_binop op a b)
+  | Ast.Le ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with
+       | Int x, Int y -> if x <= y then v_true else v_false
+       | _ -> apply_binop op a b)
+  | Ast.Gt ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with
+       | Int x, Int y -> if x > y then v_true else v_false
+       | _ -> apply_binop op a b)
+  | Ast.Ge ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      (match (a, b) with
+       | Int x, Int y -> if x >= y then v_true else v_false
+       | _ -> apply_binop op a b)
+  | Ast.Div | Ast.Mod | Ast.Band | Ast.Bor | Ast.Bxor | Ast.Shl | Ast.Shr
+  | Ast.And | Ast.Or ->
+    fun r ->
+      let a = ca r in
+      let b = cb r in
+      apply_binop op a b
+
+(* [op] over slots [i] and [j], loaded directly. *)
+let binop_rr (names : string array) (op : Ast.binop) (i : int) (j : int) :
+  code =
+  let ni = names.(i) and nj = names.(j) in
+  (* the checked path: undefined-variable traps, left slot first *)
+  let slow a b =
+    if a == undef then trap "undefined variable %s" ni
+    else if b == undef then trap "undefined variable %s" nj
+    else apply_binop op a b
+  in
+  match op with
+  | Ast.Add ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with Int x, Int y -> int (x + y) | _ -> slow a b)
+  | Ast.Sub ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with Int x, Int y -> int (x - y) | _ -> slow a b)
+  | Ast.Mul ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with Int x, Int y -> int (x * y) | _ -> slow a b)
+  | Ast.Eq ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with
+       | Int x, Int y -> if x = y then v_true else v_false
+       | _ -> slow a b)
+  | Ast.Ne ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with
+       | Int x, Int y -> if x <> y then v_true else v_false
+       | _ -> slow a b)
+  | Ast.Lt ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with
+       | Int x, Int y -> if x < y then v_true else v_false
+       | _ -> slow a b)
+  | Ast.Le ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with
+       | Int x, Int y -> if x <= y then v_true else v_false
+       | _ -> slow a b)
+  | Ast.Gt ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with
+       | Int x, Int y -> if x > y then v_true else v_false
+       | _ -> slow a b)
+  | Ast.Ge ->
+    fun r ->
+      let a = Array.unsafe_get r i and b = Array.unsafe_get r j in
+      (match (a, b) with
+       | Int x, Int y -> if x >= y then v_true else v_false
+       | _ -> slow a b)
+  | Ast.Div | Ast.Mod | Ast.Band | Ast.Bor | Ast.Bxor | Ast.Shl | Ast.Shr
+  | Ast.And | Ast.Or ->
+    fun r -> slow (Array.unsafe_get r i) (Array.unsafe_get r j)
+
+(* [op] over slot [i] and the constant [v]; an int constant is unboxed
+   at compile time. *)
+let binop_rc (names : string array) (op : Ast.binop) (i : int) (v : t) :
+  code =
+  let ni = names.(i) in
+  let slow a =
+    if a == undef then trap "undefined variable %s" ni
+    else apply_binop op a v
+  in
+  match (op, v) with
+  | Ast.Add, Int c ->
+    fun r -> (match Array.unsafe_get r i with Int x -> int (x + c) | a -> slow a)
+  | Ast.Sub, Int c ->
+    fun r -> (match Array.unsafe_get r i with Int x -> int (x - c) | a -> slow a)
+  | Ast.Mul, Int c ->
+    fun r -> (match Array.unsafe_get r i with Int x -> int (x * c) | a -> slow a)
+  | Ast.Eq, Int c ->
+    fun r ->
+      (match Array.unsafe_get r i with
+       | Int x -> if x = c then v_true else v_false
+       | a -> slow a)
+  | Ast.Ne, Int c ->
+    fun r ->
+      (match Array.unsafe_get r i with
+       | Int x -> if x <> c then v_true else v_false
+       | a -> slow a)
+  | Ast.Lt, Int c ->
+    fun r ->
+      (match Array.unsafe_get r i with
+       | Int x -> if x < c then v_true else v_false
+       | a -> slow a)
+  | Ast.Le, Int c ->
+    fun r ->
+      (match Array.unsafe_get r i with
+       | Int x -> if x <= c then v_true else v_false
+       | a -> slow a)
+  | Ast.Gt, Int c ->
+    fun r ->
+      (match Array.unsafe_get r i with
+       | Int x -> if x > c then v_true else v_false
+       | a -> slow a)
+  | Ast.Ge, Int c ->
+    fun r ->
+      (match Array.unsafe_get r i with
+       | Int x -> if x >= c then v_true else v_false
+       | a -> slow a)
+  | _ -> fun r -> slow (Array.unsafe_get r i)
+
+let rec compile_flat (names : string array) (e : t Flat.fexpr) : code =
+  match e with
+  | Flat.Const v -> fun _ -> v
+  | Flat.Reg i ->
+    let n = names.(i) in
+    fun r ->
+      (* unsafe: slots are lowering-assigned, always < Array.length r *)
+      let v = Array.unsafe_get r i in
+      if v == undef then trap "undefined variable %s" n else v
+  | Flat.Unop (Ast.Neg, a) ->
+    let ca = compile_flat names a in
+    fun r -> (match ca r with Int x -> int (-x) | v -> apply_unop Ast.Neg v)
+  | Flat.Unop (Ast.Not, a) ->
+    let ca = compile_flat names a in
+    fun r -> apply_unop Ast.Not (ca r)
+  | Flat.Binop (op, a, b) ->
+    binop_closure op (compile_flat names a) (compile_flat names b)
+  | Flat.BinopRR (op, i, j) -> binop_rr names op i j
+  | Flat.BinopRC (op, i, v) -> binop_rc names op i v
+  | Flat.BinopCR (op, v, j) ->
+    binop_closure op (fun _ -> v) (compile_flat names (Flat.Reg j))
+  | Flat.Index (a, i) ->
+    let ca = compile_flat names a and ci = compile_flat names i in
+    fun r ->
+      let va = ca r in
+      let vi = ci r in
       (match (va, vi) with
-       | Arr arr, Int k ->
-         if k >= 0 && k < Array.length arr then arr.(k)
-         else trap "index %d out of bounds (len %d)" k (Array.length arr)
-       | Str s, Int k ->
-         if k >= 0 && k < String.length s then int (Char.code s.[k])
-         else trap "string index %d out of bounds (len %d)" k (String.length s)
-       | _ -> trap "indexing non-array")
+       | Arr arr, Int k when k >= 0 && k < Array.length arr ->
+         Array.unsafe_get arr k
+       | _ -> apply_index va vi)
+  | Flat.IndexRR (x, y) ->
+    let nx = names.(x) and ny = names.(y) in
+    fun r ->
+      let va = Array.unsafe_get r x and vi = Array.unsafe_get r y in
+      (match (va, vi) with
+       (* [undef]'s payload is empty, so the bounds test excludes it *)
+       | Arr arr, Int k when k >= 0 && k < Array.length arr ->
+         Array.unsafe_get arr k
+       | _ ->
+         if va == undef then trap "undefined variable %s" nx
+         else if vi == undef then trap "undefined variable %s" ny
+         else apply_index va vi)
+  | Flat.Builtin (name, [| a |]) ->
+    let ca = compile_flat names a in
+    fun r -> apply_builtin name [ ca r ]
+  | Flat.Builtin (name, [| a; b |]) ->
+    let ca = compile_flat names a and cb = compile_flat names b in
+    fun r ->
+      let va = ca r in
+      let vb = cb r in
+      apply_builtin name [ va; vb ]
+  | Flat.Builtin (name, args) ->
+    let cargs = Array.map (compile_flat names) args in
+    fun r -> apply_builtin name (eval_args cargs r)

@@ -24,8 +24,20 @@ val eval : (string, Value.t) Hashtbl.t -> Ldx_lang.Ast.expr -> Value.t
 val eval_reg :
   (string, int) Hashtbl.t -> Value.t array -> Ldx_lang.Ast.expr -> Value.t
 
-(** Evaluate a compiled flat expression ({!Ldx_cfg.Flat}): constants are
-    preallocated, variable reads are array loads.  [names] maps slots
-    back to source names for trap messages. *)
-val eval_flat :
-  Value.t array -> string array -> Value.t Ldx_cfg.Flat.fexpr -> Value.t
+(** Closure form of a flat expression: evaluates against a register
+    file. *)
+type code = Value.t array -> Value.t
+
+(** Compile a flat expression ({!Ldx_cfg.Flat}) to a closure, once, at
+    [Flat.compile] time.  [names] maps slots to source names for trap
+    messages.  The closure returns what {!eval_reg} returns on the
+    source expression, or raises the same trap: operands evaluate left
+    to right, and slots holding {!Value.undef} trap as undefined
+    variables before the operator runs.  Two-int [+ - *] and
+    comparisons take an inline fast path; every other operand shape
+    goes through {!apply_binop}, {!apply_unop}, {!apply_builtin} or the
+    indexing rules of {!eval_reg}. *)
+val compile_flat : string array -> Value.t Ldx_cfg.Flat.fexpr -> code
+
+(** Evaluate compiled arguments left to right. *)
+val eval_args : code array -> Value.t array -> Value.t list

@@ -16,12 +16,14 @@
    to recursive functions) push a segment.
 
    Execution form: [create] compiles the program once to flat bytecode
-   (Ldx_cfg.Flat) — integer opcodes, register slots, resolved jumps —
-   and the default stepper dispatches over that with no per-instruction
-   hashing or allocation.  The original tree walker survives as the
-   [Tree] mode (same frames, name lookups through the flat symbol
-   tables) so the two paths can be differentially tested; both charge
-   the virtual clock and the profile identically. *)
+   (Ldx_cfg.Flat) — integer opcodes, register slots, resolved jumps,
+   expressions as closures over the register file ({!Eval.compile_flat})
+   — unless the caller hands it a program already compiled from the
+   same IR.  The default stepper dispatches over that with no
+   per-instruction hashing or allocation.  The original tree walker
+   survives as the [Tree] mode (same frames, name lookups through the
+   flat symbol tables) so the two paths can be differentially tested;
+   both charge the virtual clock and the profile identically. *)
 
 module Ir = Ldx_cfg.Ir
 module Flat = Ldx_cfg.Flat
@@ -74,9 +76,13 @@ type status =
   | At_barrier of barrier
   | Finished of Value.t
 
+(* The compiled execution form.  Immutable after [compile]: machines,
+   and the domains running them, may share one. *)
+type compiled = Eval.code Flat.program
+
 type frame = {
   fn : Ir.func;
-  fl : Value.t Flat.func;
+  fl : Eval.code Flat.func;
   mutable bid : int;
   mutable idx : int;
   (* [idx] is the flat pc in Flat mode, the in-block instruction index
@@ -120,7 +126,7 @@ type lock_state = {
 
 type t = {
   prog : Ir.program;
-  fprog : Value.t Flat.program;        (* the compiled execution form *)
+  fprog : compiled;                    (* the compiled execution form *)
   vm : vm_mode;
   os : Ldx_osim.Os.t;
   mutable threads : thread list;       (* creation order *)
@@ -181,16 +187,20 @@ let lock_key = function
   | Str s -> "s:" ^ s
   | Unit | Arr _ | Fptr _ -> trap "invalid lock id"
 
-(* Constant injections for the VM's instantiation of the flat form:
-   each literal is boxed once, at compile time. *)
-let value_consts : Value.t Flat.consts =
+(* The VM's instantiation of the flat form: each literal is boxed once
+   and each expression closed over the register file once, at compile
+   time. *)
+let value_consts : (Value.t, Eval.code) Flat.consts =
   { Flat.c_unit = Unit;
     c_int = (fun n -> Int n);
     c_str = (fun s -> Str s);
-    c_fun = (fun f -> Fptr f) }
+    c_fun = (fun f -> Fptr f);
+    c_expr = Eval.compile_flat }
+
+let compile (prog : Ir.program) : compiled = Flat.compile value_consts prog
 
 (* Fresh frame for [fl]; regs start as the undef sentinel. *)
-let new_frame vm (fl : Value.t Flat.func) ~ret_dst ~fresh ~prof_base =
+let new_frame vm (fl : Eval.code Flat.func) ~ret_dst ~fresh ~prof_base =
   let fn = fl.Flat.f_ir in
   { fn; fl;
     bid = fn.Ir.entry;
@@ -198,7 +208,7 @@ let new_frame vm (fl : Value.t Flat.func) ~ret_dst ~fresh ~prof_base =
     regs = Array.make fl.Flat.nslots undef;
     ret_dst; fresh; prof_base }
 
-let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?vm
+let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?vm ?fprog
     (prog : Ir.program) (os : Ldx_osim.Os.t) : t =
   let vm = match vm with Some v -> v | None -> !default_vm in
   let main = Ir.find_func_exn prog "main" in
@@ -207,7 +217,13 @@ let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?vm
   let main_base =
     match prof with Some p -> Profile.base_of p main.Ir.fname | None -> 0
   in
-  let fprog = Flat.compile value_consts prog in
+  let fprog =
+    match fprog with
+    | None -> compile prog
+    | Some f when f.Flat.p_ir == prog -> f
+    | Some _ ->
+      invalid_arg "Machine.create: fprog was compiled from another program"
+  in
   let main_fl = fprog.Flat.funcs.(Hashtbl.find fprog.Flat.fidx "main") in
   let main_thread =
     { tid = 0; spawn_index = 0;
@@ -442,8 +458,8 @@ let push_seg t (th : thread) =
 (* Generic call path (tree mode, indirect calls, signal handlers):
    args arrive as a list, arity is checked at runtime with the
    historical trap message. *)
-let push_call t (th : thread) ~(fl : Value.t Flat.func) ~(vargs : Value.t list)
-    ~(ret_dst : int) ~fresh =
+let push_call t (th : thread) ~(fl : Eval.code Flat.func)
+    ~(vargs : Value.t list) ~(ret_dst : int) ~fresh =
   let nargs = List.length vargs in
   if nargs <> fl.Flat.nparams then
     trap "call %s: arity mismatch (%d args, %d params)" fl.Flat.f_ir.Ir.fname
@@ -589,7 +605,7 @@ exception Trapped of string
    profile attribution stay bit-identical — including mid-run traps on
    malformed loop stacks. *)
 let exec_instr_run t (th : thread) (frame : frame)
-    (code : Value.t Flat.finstr array) (pc0 : int) (n : int) : unit =
+    (code : Eval.code Flat.finstr array) (pc0 : int) (n : int) : unit =
   let seg = cur_seg th in
   for pc = pc0 to pc0 + n - 1 do
     let ins = Array.unsafe_get code pc in
@@ -618,23 +634,23 @@ let exec_instr_run t (th : thread) (frame : frame)
 (* Execute up to [q0] instructions of [th] (which must be Runnable).
    Returns the event that ended the quantum early, or [None] when the
    quantum (or the thread's runnability) ran out.  The current frame's
-   code/regs/names are held in locals and refetched only when the frame
-   stack changes (call/ret), so the per-instruction cost is one int
-   match plus field loads — no hashing, no list traversal, and no
-   allocation beyond what the semantics demand (syscall argument lists,
-   loop-stack conses, callee register files).  Reads through
-   lowering-produced indices are unchecked: pc targets and register
-   slots are in range by construction (every block ends in a
-   redirecting terminator, slots are assigned below [nslots]);
-   program-controlled indices — array loads/stores — keep their
-   checks. *)
+   code/regs are held in locals and refetched only when the frame stack
+   changes (call/ret), so the per-instruction cost is one int match,
+   field loads and a call of the instruction's expression closures — no
+   hashing, no list traversal, and no allocation beyond what the
+   semantics demand (syscall argument lists, loop-stack conses, callee
+   register files).  Reads through lowering-produced indices are
+   unchecked: pc targets and register slots are in range by
+   construction (every block ends in a redirecting terminator, slots
+   are assigned below [nslots]); program-controlled indices — array
+   loads/stores — keep their checks. *)
 let run_quantum_flat t (th : thread) (q0 : int) : event option =
   let rec enter q =
     match th.frames with
     | [] -> None
     | frame :: _ ->
-      run frame frame.fl.Flat.code frame.regs frame.fl.Flat.slot_names q
-  and run frame code regs names q =
+      run frame frame.fl.Flat.code frame.regs q
+  and run frame code regs q =
     if q = 0 then None
     else if t.steps >= t.max_steps then raise (Trapped "fuel exhausted")
     else begin
@@ -645,22 +661,21 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
       match ins.Flat.op with
       | 0 (* assign *) ->
         charge t frame Profile.op_assign Cost.instr;
-        Array.unsafe_set regs ins.Flat.dst
-          (Eval.eval_flat regs names ins.Flat.e1);
-        run frame code regs names (q - 1)
+        Array.unsafe_set regs ins.Flat.dst (ins.Flat.e1 regs);
+        run frame code regs (q - 1)
       | 1 (* store *) ->
         charge t frame Profile.op_store Cost.instr;
         let va = Array.unsafe_get regs ins.Flat.a in
         if va == undef then trap "undefined variable %s" ins.Flat.name;
-        let vi = Eval.eval_flat regs names ins.Flat.e1 in
-        let ve = Eval.eval_flat regs names ins.Flat.e2 in
+        let vi = ins.Flat.e1 regs in
+        let ve = ins.Flat.e2 regs in
         (match (va, vi) with
          | Arr arr, Int k ->
            if k >= 0 && k < Array.length arr then arr.(k) <- ve
            else
              trap "store index %d out of bounds (len %d)" k (Array.length arr)
          | _ -> trap "store into non-array %s" ins.Flat.name);
-        run frame code regs names (q - 1)
+        run frame code regs (q - 1)
       | 2 (* call: resolved callee, arity known-good — args evaluate
              straight into the callee's register file *) ->
         charge t frame Profile.op_call Cost.instr;
@@ -668,8 +683,7 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
         let callee_regs = Array.make fl.Flat.nslots undef in
         let args = ins.Flat.args in
         for i = 0 to Array.length args - 1 do
-          Array.unsafe_set callee_regs i
-            (Eval.eval_flat regs names (Array.unsafe_get args i))
+          Array.unsafe_set callee_regs i ((Array.unsafe_get args i) regs)
         done;
         let fn = fl.Flat.f_ir in
         th.frames <-
@@ -682,16 +696,8 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
         enter (q - 1)
       | 3 (* call_indirect *) ->
         charge t frame Profile.op_call_indirect Cost.instr;
-        let vf = Eval.eval_flat regs names ins.Flat.e1 in
-        let args = ins.Flat.args in
-        let n = Array.length args in
-        let rec build i =
-          if i = n then []
-          else
-            let v = Eval.eval_flat regs names args.(i) in
-            v :: build (i + 1)
-        in
-        let vargs = build 0 in
+        let vf = ins.Flat.e1 regs in
+        let vargs = Eval.eval_args ins.Flat.args regs in
         (match vf with
          | Fptr name ->
            (match func_by_name t name with
@@ -701,15 +707,7 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
          | v -> trap "indirect call through non-funptr %s" (to_string v));
         enter (q - 1)
       | 4 (* syscall *) ->
-        let args = ins.Flat.args in
-        let n = Array.length args in
-        let rec build i =
-          if i = n then []
-          else
-            let v = Eval.eval_flat regs names args.(i) in
-            v :: build (i + 1)
-        in
-        let vargs = build 0 in
+        let vargs = Eval.eval_args ins.Flat.args regs in
         syscall_event t th frame
           { sys = ins.Flat.name; sysargs = vargs; dst = ins.Flat.dst_name;
             dst_slot = ins.Flat.dst; site = ins.Flat.b }
@@ -718,27 +716,27 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
         let n = Array.unsafe_get frame.fl.Flat.instr_runs pc0 in
         if n > 1 && n <= q && t.steps + n - 1 <= t.max_steps then begin
           exec_instr_run t th frame code pc0 n;
-          run frame code regs names (q - n)
+          run frame code regs (q - n)
         end
         else begin
           charge t frame Profile.op_cnt_add Cost.cnt_instr;
           t.instr_events <- t.instr_events + 1;
           (cur_seg th).cnt <- (cur_seg th).cnt + ins.Flat.a;
-          run frame code regs names (q - 1)
+          run frame code regs (q - 1)
         end
       | 6 (* loop_enter *) ->
         let pc0 = frame.idx - 1 in
         let n = Array.unsafe_get frame.fl.Flat.instr_runs pc0 in
         if n > 1 && n <= q && t.steps + n - 1 <= t.max_steps then begin
           exec_instr_run t th frame code pc0 n;
-          run frame code regs names (q - n)
+          run frame code regs (q - n)
         end
         else begin
           charge t frame Profile.op_loop_enter Cost.cnt_instr;
           t.instr_events <- t.instr_events + 1;
           let seg = cur_seg th in
           seg.loops <- (ins.Flat.a, 0) :: seg.loops;
-          run frame code regs names (q - 1)
+          run frame code regs (q - 1)
         end
       | 7 (* loop_back *) ->
         t.instr_events <- t.instr_events + 1;
@@ -752,7 +750,7 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
         let n = Array.unsafe_get frame.fl.Flat.instr_runs pc0 in
         if n > 1 && n <= q && t.steps + n - 1 <= t.max_steps then begin
           exec_instr_run t th frame code pc0 n;
-          run frame code regs names (q - n)
+          run frame code regs (q - n)
         end
         else begin
           charge t frame Profile.op_loop_exit Cost.cnt_instr;
@@ -766,21 +764,20 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
              | _ -> trap "loop_exit L%d: loop stack mismatch" l)
           done;
           seg.cnt <- seg.cnt + ins.Flat.b;
-          run frame code regs names (q - 1)
+          run frame code regs (q - 1)
         end
       | 9 (* jump *) ->
         charge t frame Profile.op_jump Cost.instr;
         frame.idx <- ins.Flat.a;
-        run frame code regs names (q - 1)
+        run frame code regs (q - 1)
       | 10 (* branch *) ->
         charge t frame Profile.op_branch Cost.instr;
-        let v = Eval.eval_flat regs names ins.Flat.e1 in
-        frame.idx <- (if truthy v then ins.Flat.a else ins.Flat.b);
-        run frame code regs names (q - 1)
+        frame.idx <-
+          (if truthy (ins.Flat.e1 regs) then ins.Flat.a else ins.Flat.b);
+        run frame code regs (q - 1)
       | 11 (* ret *) ->
         charge t frame Profile.op_ret Cost.instr;
-        let v = Eval.eval_flat regs names ins.Flat.e1 in
-        pop_frame t th v;
+        pop_frame t th (ins.Flat.e1 regs);
         (match th.status with
          | Runnable -> enter (q - 1)
          | Awaiting _ | At_barrier _ | Finished _ -> None)
@@ -790,7 +787,7 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
         charge t frame Profile.op_call Cost.instr;
         let args = ins.Flat.args in
         for i = 0 to Array.length args - 1 do
-          ignore (Eval.eval_flat regs names args.(i) : Value.t)
+          ignore (args.(i) regs : Value.t)
         done;
         trap "call %s: arity mismatch (%d args, %d params)" ins.Flat.name
           ins.Flat.a ins.Flat.b
@@ -800,10 +797,10 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
         charge t frame Profile.op_call Cost.instr;
         let args = ins.Flat.args in
         for i = 0 to Array.length args - 1 do
-          ignore (Eval.eval_flat regs names args.(i) : Value.t)
+          ignore (args.(i) regs : Value.t)
         done;
         ignore (Ir.find_func_exn t.prog ins.Flat.name : Ir.func);
-        run frame code regs names (q - 1)
+        run frame code regs (q - 1)
       | _ -> assert false
     end
   in
@@ -1324,15 +1321,8 @@ let snapshot (t : t) : snapshot =
     sn_cnt_samples = t.cnt_samples;
     sn_max_seg_depth = t.max_seg_depth }
 
-(* Compile [prog] to the VM's flat form (the same compilation [create]
-   performs) — for restore paths that have no machine to borrow a
-   compiled program from (e.g. a snapshot arriving from another
-   process). *)
-let compile (prog : Ir.program) : Value.t Flat.program =
-  Flat.compile value_consts prog
-
 let restore ?prof ?sched ~(prog : Ir.program)
-    ~(fprog : Value.t Flat.program) (os : Ldx_osim.Os.t)
+    ~(fprog : compiled) (os : Ldx_osim.Os.t)
     (snap : snapshot) : t =
   (match prof with Some p -> Profile.attach p prog | None -> ());
   let vmemo = ref [] in

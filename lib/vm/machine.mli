@@ -15,7 +15,9 @@
 
     Execution form: {!create} compiles the program once to flat bytecode
     ({!Ldx_cfg.Flat}) — integer opcodes, register slots, resolved jump
-    targets — and the default stepper dispatches over that form.  The
+    targets, expressions as closures over the register file — or takes
+    one already compiled from the same program, and the default stepper
+    dispatches over that form.  The
     original tree walker survives as {!Tree} mode (selected with
     [LDX_VM=tree] or the [?vm] argument) for differential testing; both
     modes charge the virtual clock and the profile identically. *)
@@ -27,6 +29,12 @@ module Sched = Ldx_sched.Scheduler
 (** Which stepper executes instructions.  Same semantics, same costs;
     [Flat] is the fast path. *)
 type vm_mode = Tree | Flat
+
+(** A compiled program: the flat form with each expression closed over
+    the register file ({!Eval.compile_flat}).  Immutable after
+    {!compile}, so any number of machines — including machines running
+    in different domains — may share one. *)
+type compiled = Eval.code Flat.program
 
 (** Session default, from the [LDX_VM] environment variable at module
     init ("tree" selects the tree walker; anything else, [Flat]).
@@ -56,7 +64,7 @@ type status =
 
 type frame = {
   fn : Ir.func;
-  fl : Value.t Flat.func;    (** the function's compiled form *)
+  fl : Eval.code Flat.func;  (** the function's compiled form *)
   mutable bid : int;         (** current block (both modes) *)
   mutable idx : int;
       (** [Flat]: pc into [fl.code]; [Tree]: in-block instruction index *)
@@ -98,7 +106,7 @@ type lock_state = {
 
 type t = {
   prog : Ir.program;
-  fprog : Value.t Flat.program;  (** compiled once at {!create} *)
+  fprog : compiled;          (** compiled at, or handed to, {!create} *)
   vm : vm_mode;
   os : Ldx_osim.Os.t;
   mutable threads : thread list;  (** creation order *)
@@ -169,10 +177,15 @@ val lock_key : Value.t -> string
     perturbing execution (one profile per program — do not share
     between machines running different programs).
     [?vm] selects the stepper; default {!default_vm}.
-    @raise Invalid_argument if [main] is missing or takes parameters. *)
+    [?fprog] skips compilation: it must be {!compile} of this very
+    [prog] (physically equal), typically another machine's [fprog]
+    over the same program — the engine builds every slave-side machine
+    of one master recording from the master's.
+    @raise Invalid_argument if [main] is missing or takes parameters,
+    or [?fprog] was compiled from another program. *)
 val create :
   ?seed:int -> ?sched:Sched.state -> ?max_steps:int -> ?prof:Profile.t ->
-  ?vm:vm_mode -> Ir.program -> Ldx_osim.Os.t -> t
+  ?vm:vm_mode -> ?fprog:compiled -> Ir.program -> Ldx_osim.Os.t -> t
 
 val main_thread : t -> thread
 val cur_seg : thread -> seg
@@ -348,10 +361,13 @@ type snapshot = {
     await the driver). *)
 val snapshot : t -> snapshot
 
-(** The compilation {!create} performs, for restore paths with no
+(** Compile [prog] to the VM's execution form: the flat lowering, then
+    one closure per expression.  {!create} does this unless it is handed
+    a compiled program; call it directly to share one compilation among
+    machines over the same program, or for restore paths with no
     machine to borrow a compiled program from (e.g. a snapshot arriving
     from another process via [Ldx_snap]). *)
-val compile : Ir.program -> Value.t Flat.program
+val compile : Ir.program -> compiled
 
 (** Rebuild a machine from a snapshot over [os] (which must itself be a
     copy consistent with the capture point — see [Os.copy]).  [?prof]
@@ -364,4 +380,4 @@ val compile : Ir.program -> Value.t Flat.program
     behind [Ldx_snap]'s fingerprint validation. *)
 val restore :
   ?prof:Profile.t -> ?sched:Sched.state -> prog:Ir.program ->
-  fprog:Value.t Flat.program -> Ldx_osim.Os.t -> snapshot -> t
+  fprog:compiled -> Ldx_osim.Os.t -> snapshot -> t

@@ -30,18 +30,31 @@ let small_ints = Array.init 257 (fun i -> Int (i - 1))
 let[@inline] int n =
   if n >= -1 && n <= 255 then Array.unsafe_get small_ints (n + 1) else Int n
 
-let rec equal a b =
-  match (a, b) with
-  | Unit, Unit -> true
-  | Int x, Int y -> x = y
-  | Str x, Str y -> String.equal x y
-  | Fptr x, Fptr y -> String.equal x y
-  | Arr x, Arr y ->
-    Array.length x = Array.length y
-    && (let ok = ref true in
-        Array.iteri (fun i v -> if not (equal v y.(i)) then ok := false) x;
-        !ok)
-  | (Unit | Int _ | Str _ | Arr _ | Fptr _), _ -> false
+(* Structural equality.  Arrays may be cyclic ([a[0] = a]) or refer to
+   each other, so the walk keeps the pairs of arrays under comparison
+   and counts a pair it meets again as equal: any difference between
+   them shows up along another path.  Physically equal arrays are equal
+   outright.  On acyclic values this is plain structural equality. *)
+let equal a b =
+  let rec eq seen a b =
+    match (a, b) with
+    | Unit, Unit -> true
+    | Int x, Int y -> x = y
+    | Str x, Str y -> String.equal x y
+    | Fptr x, Fptr y -> String.equal x y
+    | Arr x, Arr y ->
+      x == y
+      || Array.length x = Array.length y
+         && (List.exists (fun (x', y') -> x' == x && y' == y) seen
+             ||
+             let seen = (x, y) :: seen in
+             let rec elems i =
+               i = Array.length x || (eq seen x.(i) y.(i) && elems (i + 1))
+             in
+             elems 0)
+    | (Unit | Int _ | Str _ | Arr _ | Fptr _), _ -> false
+  in
+  eq [] a b
 
 let truthy = function
   | Int 0 | Unit -> false

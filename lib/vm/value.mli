@@ -24,7 +24,9 @@ val undef : t
     on the common range. *)
 val int : int -> t
 
-(** Deep structural equality (arrays by contents). *)
+(** Deep structural equality (arrays by contents).  Terminates on
+    cyclic and mutually referencing arrays: a pair of arrays met again
+    while it is being compared counts as equal. *)
 val equal : t -> t -> bool
 
 (** C-like truthiness: [0], [Unit] and [""] are false. *)

@@ -56,6 +56,23 @@ let test_string_builtins () =
   expect_str "repeat" "ababab" (b "repeat" [ vs "ab"; vi 3 ]);
   expect_str "repeat zero" "" (b "repeat" [ vs "ab"; vi 0 ])
 
+(* [repeat]'s size guard: [n * len] used to overflow, so a huge count
+   passed the guard and looped ~2^61 times, and an empty string looped
+   [n] times for any [n]. *)
+let test_repeat_bounds () =
+  check bool "overflowing count traps" true
+    (traps (fun () -> b "repeat" [ vs "ab"; vi 2305843009213693952 ]));
+  check bool "max_int count traps" true
+    (traps (fun () -> b "repeat" [ vs "x"; vi max_int ]));
+  expect_str "empty string, max_int count" "" (b "repeat" [ vs ""; vi max_int ]);
+  (* where the product fits, the guard's edge is where it always was *)
+  expect_int "at the limit" 10_000_000
+    (b "strlen" [ b "repeat" [ vs "ab"; vi 5_000_000 ] ]);
+  check bool "one past the limit" true
+    (traps (fun () -> b "repeat" [ vs "ab"; vi 5_000_001 ]));
+  check bool "one past the limit (len 3)" true
+    (traps (fun () -> b "repeat" [ vs "abc"; vi 3_333_334 ]))
+
 let test_numeric_builtins () =
   expect_int "min" 2 (b "min" [ vi 5; vi 2 ]);
   expect_int "max" 5 (b "max" [ vi 5; vi 2 ]);
@@ -117,6 +134,47 @@ let test_binops_eq () =
   expect_int "arr eq" 1 (bin Ast.Eq a1 a2);
   expect_int "arr ne" 0 (bin Ast.Eq a1 a3)
 
+(* Cyclic and mutually referencing arrays: [==] must answer instead of
+   recursing forever, and still see a difference beside the cycle. *)
+let test_binops_eq_cyclic () =
+  let self_ref extra =
+    let a = [| vi 0; vi extra |] in
+    a.(0) <- Value.Arr a;
+    Value.Arr a
+  in
+  let a = self_ref 1 in
+  expect_int "a == a" 1 (bin Ast.Eq a a);
+  expect_int "a != a" 0 (bin Ast.Ne a a);
+  expect_int "same shape, distinct arrays" 1 (bin Ast.Eq a (self_ref 1));
+  expect_int "differs beside the cycle" 1 (bin Ast.Ne a (self_ref 2));
+  expect_int "differs beside the cycle (==)" 0 (bin Ast.Eq a (self_ref 2));
+  let c = [| vi 0; vi 5 |] and d = [| vi 0; vi 5 |] in
+  c.(0) <- Value.Arr d;
+  d.(0) <- Value.Arr c;
+  expect_int "mutual c == d" 1 (bin Ast.Eq (Value.Arr c) (Value.Arr d));
+  expect_int "mutual c != d" 0 (bin Ast.Ne (Value.Arr c) (Value.Arr d));
+  d.(1) <- vi 6;
+  expect_int "mutual, one element apart" 0
+    (bin Ast.Eq (Value.Arr c) (Value.Arr d));
+  (* the same comparison from a MiniC program, under both steppers *)
+  List.iter
+    (fun vm ->
+       let o =
+         Ldx_vm.Driver.run_source ~vm
+           {| fn main() {
+                let a = mkarray(1, 0);
+                a[0] = a;
+                let b = mkarray(1, 0);
+                b[0] = b;
+                if (a == a) { print("eq "); }
+                if (a != b) { print("ne"); } else { print("eq"); }
+              } |}
+           Ldx_osim.World.empty
+       in
+       check (Alcotest.option string) "no trap" None o.Ldx_vm.Driver.trap;
+       check string "stdout" "eq eq" o.Ldx_vm.Driver.stdout)
+    [ Ldx_vm.Machine.Flat; Ldx_vm.Machine.Tree ]
+
 let test_binop_traps () =
   check bool "div0" true (traps (fun () -> bin Ast.Div (vi 1) (vi 0)));
   check bool "mod0" true (traps (fun () -> bin Ast.Mod (vi 1) (vi 0)));
@@ -167,6 +225,7 @@ let test_find_allocation_free () =
 let tests =
   [ Alcotest.test_case "itoa/atoi" `Quick test_itoa_atoi;
     Alcotest.test_case "string builtins" `Quick test_string_builtins;
+    Alcotest.test_case "repeat size guard" `Quick test_repeat_bounds;
     Alcotest.test_case "numeric builtins" `Quick test_numeric_builtins;
     Alcotest.test_case "hash stable" `Quick test_hash_stable;
     Alcotest.test_case "array builtins" `Quick test_array_builtins;
@@ -174,6 +233,8 @@ let tests =
     Alcotest.test_case "int binops" `Quick test_binops_int;
     Alcotest.test_case "string binops" `Quick test_binops_string;
     Alcotest.test_case "equality" `Quick test_binops_eq;
+    Alcotest.test_case "equality on cyclic arrays" `Quick
+      test_binops_eq_cyclic;
     Alcotest.test_case "binop traps" `Quick test_binop_traps;
     Alcotest.test_case "truthiness" `Quick test_truthiness;
     Alcotest.test_case "eval env" `Quick test_eval_env;

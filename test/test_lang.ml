@@ -28,6 +28,28 @@ let test_lex_error_reports_position () =
   | exception Lexer.Error (_, line, _) -> check int "line" 2 line
   | _ -> Alcotest.fail "expected a lexical error"
 
+(* An integer literal beyond max_int is a lexical error at the
+   literal's position, not an escaped [Failure "int_of_string"]. *)
+let test_lex_int_out_of_range () =
+  (match Lexer.tokenize "let x = 99999999999999999999;" with
+   | exception Lexer.Error (msg, line, col) ->
+     check Alcotest.string "message" "integer literal out of range" msg;
+     check int "line" 1 line;
+     check int "col" 9 col
+   | _ -> Alcotest.fail "expected a lexical error");
+  (match Lexer.tokenize (string_of_int max_int) with
+   | { Lexer.tok = Lexer.INT n; _ } :: _ -> check int "max_int lexes" max_int n
+   | _ -> Alcotest.fail "expected an int token");
+  match
+    Parser.parse_program "fn main() {\n  let x = 4611686018427387904;\n}"
+  with
+  | exception Parser.Error (msg, line, col) ->
+    check Alcotest.string "parser message"
+      "lexical error: integer literal out of range" msg;
+    check int "parser line" 2 line;
+    check int "parser col" 11 col
+  | _ -> Alcotest.fail "expected a parse error"
+
 let test_parse_precedence () =
   let p = parse "fn main() { let x = 1 + 2 * 3 == 7; }" in
   match (List.hd p.Ast.funcs).Ast.body with
@@ -126,6 +148,7 @@ let tests =
     Alcotest.test_case "lex string escapes" `Quick test_lex_string_escapes;
     Alcotest.test_case "lex comments" `Quick test_lex_comments;
     Alcotest.test_case "lex error position" `Quick test_lex_error_reports_position;
+    Alcotest.test_case "lex int out of range" `Quick test_lex_int_out_of_range;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;
     Alcotest.test_case "parse else-if" `Quick test_parse_else_if;
     Alcotest.test_case "parse funref" `Quick test_parse_funref;
