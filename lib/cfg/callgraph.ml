@@ -29,63 +29,73 @@ let direct_callees (f : Ir.func) : StrSet.t =
     f.blocks;
   !acc
 
-(* Tarjan's strongly connected components; emits SCCs in reverse
-   topological order (callees before callers). *)
-let tarjan (nodes : string list) (succs : string -> StrSet.t) : string list list =
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
+(* Tarjan's strongly connected components over node positions, with
+   arrays for the per-node state; emits SCCs in reverse topological order
+   (callees before callers). *)
+let tarjan (names : string array) (succs : int -> int list) : string list list =
+  let n = Array.length names in
+  let index = Array.make n (-1) and lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
   let stack = ref [] in
   let counter = ref 0 in
   let sccs = ref [] in
   let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v true;
-    StrSet.iter
+    on_stack.(v) <- true;
+    List.iter
       (fun w ->
-         if not (Hashtbl.mem index w) then begin
+         if index.(w) < 0 then begin
            strongconnect w;
-           Hashtbl.replace lowlink v
-             (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+           lowlink.(v) <- Int.min lowlink.(v) lowlink.(w)
          end
-         else if Hashtbl.mem on_stack w && Hashtbl.find on_stack w then
-           Hashtbl.replace lowlink v
-             (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
+         else if on_stack.(w) then lowlink.(v) <- Int.min lowlink.(v) index.(w))
       (succs v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+    if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
           stack := rest;
-          Hashtbl.replace on_stack w false;
-          if String.equal w v then w :: acc else pop (w :: acc)
+          on_stack.(w) <- false;
+          if w = v then names.(w) :: acc else pop (names.(w) :: acc)
       in
       sccs := pop [] :: !sccs
     end
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then strongconnect v
+  done;
   (* Tarjan produces SCCs in reverse topological order of the condensation
      when collected in emission order. *)
   List.rev !sccs
 
 let compute (p : Ir.program) : t =
+  (* each function name once, in program order, with its position *)
+  let pos = Hashtbl.create 16 and names = ref [] in
+  Array.iter
+    (fun (f : Ir.func) ->
+       if not (Hashtbl.mem pos f.Ir.fname) then begin
+         Hashtbl.add pos f.Ir.fname (Hashtbl.length pos);
+         names := f.Ir.fname :: !names
+       end)
+    p.funcs;
+  let names = Array.of_list (List.rev !names) in
   let callees = Hashtbl.create 16 in
   Array.iter
     (fun (f : Ir.func) ->
-       let cs =
-         StrSet.filter
-           (fun c -> Ir.find_func p c <> None)
-           (direct_callees f)
-       in
-       Hashtbl.replace callees f.Ir.fname cs)
+       Hashtbl.replace callees f.Ir.fname
+         (StrSet.filter (Hashtbl.mem pos) (direct_callees f)))
     p.funcs;
-  let nodes = Array.to_list (Array.map (fun f -> f.Ir.fname) p.funcs) in
   let succs v = try Hashtbl.find callees v with Not_found -> StrSet.empty in
-  let sccs = tarjan nodes succs in
+  let sccs =
+    tarjan names (fun i ->
+        List.rev
+          (StrSet.fold (fun c acc -> Hashtbl.find pos c :: acc)
+             (succs names.(i)) []))
+  in
   let recursive =
     List.fold_left
       (fun acc scc ->

@@ -11,6 +11,10 @@ type t = {
 
 val compute : Ir.func -> t
 
+(** [compute] given the function's {!Ir.predecessors}, for a caller that
+    needs them too. *)
+val compute_with_preds : Ir.func -> int list array -> t
+
 (** [dominates d a b] — does [a] dominate [b]?  Reflexive; [false] when
     [b] is unreachable. *)
 val dominates : t -> int -> int -> bool

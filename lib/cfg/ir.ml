@@ -83,14 +83,28 @@ let successors = function
   | Branch (_, t, f) -> if t = f then [ t ] else [ t; f ]
   | Ret _ -> []
 
+(* [successors] without building the list, in the same order: the CFG
+   analyses walk every block's successors several times per function. *)
+let iter_successors k = function
+  | Jump l -> k l
+  | Branch (_, t, f) -> k t; if f <> t then k f
+  | Ret _ -> ()
+
+let fold_successors k term acc =
+  match term with
+  | Jump l -> k l acc
+  | Branch (_, t, f) -> if f = t then k t acc else k f (k t acc)
+  | Ret _ -> acc
+
 (* Predecessor map: preds.(b) = list of blocks with an edge into b. *)
 let predecessors (f : func) : int list array =
   let preds = Array.make (Array.length f.blocks) [] in
-  Array.iter
-    (fun b ->
-       List.iter (fun s -> preds.(s) <- b.bid :: preds.(s)) (successors b.term))
-    f.blocks;
-  Array.map List.rev preds
+  (* last block first, so each list comes out in ascending order *)
+  for i = Array.length f.blocks - 1 downto 0 do
+    let b = f.blocks.(i) in
+    iter_successors (fun s -> preds.(s) <- b.bid :: preds.(s)) b.term
+  done;
+  preds
 
 (* Reverse postorder of the blocks reachable from entry. *)
 let reverse_postorder (f : func) : int list =
@@ -100,7 +114,7 @@ let reverse_postorder (f : func) : int list =
   let rec dfs b =
     if not visited.(b) then begin
       visited.(b) <- true;
-      List.iter dfs (successors f.blocks.(b).term);
+      iter_successors dfs f.blocks.(b).term;
       order := b :: !order
     end
   in
@@ -113,7 +127,7 @@ let reachable_blocks f =
   let rec dfs b =
     if not visited.(b) then begin
       visited.(b) <- true;
-      List.iter dfs (successors f.blocks.(b).term)
+      iter_successors dfs f.blocks.(b).term
     end
   in
   dfs f.entry;

@@ -20,58 +20,50 @@ type t = {
   loop_of_header : (int, loop) Hashtbl.t;
 }
 
-let natural_loop (f : Ir.func) preds header tails =
-  let body = ref (IntSet.singleton header) in
-  let stack = ref [] in
-  List.iter
-    (fun t ->
-       if not (IntSet.mem t !body) then begin
-         body := IntSet.add t !body;
-         stack := t :: !stack
-       end)
-    tails;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | b :: rest ->
-      stack := rest;
-      List.iter
-        (fun p ->
-           if not (IntSet.mem p !body) then begin
-             body := IntSet.add p !body;
-             stack := p :: !stack
-           end)
-        preds.(b)
-  done;
-  let body = !body in
-  let exits = ref [] in
-  IntSet.iter
-    (fun b ->
-       List.iter
-         (fun s -> if not (IntSet.mem s body) then exits := (b, s) :: !exits)
-         (Ir.successors f.blocks.(b).Ir.term))
-    body;
-  { header; body; back_tails = tails; exits = List.rev !exits }
+(* The flood fill marks the body in [inside], a per-function scratch array
+   that is cleared again before returning; the exit scan tests membership
+   there instead of in the set. *)
+let natural_loop (f : Ir.func) preds inside header tails =
+  inside.(header) <- true;
+  let rec add acc b =
+    if inside.(b) then acc
+    else begin
+      inside.(b) <- true;
+      List.fold_left add (b :: acc) preds.(b)
+    end
+  in
+  let blocks = List.fold_left add [ header ] tails in
+  let body = IntSet.of_list blocks in
+  let exits =
+    IntSet.fold
+      (fun b acc ->
+         Ir.fold_successors
+           (fun s acc -> if inside.(s) then acc else (b, s) :: acc)
+           f.blocks.(b).Ir.term acc)
+      body []
+  in
+  List.iter (fun b -> inside.(b) <- false) blocks;
+  { header; body; back_tails = tails; exits = List.rev exits }
 
 let detect (f : Ir.func) : t =
-  let doms = Dominators.compute f in
   let preds = Ir.predecessors f in
-  let reach = Ir.reachable_blocks f in
+  let doms = Dominators.compute_with_preds f preds in
   (* collect back edges grouped by header *)
   let by_header = Hashtbl.create 8 in
   Array.iter
     (fun (b : Ir.block) ->
-       if reach.(b.Ir.bid) then
-         List.iter
+       if doms.Dominators.rpo_index.(b.Ir.bid) <> -1 then
+         Ir.iter_successors
            (fun s ->
               if Dominators.dominates doms s b.Ir.bid then
                 Hashtbl.replace by_header s
                   (b.Ir.bid :: (try Hashtbl.find by_header s with Not_found -> [])))
-           (Ir.successors b.Ir.term))
+           b.Ir.term)
     f.blocks;
+  let inside = Array.make (Array.length f.blocks) false in
   let loops =
     Hashtbl.fold
-      (fun header tails acc -> natural_loop f preds header tails :: acc)
+      (fun header tails acc -> natural_loop f preds inside header tails :: acc)
       by_header []
   in
   let loop_of_header = Hashtbl.create 8 in
@@ -88,9 +80,13 @@ let loops_containing (t : t) b =
    cycle. *)
 let is_reducible (f : Ir.func) (t : t) : bool =
   let n = Array.length f.blocks in
-  let is_back b s =
-    List.exists (fun l -> l.header = s && List.mem b l.back_tails) t.loops
-  in
+  (* the headers each block has a back edge to *)
+  let back = Array.make n [] in
+  List.iter
+    (fun l ->
+       List.iter (fun b -> back.(b) <- l.header :: back.(b)) l.back_tails)
+    t.loops;
+  let is_back b s = List.exists (fun h -> h = s) back.(b) in
   (* Kahn's algorithm on the graph minus back edges *)
   let indeg = Array.make n 0 in
   let succs = Array.make n [] in

@@ -40,12 +40,13 @@ let new_bb ctx =
 
 let emit ctx i = ctx.cur.rinstrs <- i :: ctx.cur.rinstrs
 
-let set_term ctx t = if ctx.cur.term = None then ctx.cur.term <- Some t
+let set_term ctx t =
+  match ctx.cur.term with None -> ctx.cur.term <- Some t | Some _ -> ()
 
 let switch_to ctx b = ctx.cur <- b
 
 let fresh_temp ctx =
-  let t = Printf.sprintf "%%t%d" ctx.ntemp in
+  let t = "%t" ^ string_of_int ctx.ntemp in
   ctx.ntemp <- ctx.ntemp + 1;
   t
 
@@ -58,9 +59,10 @@ let fresh_site ctx =
 type callee_kind = User | Builtin | Syscall | Indirect
 
 let classify ctx name =
-  if Names.is_builtin name then Builtin
-  else if Names.is_syscall name then Syscall
-  else
+  match Names.kind name with
+  | Some (Names.Builtin _) -> Builtin
+  | Some (Names.Syscall _) -> Syscall
+  | None ->
     match Ast.find_func ctx.prog name with
     | Some _ -> User
     | None -> Indirect  (* checked to be a local variable by Check *)

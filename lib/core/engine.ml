@@ -114,7 +114,7 @@ let sched_state_of ~(record : bool) (spec : Sched.spec option) ~(seed : int) :
 
 let sink_pred = function
   | Output_syscalls ->
-    fun sys _ _ -> List.mem sys [ "write"; "send"; "print"; "malloc"; "retaddr" ]
+    fun sys _ _ -> Ldx_lang.Names.is_output_syscall sys
   | Network_outputs -> fun sys _ _ -> String.equal sys "send"
   | File_outputs -> fun sys _ _ -> sys = "write" || sys = "print"
   | Attack_sinks -> fun sys _ _ -> sys = "retaddr" || sys = "malloc"

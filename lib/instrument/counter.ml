@@ -78,39 +78,47 @@ type edge_class = {
 }
 
 let classify_edges (f : Ir.func) (ld : Loops.t) : edge_class list =
-  let loop_body_size (l : Loops.loop) = IntSet.cardinal l.Loops.body in
-  let edges = ref [] in
-  Array.iter
-    (fun (b : Ir.block) ->
-       List.iter
-         (fun s ->
-            let back_of =
-              match Hashtbl.find_opt ld.Loops.loop_of_header s with
-              | Some l when List.mem b.Ir.bid l.Loops.back_tails -> Some l
-              | _ -> None
-            in
-            let pops =
-              if back_of <> None then []
-              else
-                List.filter
-                  (fun (l : Loops.loop) ->
-                     IntSet.mem b.Ir.bid l.Loops.body
-                     && not (IntSet.mem s l.Loops.body))
-                  ld.Loops.loops
-                |> List.sort (fun a b ->
-                    compare (loop_body_size a) (loop_body_size b))
-            in
-            let enters =
-              if back_of <> None then None
-              else
-                match Hashtbl.find_opt ld.Loops.loop_of_header s with
-                | Some l when not (IntSet.mem b.Ir.bid l.Loops.body) -> Some l
-                | _ -> None
-            in
-            edges := { src = b.Ir.bid; dst = s; back_of; pops; enters } :: !edges)
-         (Ir.successors b.Ir.term))
-    f.blocks;
-  List.rev !edges
+  let n = Array.length f.blocks in
+  (* the loop headed at each block, and each block's enclosing loops
+     innermost first: sorted once by body size (stably, so loops of equal
+     size keep their order in [ld.loops]), not per edge *)
+  let head = Array.make n None in
+  List.iter (fun (l : Loops.loop) -> head.(l.Loops.header) <- Some l)
+    ld.Loops.loops;
+  let enclosing = Array.make n [] in
+  List.stable_sort
+    (fun (a : Loops.loop) (b : Loops.loop) ->
+       compare (IntSet.cardinal a.Loops.body) (IntSet.cardinal b.Loops.body))
+    ld.Loops.loops
+  |> List.rev
+  |> List.iter (fun (l : Loops.loop) ->
+      IntSet.iter (fun b -> enclosing.(b) <- l :: enclosing.(b)) l.Loops.body);
+  let edge src s =
+    match head.(s) with
+    | Some l when List.exists (fun t -> t = src) l.Loops.back_tails ->
+      { src; dst = s; back_of = Some l; pops = []; enters = None }
+    | h ->
+      let pops =
+        match enclosing.(src) with
+        | [] -> []
+        | ls -> List.filter (fun l -> not (List.memq l enclosing.(s))) ls
+      in
+      let enters =
+        match h with
+        | Some l when not (List.memq l enclosing.(src)) -> Some l
+        | _ -> None
+      in
+      { src; dst = s; back_of = None; pops; enters }
+  in
+  (* built from the last block back, so the list comes out in order *)
+  Array.fold_right
+    (fun (b : Ir.block) acc ->
+       match b.Ir.term with
+       | Ir.Jump l -> edge b.Ir.bid l :: acc
+       | Ir.Branch (_, t, e) when t = e -> edge b.Ir.bid t :: acc
+       | Ir.Branch (_, t, e) -> edge b.Ir.bid t :: edge b.Ir.bid e :: acc
+       | Ir.Ret _ -> acc)
+    f.blocks []
 
 (* ------------------------------------------------------------------ *)
 (* Static counter values on the loop-collapsed (acyclic) graph.        *)
@@ -122,38 +130,44 @@ let classify_edges (f : Ir.func) (ld : Loops.t) : edge_class list =
 let compute_cnt (f : Ir.func) (edges : edge_class list) (inc : int array) :
   int array =
   let n = Array.length f.blocks in
-  let succs = Array.make n [] in
-  let add_edge a b = succs.(a) <- b :: succs.(a) in
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  let add_edge a b =
+    succs.(a) <- b :: succs.(a);
+    indeg.(b) <- indeg.(b) + 1
+  in
   List.iter
     (fun e ->
-       match e.back_of with
-       | Some _ -> ()                        (* drop back edges *)
-       | None ->
+       match e.back_of, e.pops with
+       | Some _, _ -> ()                     (* drop back edges *)
+       | None, [] -> add_edge e.src e.dst
+       | None, pops ->
          add_edge e.src e.dst;
          List.iter
            (fun (l : Loops.loop) ->
               List.iter (fun t -> add_edge t e.dst) l.Loops.back_tails)
-           e.pops)
+           pops)
     edges;
-  (* Kahn topological order *)
-  let indeg = Array.make n 0 in
-  Array.iteri (fun _ ss -> List.iter (fun s -> indeg.(s) <- indeg.(s) + 1) ss) succs;
-  let queue = Queue.create () in
+  (* Kahn topological order; each block is enqueued once, so an array is
+     the FIFO *)
+  let queue = Array.make n 0 and tail = ref 0 in
+  let push b = queue.(!tail) <- b; incr tail in
   for b = 0 to n - 1 do
-    if indeg.(b) = 0 then Queue.add b queue
+    if indeg.(b) = 0 then push b
   done;
   let cnt_in = Array.make n 0 in
+  let rec relax out = function
+    | [] -> ()
+    | s :: rest ->
+      if out > cnt_in.(s) then cnt_in.(s) <- out;
+      indeg.(s) <- indeg.(s) - 1;
+      if indeg.(s) = 0 then push s;
+      relax out rest
+  in
   let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let b = Queue.pop queue in
+  while !seen < !tail do
+    let b = queue.(!seen) in
     incr seen;
-    let out = cnt_in.(b) + inc.(b) in
-    List.iter
-      (fun s ->
-         if out > cnt_in.(s) then cnt_in.(s) <- out;
-         indeg.(s) <- indeg.(s) - 1;
-         if indeg.(s) = 0 then Queue.add s queue)
-      succs.(b)
+    relax (cnt_in.(b) + inc.(b)) succs.(b)
   done;
   if !seen <> n then
     failwith
@@ -171,40 +185,43 @@ type patch = {
   code : Ir.instr list;
 }
 
-let out_degree (f : Ir.func) b = List.length (Ir.successors f.blocks.(b).Ir.term)
-
+(* Edge code goes at the end of a single-successor source, at the start
+   of a single-predecessor destination, or else into a new block.  Each
+   block's patches and splits live in arrays indexed by block id. *)
 let materialize (f : Ir.func) (patches : patch list) : Ir.func * int =
-  let preds = Ir.predecessors f in
-  let in_degree b = List.length preds.(b) in
+  let n = Array.length f.blocks in
+  let out_degree = Array.make n 0 and in_degree = Array.make n 0 in
+  let enter s = in_degree.(s) <- in_degree.(s) + 1 in
+  Array.iter
+    (fun (b : Ir.block) ->
+       out_degree.(b.Ir.bid) <-
+         Ir.fold_successors (fun _ k -> k + 1) b.Ir.term 0;
+       Ir.iter_successors enter b.Ir.term)
+    f.blocks;
   let added = ref 0 in
-  let appends = Hashtbl.create 8 in    (* bid -> instr list to append *)
-  let prepends = Hashtbl.create 8 in   (* bid -> instr list to prepend *)
-  let splits = ref [] in               (* (src, dst, code) needing a new block *)
+  let appends = Array.make n [] in     (* bid -> instr list to append *)
+  let prepends = Array.make n [] in    (* bid -> instr list to prepend *)
+  let splits = Array.make n [] in      (* src -> (dst, code) for a new block *)
   List.iter
     (fun p ->
-       if p.code = [] then ()
-       else begin
-         added := !added + List.length p.code;
-         if out_degree f p.e.src = 1 then
-           Hashtbl.replace appends p.e.src
-             ((try Hashtbl.find appends p.e.src with Not_found -> []) @ p.code)
-         else if in_degree p.e.dst = 1 then
-           Hashtbl.replace prepends p.e.dst
-             ((try Hashtbl.find prepends p.e.dst with Not_found -> []) @ p.code)
-         else splits := (p.e.src, p.e.dst, p.code) :: !splits
-       end)
+       match p.code with
+       | [] -> ()
+       | code ->
+         added := !added + List.length code;
+         let src = p.e.src and dst = p.e.dst in
+         if out_degree.(src) = 1 then appends.(src) <- appends.(src) @ code
+         else if in_degree.(dst) = 1 then
+           prepends.(dst) <- prepends.(dst) @ code
+         else splits.(src) <- (dst, code) :: splits.(src))
     patches;
-  let n = Array.length f.blocks in
   let new_blocks = ref [] in
   let next_bid = ref n in
   let retarget src term =
     (* replace edge src->dst with src->fresh for each split on src *)
     let for_dst dst =
-      match
-        List.find_opt (fun (s, d, _) -> s = src && d = dst) !splits
-      with
+      match List.assoc_opt dst splits.(src) with
       | None -> dst
-      | Some (_, _, code) ->
+      | Some code ->
         let bid = !next_bid in
         incr next_bid;
         new_blocks :=
@@ -212,27 +229,31 @@ let materialize (f : Ir.func) (patches : patch list) : Ir.func * int =
           :: !new_blocks;
         bid
     in
-    match term with
-    | Ir.Jump l -> Ir.Jump (for_dst l)
-    | Ir.Branch (c, t, e) ->
+    match term, splits.(src) with
+    | _, [] -> term
+    | Ir.Jump l, _ -> Ir.Jump (for_dst l)
+    | Ir.Branch (c, t, e), _ ->
       (* NB: if t = e both go to the same dst; a single split block works *)
       let t' = for_dst t in
       let e' = if e = t then t' else for_dst e in
       Ir.Branch (c, t', e')
-    | Ir.Ret _ as r -> r
+    | (Ir.Ret _ as r), _ -> r
   in
+  (* a block without patches or splits is kept as it is *)
   let rewritten =
     Array.map
       (fun (b : Ir.block) ->
-         let pre = try Hashtbl.find prepends b.Ir.bid with Not_found -> [] in
-         let post = try Hashtbl.find appends b.Ir.bid with Not_found -> [] in
-         let instrs =
-           if pre = [] && post = [] then b.Ir.instrs
-           else
-             Array.concat
-               [ Array.of_list pre; b.Ir.instrs; Array.of_list post ]
-         in
-         { b with Ir.instrs; term = retarget b.Ir.bid b.Ir.term })
+         match prepends.(b.Ir.bid), appends.(b.Ir.bid), splits.(b.Ir.bid) with
+         | [], [], [] -> b
+         | pre, post, _ ->
+           let instrs =
+             match pre, post with
+             | [], [] -> b.Ir.instrs
+             | _ ->
+               Array.concat
+                 [ Array.of_list pre; b.Ir.instrs; Array.of_list post ]
+           in
+           { b with Ir.instrs; term = retarget b.Ir.bid b.Ir.term })
       f.blocks
   in
   let blocks =
@@ -246,26 +267,40 @@ let materialize (f : Ir.func) (patches : patch list) : Ir.func * int =
 let instrument_func (config : config) (fcnts : int StrMap.t)
     (next_loop_id : int ref) (f : Ir.func) : Ir.func * func_stats =
   let ld = Loops.detect f in
-  if not (Loops.is_reducible f ld) then
-    failwith ("Counter.instrument_func: irreducible CFG in " ^ f.Ir.fname);
   let inc = Array.map (block_increment fcnts) f.blocks in
   let edges = classify_edges f ld in
-  let cnt_in = compute_cnt f edges inc in
-  let cnt_out b = cnt_in.(b) + inc.(b) in
-  (* A loop is active if some block of its body increments the counter. *)
-  let loop_active (l : Loops.loop) =
-    config.instrument_inactive_loops
-    || IntSet.exists (fun b -> inc.(b) > 0) l.Loops.body
+  (* The loop-collapsed graph contains the CFG minus its back edges, so
+     when it is acyclic the CFG is reducible; only a failure needs the
+     reducibility test, to report the check the CFG fails first. *)
+  let cnt_in =
+    try compute_cnt f edges inc
+    with Failure _ as e ->
+      if not (Loops.is_reducible f ld) then
+        failwith ("Counter.instrument_func: irreducible CFG in " ^ f.Ir.fname);
+      raise e
   in
-  let loop_ids = Hashtbl.create 8 in
+  let cnt_out b = cnt_in.(b) + inc.(b) in
+  (* A loop is active if some block of its body increments the counter.
+     Activity and ids live in arrays indexed by the loop's header; ids are
+     handed out in first-use order. *)
+  let nb = Array.length f.blocks in
+  let active = Array.make nb false and ids = Array.make nb (-1) in
+  List.iter
+    (fun (l : Loops.loop) ->
+       active.(l.Loops.header) <-
+         config.instrument_inactive_loops
+         || IntSet.exists (fun b -> inc.(b) > 0) l.Loops.body)
+    ld.Loops.loops;
+  let loop_active (l : Loops.loop) = active.(l.Loops.header) in
+  let loops_instrumented = ref 0 in
   let loop_id (l : Loops.loop) =
-    match Hashtbl.find_opt loop_ids l.Loops.header with
-    | Some id -> id
-    | None ->
-      let id = !next_loop_id in
+    let h = l.Loops.header in
+    if ids.(h) < 0 then begin
+      ids.(h) <- !next_loop_id;
       incr next_loop_id;
-      Hashtbl.replace loop_ids l.Loops.header id;
-      id
+      incr loops_instrumented
+    end;
+    ids.(h)
   in
   let patches =
     List.map
@@ -289,7 +324,7 @@ let instrument_func (config : config) (fcnts : int StrMap.t)
                else
                  [ Ir.Loop_exit
                      { pops = List.map loop_id active_pops;
-                       bump = (if config.loop_reset then max delta 0 else 0) } ]
+                       bump = (if config.loop_reset then Int.max delta 0 else 0) } ]
              in
              let enter =
                match e.enters with
@@ -309,9 +344,9 @@ let instrument_func (config : config) (fcnts : int StrMap.t)
       edges
   in
   let f', added = materialize f patches in
-  let loops_instrumented = Hashtbl.length loop_ids in
+  let loops_instrumented = !loops_instrumented in
   let max_cnt =
-    Array.fold_left max 0 (Array.mapi (fun b _ -> cnt_out b) f.blocks)
+    Array.fold_left Int.max 0 (Array.mapi (fun b _ -> cnt_out b) f.blocks)
   in
   let fcnt =
     (* cnt at the unique return block's end; if no block returns (infinite
@@ -320,7 +355,7 @@ let instrument_func (config : config) (fcnts : int StrMap.t)
     Array.iter
       (fun (b : Ir.block) ->
          match b.Ir.term with
-         | Ir.Ret _ -> best := max !best (cnt_out b.Ir.bid)
+         | Ir.Ret _ -> best := Int.max !best (cnt_out b.Ir.bid)
          | Ir.Jump _ | Ir.Branch _ -> ())
       f.blocks;
     if !best >= 0 then !best else max_cnt
@@ -358,14 +393,18 @@ let mark_fresh_frames (cg : Callgraph.t) (p : Ir.program) : Ir.program * int =
   in
   ({ p with Ir.funcs }, !count)
 
-let count_indirect_sites p =
-  Ir.count_instrs_if (function Ir.Call_indirect _ -> true | _ -> false) p
-
 let instrument ?(config = default_config) (p : Ir.program) : Ir.program * stats
   =
   let cg = Callgraph.compute p in
   let p, fresh_call_sites = mark_fresh_frames cg p in
-  let instrs_before = Ir.total_instrs p in
+  let instrs_before = ref 0 and indirect_sites = ref 0 in
+  let syscall_sites = ref 0 in
+  Ir.iter_instrs p (fun _ _ i ->
+      incr instrs_before;
+      match i with
+      | Ir.Call_indirect _ -> incr indirect_sites
+      | Ir.Syscall _ -> incr syscall_sites
+      | _ -> ());
   let next_loop_id = ref 0 in
   let fcnts = ref StrMap.empty in
   let results = Hashtbl.create 16 in
@@ -401,14 +440,14 @@ let instrument ?(config = default_config) (p : Ir.program) : Ir.program * stats
         |> List.filter (fun (f : Ir.func) ->
             Callgraph.is_recursive cg f.Ir.fname)
         |> List.length;
-      indirect_sites = count_indirect_sites p;
+      indirect_sites = !indirect_sites;
       fresh_call_sites;
-      syscall_sites = Ir.total_syscall_sites p;
-      instrs_before;
+      syscall_sites = !syscall_sites;
+      instrs_before = !instrs_before;
       instrs_added = List.fold_left (fun a (fs : func_stats) -> a + fs.added_instrs) 0 per_func;
       loops_instrumented =
         List.fold_left (fun a (fs : func_stats) -> a + fs.loops_instrumented) 0 per_func;
-      max_static_cnt = List.fold_left (fun a (fs : func_stats) -> max a fs.max_cnt) 0 per_func;
+      max_static_cnt = List.fold_left (fun a (fs : func_stats) -> Int.max a fs.max_cnt) 0 per_func;
     }
   in
   ({ Ir.funcs; n_sites = p.Ir.n_sites; n_loops = !next_loop_id }, stats)

@@ -1,9 +1,10 @@
 (* Static well-formedness checks run before lowering.
 
-   Ensures: a [main] entry exists; no duplicate functions or parameters;
-   call arities of builtins/syscalls match; variables are defined before
-   use; break/continue only inside loops; user functions are not shadowed
-   by reserved names.  Returns a list of diagnostics (empty = ok). *)
+   Ensures: a [main] entry exists and takes no parameters; no duplicate
+   functions or parameters; call arities of builtins/syscalls match;
+   variables are defined before use; break/continue only inside loops;
+   user functions are not shadowed by reserved names.  Returns a list of
+   diagnostics (empty = ok). *)
 
 open Ast
 
@@ -14,17 +15,16 @@ let diag func fmt = Printf.ksprintf (fun message -> { func; message }) fmt
 module StrSet = Set.Make (String)
 
 let check_call prog ~vars fname callee nargs errors =
-  if Names.is_builtin callee then begin
-    match Names.builtin_arity callee with
-    | Some ar when Names.arity_matches ar nargs -> errors
-    | _ -> diag fname "builtin '%s' applied to %d arguments" callee nargs :: errors
-  end
-  else if Names.is_syscall callee then begin
-    match Names.syscall_arity callee with
-    | Some ar when Names.arity_matches ar nargs -> errors
-    | _ -> diag fname "syscall '%s' applied to %d arguments" callee nargs :: errors
-  end
-  else
+  match Names.kind callee with
+  | Some (Names.Builtin ar) ->
+    if Names.arity_matches ar nargs then errors
+    else
+      diag fname "builtin '%s' applied to %d arguments" callee nargs :: errors
+  | Some (Names.Syscall ar) ->
+    if Names.arity_matches ar nargs then errors
+    else
+      diag fname "syscall '%s' applied to %d arguments" callee nargs :: errors
+  | None ->
     match find_func prog callee with
     | Some f ->
       if List.length f.params <> nargs then
@@ -138,7 +138,8 @@ let check_fundef prog (f : fundef) errors =
 let check_program (prog : program) : diagnostic list =
   let errors =
     match find_func prog "main" with
-    | Some _ -> []
+    | Some { params = []; _ } -> []
+    | Some _ -> [ diag "main" "'main' takes no parameters" ]
     | None -> [ diag "<program>" "no 'main' function" ]
   in
   let _, errors =

@@ -1,9 +1,9 @@
 (** Static well-formedness checks run before lowering.
 
-    Ensures: a [main] entry exists; no duplicate functions or parameters;
-    builtin/syscall/user-call arities match; variables are defined before
-    use; [break]/[continue] appear only inside loops; reserved names are
-    not shadowed. *)
+    Ensures: a [main] entry exists and takes no parameters; no duplicate
+    functions or parameters; builtin/syscall/user-call arities match;
+    variables are defined before use; [break]/[continue] appear only
+    inside loops; reserved names are not shadowed. *)
 
 type diagnostic = { func : string; message : string }
 

@@ -77,23 +77,48 @@ let syscalls : (string * arity) list = [
   ("sigsend", Exact 1);       (* raise a signal on the current thread *)
 ]
 
-let mem_assoc name table = List.mem_assoc name table
+type kind = Builtin of arity | Syscall of arity
 
-let is_builtin name = mem_assoc name builtins
-let is_syscall name = mem_assoc name syscalls
+(* Every reserved name in one hash table, built once from the two lists
+   above: the checker classifies each call and each [let], and the
+   lowering each call, so a lookup must not scan the lists. *)
+module Tbl = Hashtbl.Make (struct
+    type t = string
+    let equal = String.equal
+    let hash = Hashtbl.hash
+  end)
+
+let table =
+  let t = Tbl.create 64 in
+  List.iter (fun (n, a) -> Tbl.replace t n (Syscall a)) syscalls;
+  List.iter (fun (n, a) -> Tbl.replace t n (Builtin a)) builtins;
+  t
+
+let kind name = Tbl.find_opt table name
+
+let is_builtin name =
+  match kind name with Some (Builtin _) -> true | _ -> false
+
+let is_syscall name =
+  match kind name with Some (Syscall _) -> true | _ -> false
 
 let arity_matches arity n =
   match arity with Exact k -> n = k | At_least k -> n >= k
 
-let builtin_arity name = List.assoc_opt name builtins
-let syscall_arity name = List.assoc_opt name syscalls
+let builtin_arity name =
+  match kind name with Some (Builtin a) -> Some a | _ -> None
+
+let syscall_arity name =
+  match kind name with Some (Syscall a) -> Some a | _ -> None
 
 (* Syscalls that the paper's default configuration treats as potential
    sinks (output-related) vs. sources (input-related). *)
 let output_syscalls = [ "write"; "send"; "print"; "malloc"; "retaddr" ]
 let input_syscalls = [ "read"; "recv"; "rand"; "time"; "stat"; "readdir" ]
 
-let is_output_syscall name = List.mem name output_syscalls
-let is_input_syscall name = List.mem name input_syscalls
+(* String.equal, not the polymorphic [List.mem]: the engine tests every
+   syscall of both runs against the sink list. *)
+let is_output_syscall name = List.exists (String.equal name) output_syscalls
+let is_input_syscall name = List.exists (String.equal name) input_syscalls
 
-let reserved name = is_builtin name || is_syscall name
+let reserved name = Tbl.mem table name

@@ -18,6 +18,12 @@ val libdft_unmodeled : string list
     alignment counter. *)
 val syscalls : (string * arity) list
 
+(** The class of a reserved name, with its arity; [None] for a name that
+    is neither a builtin nor a syscall. *)
+type kind = Builtin of arity | Syscall of arity
+
+val kind : string -> kind option
+
 val is_builtin : string -> bool
 val is_syscall : string -> bool
 

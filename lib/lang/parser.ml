@@ -2,20 +2,27 @@
 
 exception Error of string * int * int  (* message, line, col *)
 
-type state = { toks : Lexer.t array; mutable pos : int }
+(* The remaining tokens; never empty, since it ends with [EOF] and
+   nothing advances past [EOF]. *)
+type state = { mutable toks : Lexer.t list }
 
-let peek st = st.toks.(st.pos)
-let advance st = st.pos <- st.pos + 1
+let peek st = match st.toks with t :: _ -> t | [] -> assert false
+let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
 
 let fail st msg =
   let t = peek st in
   raise (Error (Printf.sprintf "%s (found %s)" msg (Lexer.token_to_string t.tok),
                 t.line, t.col))
 
-let eat_punct st p =
-  match (peek st).tok with
-  | Lexer.PUNCT q when String.equal p q -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%s'" p)
+(* The parser probes every statement and expression for punctuation;
+   [PUNCT] tokens are single characters, so a probe is one character
+   comparison rather than a string comparison. *)
+let at_punct st c =
+  match (peek st).tok with Lexer.PUNCT q -> q.[0] = c | _ -> false
+
+let eat_punct st c =
+  if at_punct st c then advance st
+  else fail st (Printf.sprintf "expected '%c'" c)
 
 let eat_op st o =
   match (peek st).tok with
@@ -32,14 +39,8 @@ let eat_ident st =
   | Lexer.IDENT s -> advance st; s
   | _ -> fail st "expected identifier"
 
-let at_punct st p =
-  match (peek st).tok with Lexer.PUNCT q -> String.equal p q | _ -> false
-
 let at_op st o =
   match (peek st).tok with Lexer.OP q -> String.equal o q | _ -> false
-
-let at_kw st k =
-  match (peek st).tok with Lexer.KW q -> String.equal k q | _ -> false
 
 (* Binary operator precedence: higher binds tighter. *)
 let precedence = function
@@ -68,26 +69,31 @@ and parse_binary st min_prec =
 
 and parse_binary_rest st lhs min_prec =
   match (peek st).tok with
-  | Lexer.OP o when precedence o >= min_prec && precedence o > 0 ->
-    advance st;
-    let rhs = parse_binary st (precedence o + 1) in
-    parse_binary_rest st (Ast.Binop (binop_of_string o, lhs, rhs)) min_prec
+  | Lexer.OP o ->
+    let p = precedence o in
+    if p >= min_prec && p > 0 then begin
+      advance st;
+      let rhs = parse_binary st (p + 1) in
+      parse_binary_rest st (Ast.Binop (binop_of_string o, lhs, rhs)) min_prec
+    end
+    else lhs
   | _ -> lhs
 
 and parse_unary st =
-  if at_op st "-" then (advance st; Ast.Unop (Ast.Neg, parse_unary st))
-  else if at_op st "!" then (advance st; Ast.Unop (Ast.Not, parse_unary st))
-  else parse_postfix st
+  match (peek st).tok with
+  | Lexer.OP "-" -> advance st; Ast.Unop (Ast.Neg, parse_unary st)
+  | Lexer.OP "!" -> advance st; Ast.Unop (Ast.Not, parse_unary st)
+  | _ -> parse_postfix st
 
 and parse_postfix st =
   let e = parse_primary st in
   parse_postfix_rest st e
 
 and parse_postfix_rest st e =
-  if at_punct st "[" then begin
+  if at_punct st '[' then begin
     advance st;
     let i = parse_expr st in
-    eat_punct st "]";
+    eat_punct st ']';
     parse_postfix_rest st (Ast.Index (e, i))
   end
   else e
@@ -104,11 +110,11 @@ and parse_primary st =
   | Lexer.PUNCT "(" ->
     advance st;
     let e = parse_expr st in
-    eat_punct st ")";
+    eat_punct st ')';
     e
   | Lexer.IDENT name ->
     advance st;
-    if at_punct st "(" then begin
+    if at_punct st '(' then begin
       advance st;
       let args = parse_args st [] in
       Ast.Call (name, args)
@@ -117,94 +123,90 @@ and parse_primary st =
   | _ -> fail st "expected expression"
 
 and parse_args st acc =
-  if at_punct st ")" then (advance st; List.rev acc)
+  if at_punct st ')' then (advance st; List.rev acc)
   else
     let e = parse_expr st in
-    if at_punct st "," then (advance st; parse_args st (e :: acc))
-    else (eat_punct st ")"; List.rev (e :: acc))
+    if at_punct st ',' then (advance st; parse_args st (e :: acc))
+    else (eat_punct st ')'; List.rev (e :: acc))
 
 (* A "simple" statement (no trailing ';'): let / assignment / expression. *)
 let parse_simple st =
-  if at_kw st "let" then begin
+  match st.toks with
+  | { tok = Lexer.KW "let"; _ } :: _ ->
     advance st;
     let x = eat_ident st in
     eat_op st "=";
     Ast.Let (x, parse_expr st)
-  end
-  else
-    match (peek st).tok with
-    | Lexer.IDENT name when (match st.toks.(st.pos + 1).tok with
-                             | Lexer.OP "=" -> true
-                             | _ -> false) ->
-      advance st; advance st;
-      Ast.Assign (name, parse_expr st)
-    | _ ->
-      (* Could be an index assignment [a[i] = e] or a plain expression. *)
-      let save = st.pos in
-      let e = parse_expr st in
-      if at_op st "=" then begin
-        match e with
-        | Ast.Index (Ast.Var a, i) ->
-          advance st;
-          Ast.Index_assign (a, i, parse_expr st)
-        | _ -> st.pos <- save; fail st "invalid assignment target"
-      end
-      else Ast.Expr e
+  | { tok = Lexer.IDENT name; _ } :: { tok = Lexer.OP "="; _ } :: rest ->
+    st.toks <- rest;
+    Ast.Assign (name, parse_expr st)
+  | save ->
+    (* Could be an index assignment [a[i] = e] or a plain expression. *)
+    let e = parse_expr st in
+    if at_op st "=" then begin
+      match e with
+      | Ast.Index (Ast.Var a, i) ->
+        advance st;
+        Ast.Index_assign (a, i, parse_expr st)
+      | _ -> st.toks <- save; fail st "invalid assignment target"
+    end
+    else Ast.Expr e
 
+(* One [match] dispatches on the statement keyword; [parse_if] and
+   [parse_for] start at their keyword. *)
 let rec parse_stmt st : Ast.stmt =
-  if at_kw st "if" then parse_if st
-  else if at_kw st "while" then begin
+  match (peek st).tok with
+  | Lexer.KW "if" -> parse_if st
+  | Lexer.KW "while" ->
     advance st;
-    eat_punct st "(";
+    eat_punct st '(';
     let c = parse_expr st in
-    eat_punct st ")";
+    eat_punct st ')';
     Ast.While (c, parse_block st)
-  end
-  else if at_kw st "for" then parse_for st
-  else if at_kw st "break" then (advance st; eat_punct st ";"; Ast.Break)
-  else if at_kw st "continue" then (advance st; eat_punct st ";"; Ast.Continue)
-  else if at_kw st "return" then begin
+  | Lexer.KW "for" -> parse_for st
+  | Lexer.KW "break" -> advance st; eat_punct st ';'; Ast.Break
+  | Lexer.KW "continue" -> advance st; eat_punct st ';'; Ast.Continue
+  | Lexer.KW "return" ->
     advance st;
-    if at_punct st ";" then (advance st; Ast.Return None)
+    if at_punct st ';' then (advance st; Ast.Return None)
     else
       let e = parse_expr st in
-      eat_punct st ";";
+      eat_punct st ';';
       Ast.Return (Some e)
-  end
-  else begin
+  | _ ->
     let s = parse_simple st in
-    eat_punct st ";";
+    eat_punct st ';';
     s
-  end
 
 and parse_if st =
-  eat_kw st "if";
-  eat_punct st "(";
+  advance st;
+  eat_punct st '(';
   let c = parse_expr st in
-  eat_punct st ")";
+  eat_punct st ')';
   let t = parse_block st in
-  if at_kw st "else" then begin
+  match (peek st).tok with
+  | Lexer.KW "else" ->
     advance st;
-    if at_kw st "if" then Ast.If (c, t, [ parse_if st ])
-    else Ast.If (c, t, parse_block st)
-  end
-  else Ast.If (c, t, [])
+    (match (peek st).tok with
+     | Lexer.KW "if" -> Ast.If (c, t, [ parse_if st ])
+     | _ -> Ast.If (c, t, parse_block st))
+  | _ -> Ast.If (c, t, [])
 
 and parse_for st =
-  eat_kw st "for";
-  eat_punct st "(";
-  let init = if at_punct st ";" then None else Some (parse_simple st) in
-  eat_punct st ";";
-  let cond = if at_punct st ";" then None else Some (parse_expr st) in
-  eat_punct st ";";
-  let step = if at_punct st ")" then None else Some (parse_simple st) in
-  eat_punct st ")";
+  advance st;
+  eat_punct st '(';
+  let init = if at_punct st ';' then None else Some (parse_simple st) in
+  eat_punct st ';';
+  let cond = if at_punct st ';' then None else Some (parse_expr st) in
+  eat_punct st ';';
+  let step = if at_punct st ')' then None else Some (parse_simple st) in
+  eat_punct st ')';
   Ast.For (init, cond, step, parse_block st)
 
 and parse_block st : Ast.block =
-  eat_punct st "{";
+  eat_punct st '{';
   let rec go acc =
-    if at_punct st "}" then (advance st; List.rev acc)
+    if at_punct st '}' then (advance st; List.rev acc)
     else go (parse_stmt st :: acc)
   in
   go []
@@ -212,13 +214,13 @@ and parse_block st : Ast.block =
 let parse_fundef st : Ast.fundef =
   eat_kw st "fn";
   let fname = eat_ident st in
-  eat_punct st "(";
+  eat_punct st '(';
   let rec params acc =
-    if at_punct st ")" then (advance st; List.rev acc)
+    if at_punct st ')' then (advance st; List.rev acc)
     else
       let p = eat_ident st in
-      if at_punct st "," then (advance st; params (p :: acc))
-      else (eat_punct st ")"; List.rev (p :: acc))
+      if at_punct st ',' then (advance st; params (p :: acc))
+      else (eat_punct st ')'; List.rev (p :: acc))
   in
   let params = params [] in
   let body = parse_block st in
@@ -226,10 +228,10 @@ let parse_fundef st : Ast.fundef =
 
 let parse_program (src : string) : Ast.program =
   let toks =
-    try Array.of_list (Lexer.tokenize src)
+    try Lexer.tokenize src
     with Lexer.Error (m, l, c) -> raise (Error ("lexical error: " ^ m, l, c))
   in
-  let st = { toks; pos = 0 } in
+  let st = { toks } in
   let rec go acc =
     match (peek st).tok with
     | Lexer.EOF -> { Ast.funcs = List.rev acc }

@@ -38,21 +38,40 @@ let truthy v =
   | Int 0 | Unit | Str "" -> false
   | Int _ | Str _ | Arr _ | Fptr _ -> true
 
-let rec to_value (v : t) : Value.t =
-  match v.base with
-  | Unit -> Value.Unit
-  | Int n -> Value.int n
-  | Str s -> Value.Str s
-  | Fptr f -> Value.Fptr f
-  | Arr a -> Value.Arr (Array.map to_value a)
+(* Arrays may be cyclic ([a[0] = a]).  An array conversion carries the
+   arrays it is inside, each with its copy, so an array met again inside
+   itself maps to its own copy: a cycle becomes a cycle.  Acyclic values
+   convert as a plain element-by-element copy. *)
+let copy_array inside conv dummy a =
+  match List.assq_opt a inside with
+  | Some c -> c
+  | None ->
+    let c = Array.make (Array.length a) dummy in
+    let inside = (a, c) :: inside in
+    Array.iteri (fun i x -> c.(i) <- conv inside x) a;
+    c
 
-let rec of_value ~taint (v : Value.t) : t =
-  match v with
-  | Value.Unit -> with_taint taint Unit
-  | Value.Int n -> with_taint taint (Int n)
-  | Value.Str s -> with_taint taint (Str s)
-  | Value.Fptr f -> with_taint taint (Fptr f)
-  | Value.Arr a -> with_taint taint (Arr (Array.map (of_value ~taint) a))
+let to_value (v : t) : Value.t =
+  let rec go inside v =
+    match v.base with
+    | Unit -> Value.Unit
+    | Int n -> Value.int n
+    | Str s -> Value.Str s
+    | Fptr f -> Value.Fptr f
+    | Arr a -> Value.Arr (copy_array inside go Value.Unit a)
+  in
+  go [] v
+
+let of_value ~taint (v : Value.t) : t =
+  let rec go inside = function
+    | Value.Unit -> with_taint taint Unit
+    | Value.Int n -> with_taint taint (Int n)
+    | Value.Str s -> with_taint taint (Str s)
+    | Value.Fptr f -> with_taint taint (Fptr f)
+    | Value.Arr a ->
+      with_taint taint (Arr (copy_array inside go (clean Unit) a))
+  in
+  go [] v
 
 let to_sval v = Value.to_sval_safe (to_value v)
 

@@ -71,13 +71,19 @@ let str_exn = function
   | Str s -> s
   | Int _ | Arr _ | Fptr _ | Unit -> trap "expected string"
 
-let rec to_string = function
-  | Unit -> "()"
-  | Int n -> string_of_int n
-  | Str s -> Printf.sprintf "%S" s
-  | Fptr f -> "@" ^ f
-  | Arr a ->
-    "[" ^ String.concat "; " (Array.to_list (Array.map to_string a)) ^ "]"
+(* An array met again inside itself ([a[0] = a]) prints as [[...]]. *)
+let to_string v =
+  let rec go inside = function
+    | Unit -> "()"
+    | Int n -> string_of_int n
+    | Str s -> Printf.sprintf "%S" s
+    | Fptr f -> "@" ^ f
+    | Arr a when List.memq a inside -> "[...]"
+    | Arr a ->
+      let inside = a :: inside in
+      "[" ^ String.concat "; " (Array.to_list (Array.map (go inside) a)) ^ "]"
+  in
+  go [] v
 
 (* Conversion at the syscall boundary. *)
 let to_sval = function

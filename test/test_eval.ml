@@ -175,6 +175,31 @@ let test_binops_eq_cyclic () =
        check string "stdout" "eq eq" o.Ldx_vm.Driver.stdout)
     [ Ldx_vm.Machine.Flat; Ldx_vm.Machine.Tree ]
 
+(* A cyclic array in a trap message and in a comparison, from a MiniC
+   program: the VM and the taint tracker give the same trap for [a + 1]
+   and the same value for [a == a].  Stringifying the array for the trap
+   message and converting it to and from shadow values used to recurse
+   forever. *)
+let test_cyclic_array_engines () =
+  let prelude = "fn main() { let a = mkarray(1, 0); a[0] = a; " in
+  let both body =
+    let src = prelude ^ body ^ " }" in
+    let vm = Ldx_vm.Driver.run_source src Ldx_osim.World.empty in
+    let tr = Ldx_taint.Tracker.run_source src Ldx_osim.World.empty in
+    (vm, tr)
+  in
+  let vm, tr = both "let b = a + 1;" in
+  check (Alcotest.option string) "vm trap"
+    (Some "binop +: bad operands [[...]], 1") vm.Ldx_vm.Driver.trap;
+  check (Alcotest.option string) "tracker trap" vm.Ldx_vm.Driver.trap
+    tr.Ldx_taint.Tracker.trap;
+  let vm, tr = both "let b = a == a; print(itoa(b));" in
+  check (Alcotest.option string) "vm: no trap" None vm.Ldx_vm.Driver.trap;
+  check (Alcotest.option string) "tracker: no trap" None
+    tr.Ldx_taint.Tracker.trap;
+  check string "vm value" "1" vm.Ldx_vm.Driver.stdout;
+  check string "tracker value" "1" tr.Ldx_taint.Tracker.stdout
+
 let test_binop_traps () =
   check bool "div0" true (traps (fun () -> bin Ast.Div (vi 1) (vi 0)));
   check bool "mod0" true (traps (fun () -> bin Ast.Mod (vi 1) (vi 0)));
@@ -235,6 +260,8 @@ let tests =
     Alcotest.test_case "equality" `Quick test_binops_eq;
     Alcotest.test_case "equality on cyclic arrays" `Quick
       test_binops_eq_cyclic;
+    Alcotest.test_case "cyclic arrays: VM and tracker agree" `Quick
+      test_cyclic_array_engines;
     Alcotest.test_case "binop traps" `Quick test_binop_traps;
     Alcotest.test_case "truthiness" `Quick test_truthiness;
     Alcotest.test_case "eval env" `Quick test_eval_env;

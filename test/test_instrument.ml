@@ -243,6 +243,25 @@ let test_indirect_sites_counted () =
   in
   check int "indirect sites" 1 stats.Counter.indirect_sites
 
+(* A hand-built irreducible CFG (a two-entry cycle b1 <-> b2, no back
+   edge) cannot come out of the lowering; instrumenting one must fail
+   with the reducibility error. *)
+let test_irreducible_refused () =
+  let c = Ldx_lang.Ast.Var "c" in
+  let block bid term = { Ir.bid; instrs = [||]; term } in
+  let f =
+    { Ir.fname = "main"; params = []; entry = 0;
+      blocks =
+        [| block 0 (Ir.Branch (c, 1, 2)); block 1 (Ir.Jump 2);
+           block 2 (Ir.Branch (c, 1, 3)); block 3 (Ir.Ret None) |] }
+  in
+  let p = { Ir.funcs = [| f |]; n_sites = 0; n_loops = 0 } in
+  match Counter.instrument p with
+  | exception Failure m ->
+    check Alcotest.string "message"
+      "Counter.instrument_func: irreducible CFG in main" m
+  | _ -> Alcotest.fail "expected an irreducible-CFG failure"
+
 let tests =
   [ Alcotest.test_case "fig2 fcnt" `Quick test_fig2_fcnt;
     Alcotest.test_case "fig2 instrumentation" `Quick test_fig2_instrumentation_added;
@@ -259,4 +278,5 @@ let tests =
       test_static_counters_path_invariance_manual;
     Alcotest.test_case "max static cnt" `Quick test_max_static_cnt;
     Alcotest.test_case "fig4 counter sequence" `Quick test_fig4_counter_sequence;
-    Alcotest.test_case "indirect sites counted" `Quick test_indirect_sites_counted ]
+    Alcotest.test_case "indirect sites counted" `Quick test_indirect_sites_counted;
+    Alcotest.test_case "irreducible CFG refused" `Quick test_irreducible_refused ]

@@ -135,6 +135,20 @@ let test_check_clean_program () =
   check (Alcotest.list Alcotest.string) "no diags" []
     (List.map (fun d -> d.Check.message) (Check.check_program p))
 
+(* [main] runs with no arguments: a [main] with parameters is a check
+   diagnostic, so [ldx_run] reports "MiniC check failed" instead of the
+   VM raising when it builds the entry frame. *)
+let test_check_main_params () =
+  let p = parse "fn main(x) { print(itoa(x)); }" in
+  check (Alcotest.list Alcotest.string) "diagnostic"
+    [ "'main' takes no parameters" ]
+    (List.map (fun d -> d.Check.message) (Check.check_program p));
+  match Ldx_cfg.Lower.lower_program p with
+  | exception Failure m ->
+    check Alcotest.string "lowering refuses it"
+      "MiniC check failed:\n[main] 'main' takes no parameters" m
+  | _ -> Alcotest.fail "expected a check failure"
+
 let test_indirect_var_callee_ok () =
   let p = parse "fn f() { return 1; } fn main() { let g = @f; let x = g(); }" in
   check Alcotest.bool "no diags" true (Check.check_program p = [])
@@ -164,6 +178,8 @@ let tests =
     Alcotest.test_case "check no main" `Quick test_check_no_main;
     Alcotest.test_case "check reserved shadow" `Quick test_check_reserved_shadow;
     Alcotest.test_case "check clean program" `Quick test_check_clean_program;
+    Alcotest.test_case "check main takes no parameters" `Quick
+      test_check_main_params;
     Alcotest.test_case "check indirect var callee" `Quick
       test_indirect_var_callee_ok;
     Alcotest.test_case "program size" `Quick test_program_size ]

@@ -29,4 +29,5 @@ let () =
       ("properties", Test_properties.tests);
       ("diff-vm", Test_diff_vm.tests);
       ("snapshot", Test_snapshot.tests);
-      ("journals", Test_journals.tests) ]
+      ("journals", Test_journals.tests);
+      ("frontend", Test_frontend.tests) ]
