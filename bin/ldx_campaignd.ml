@@ -73,6 +73,27 @@ let worker_exe_arg =
          ~doc:"The ldx_worker executable (default: a sibling of this \
                binary).")
 
+(* OCaml numbers the signals it knows negatively and passes the others
+   through, so a wait status names a signal by its POSIX name or, for
+   one [Sys] does not know, by its number. *)
+let signal_name s =
+  let names =
+    Sys.
+      [ (sigabrt, "SIGABRT"); (sigalrm, "SIGALRM"); (sigbus, "SIGBUS");
+        (sigchld, "SIGCHLD"); (sigcont, "SIGCONT"); (sigfpe, "SIGFPE");
+        (sighup, "SIGHUP"); (sigill, "SIGILL"); (sigint, "SIGINT");
+        (sigkill, "SIGKILL"); (sigpipe, "SIGPIPE"); (sigpoll, "SIGPOLL");
+        (sigprof, "SIGPROF"); (sigquit, "SIGQUIT"); (sigsegv, "SIGSEGV");
+        (sigstop, "SIGSTOP"); (sigsys, "SIGSYS"); (sigterm, "SIGTERM");
+        (sigtrap, "SIGTRAP"); (sigtstp, "SIGTSTP"); (sigttin, "SIGTTIN");
+        (sigttou, "SIGTTOU"); (sigurg, "SIGURG"); (sigusr1, "SIGUSR1");
+        (sigusr2, "SIGUSR2"); (sigvtalrm, "SIGVTALRM"); (sigxcpu, "SIGXCPU");
+        (sigxfsz, "SIGXFSZ") ]
+  in
+  match List.assoc_opt s names with
+  | Some name -> name
+  | None -> Printf.sprintf "signal %d" s
+
 type slot = {
   mutable pid : int;
   mutable owner : string;
@@ -181,8 +202,8 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
       | Unix.WEXITED c when c = exit_drained -> ("drained", true)
       | Unix.WEXITED 0 -> ("complete", true)
       | Unix.WEXITED c -> (Printf.sprintf "exit %d" c, false)
-      | Unix.WSIGNALED s -> (Printf.sprintf "signal %d" s, false)
-      | Unix.WSTOPPED s -> (Printf.sprintf "stopped %d" s, false)
+      | Unix.WSIGNALED s -> (signal_name s, false)
+      | Unix.WSTOPPED s -> ("stopped by " ^ signal_name s, false)
     in
     (* one follower for the supervisor's life: a tick folds only what
        the workers appended since the previous tick *)

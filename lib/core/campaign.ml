@@ -892,16 +892,26 @@ module Service = struct
       ~(config : Engine.config) (prog : Ir.program) (world : World.t)
       (params : slave_params list) :
     ([ `Complete | `Drained ], string) result =
-    match Store.load ~path with
-    | Error e -> Error e
-    | Ok loaded ->
+    (* one handle for the worker's life: its first catch-up reads the
+       manifest the fingerprint is checked against, and every claim
+       after it folds only what was appended since *)
+    let journal = Q.follow ~path in
+    Fun.protect ~finally:(fun () -> Q.unfollow journal) @@ fun () ->
+    match Q.catch_up journal with
+    | Error e ->
+      (* a damaged manifest is reported as [Store.load] reports it: a
+         catch-up leaves an unterminated last line unread, so an empty
+         file reads as a missing fingerprint rather than a missing
+         header *)
+      Error (match Store.load ~path with Error e -> e | Ok _ -> e)
+    | Ok v ->
       let fp = fingerprint ~retry ?deadline ~config prog world params in
-      if loaded.Store.l_manifest.Store.fingerprint <> fp then
+      if v.Q.manifest.Store.fingerprint <> fp then
         Error
           (Printf.sprintf
              "%s: fingerprint mismatch (journal %s, campaign %s): this \
               worker was launched with a different campaign spec"
-             path loaded.Store.l_manifest.Store.fingerprint fp)
+             path v.Q.manifest.Store.fingerprint fp)
       else begin
         let runner = Option.value runner ~default:default_runner in
         let tasks = Array.of_list params in
@@ -926,7 +936,7 @@ module Service = struct
           encode_outcome s a
         in
         match
-          Q.Worker.run ?obs ?stop ~sync ~path ~owner ~ttl_us ~heartbeat_us
+          Q.Worker.run ?obs ?stop ~sync ~journal ~owner ~ttl_us ~heartbeat_us
             ~poll_us task
         with
         | Q.Worker.Complete -> Ok `Complete

@@ -6,8 +6,9 @@
      whoever's write(2) landed first owns the lease — claimants verify
      by catching up with the file after they append;
    - the fold is clock-free: expiry is judged only by claimants, at
-     claim time, against the effective deadline the fold computed —
-     so every process reading the file derives the identical view;
+     claim time, against the effective deadline (the lease's, or its
+     holder's latest heartbeat) — so every process reading the file
+     derives the identical view;
    - appends carry a leading newline so that a peer killed mid-write
      damages only its own (checksummed) record, never ours. *)
 
@@ -85,18 +86,22 @@ let fold_step (f : fold) (e : Store.entry) : unit =
        | _ -> ())
 
 (* Heartbeats apply after all records: a lease is as alive as its
-   holder's latest heartbeat, wherever in the file that sits.  Copies,
-   so the fold can go on. *)
+   holder's latest heartbeat, wherever in the file that sits. *)
+let effective_deadline (f : fold) (l : lease) =
+  match Hashtbl.find_opt f.heartbeats l.holder with
+  | Some d when d > l.deadline_us -> d
+  | _ -> l.deadline_us
+
+(* Copies, so the fold can go on. *)
 let view_of_fold (f : fold) ~torn : view =
   { manifest = f.f_manifest;
     states =
       Array.map
         (function
           | Leased cur as st ->
-            (match Hashtbl.find_opt f.heartbeats cur.holder with
-             | Some d when d > cur.deadline_us ->
-               Leased { cur with deadline_us = d }
-             | _ -> st)
+            let d = effective_deadline f cur in
+            if d = cur.deadline_us then st
+            else Leased { cur with deadline_us = d }
           | st -> st)
         f.f_states;
     expired_owners = Array.map List.rev f.f_expired;
@@ -149,10 +154,10 @@ let compact_heartbeats (entries : Store.entry list) : Store.entry list =
 (* -------------------------------------------------------------------- *)
 (* Following the journal *)
 
-type follower = { journal : string; fold : fold Store.follower }
+type follower = { path : string; fold : fold Store.follower }
 
 let follow ~path =
-  { journal = path; fold = Store.follow ~path ~init:fold_init ~step:fold_step }
+  { path; fold = Store.follow ~path ~init:fold_init ~step:fold_step }
 
 let catch_up f =
   Result.map (fun (fold, torn) -> view_of_fold fold ~torn)
@@ -175,7 +180,7 @@ let rec write_all fd s off len =
 let append ~path ?(sync = false) (e : Store.entry) =
   (* the leading newline terminates whatever half-written line a killed
      peer left at the tail; blank lines are ignored by the loader *)
-  let line = "\n" ^ Store.entry_line e in
+  let line = Store.appended_line e in
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0o644
   in
@@ -191,38 +196,45 @@ type claim_result =
   | Wait
   | Drained
 
-(* first Free-or-expired task, with the epoch a claim must carry *)
-let pick_claimable v ~now_us =
-  let n = Array.length v.states in
+(* First Free-or-expired task, with the epoch a claim must carry.
+   Claims pick and verify on the fold itself, not on a [view]: a view
+   copies the task table, and a claim catches up twice.  The effective
+   deadline is worked out only for the leases a claim looks at. *)
+let pick_claimable (f : fold) ~now_us =
+  let states = f.f_states in
   let rec go i =
-    if i >= n then None
+    if i >= Array.length states then None
     else
-      match v.states.(i) with
+      match states.(i) with
       | Free { next_epoch } -> Some (i, next_epoch, None)
-      | Leased { holder; epoch; deadline_us } when now_us > deadline_us ->
-        Some (i, epoch + 1, Some holder)
+      | Leased l when now_us > effective_deadline f l ->
+        Some (i, l.epoch + 1, Some l.holder)
       | Leased _ | Done _ -> go (i + 1)
   in
   go 0
 
 let claim_with f ~owner ~now_us ~ttl_us ?(sync = false) () =
   let ( let* ) = Result.bind in
-  let rec go view =
-    match pick_claimable view ~now_us with
-    | None -> Ok (if is_complete view then Drained else Wait)
+  let rec go (fold : fold) =
+    match pick_claimable fold ~now_us with
+    | None ->
+      Ok
+        (if Array.for_all (function Done _ -> true | _ -> false) fold.f_states
+         then Drained
+         else Wait)
     | Some (index, epoch, reclaimed_from) ->
-      append ~path:f.journal ~sync
+      append ~path:f.path ~sync
         (Store.Lease { index; owner; epoch; deadline_us = now_us + ttl_us });
       (* never trust the pre-append read: the fold, caught up past our
          own record, is the arbiter *)
-      let* view = catch_up f in
-      (match view.states.(index) with
+      let* fold, _ = Store.catch_up f.fold in
+      (match fold.f_states.(index) with
        | Leased { holder; epoch = e; _ } when holder = owner && e = epoch ->
          Ok (Claimed { index; epoch; reclaimed_from })
-       | _ -> go view (* lost the race; try the next claimable task *))
+       | _ -> go fold (* lost the race; try the next claimable task *))
   in
-  let* view = catch_up f in
-  go view
+  let* fold, _ = Store.catch_up f.fold in
+  go fold
 
 let claim ~path ~owner ~now_us ~ttl_us ?sync () =
   let f = follow ~path in
@@ -246,7 +258,8 @@ module Worker = struct
 
   let run ?obs ?(stop = fun () -> false) ?now_us:(clock = now_us)
       ?(sleep_us = fun us -> Unix.sleepf (float_of_int us /. 1e6))
-      ?(sync = false) ~path ~owner ~ttl_us ~heartbeat_us ~poll_us task =
+      ?(sync = false) ~journal ~owner ~ttl_us ~heartbeat_us ~poll_us task =
+    let path = journal.path in
     let emit ev = Obs.Sink.emit_opt obs ev in
     emit (Obs.Event.Worker_event { owner; kind = "start" });
     (* the heartbeat domain parks in select(2) on a self-pipe: it
@@ -287,10 +300,8 @@ module Worker = struct
         Some (d, rd, wr)
       end
     in
-    let journal = follow ~path in
     Fun.protect
       ~finally:(fun () ->
-        unfollow journal;
         Atomic.set hb_stop true;
         Option.iter
           (fun (d, rd, wr) ->

@@ -49,7 +49,8 @@
     records appended since its last catch-up (see
     {!Ldx_store.Store.follow}).  A claim therefore costs
     O(records appended since the previous claim + tasks), not
-    O(journal).  The
+    O(journal), and picks and verifies on the fold without copying it
+    into a {!view}.  The
     follower refolds from offset 0 when an atomic-rename checkpoint has
     replaced the file or it was truncated, and its view always equals
     {!view_of} over a full [Store.load] of the file cut after its last
@@ -192,7 +193,7 @@ module Worker : sig
     | Complete  (** queue drained: every task [Done] *)
     | Drained   (** [stop] asked us to quit; in-flight task finished *)
 
-  (** [run ~path ~owner ~ttl_us ~heartbeat_us ~poll_us task] claims,
+  (** [run ~journal ~owner ~ttl_us ~heartbeat_us ~poll_us task] claims,
       executes [task index] (which returns the outcome payload),
       journals, and repeats until the queue is complete or [stop ()]
       turns true (checked between tasks — the in-flight task always
@@ -204,7 +205,10 @@ module Worker : sig
 
       [now_us]/[sleep_us] exist for deterministic tests; production
       callers take the defaults (real clock / [Unix.sleepf]).  The
-      loop claims through one {!follower} for its whole run.
+      loop claims through [journal] for its whole run; the caller
+      opens and closes it, so a caller that has caught it up already
+      (to check the manifest) does not read the journal twice.  Every
+      append goes to [journal]'s path.
 
       If [task] raises, the lease is released (so a peer can take
       over) and the exception propagates — but note the campaign
@@ -216,7 +220,7 @@ module Worker : sig
     ?now_us:(unit -> int) ->
     ?sleep_us:(int -> unit) ->
     ?sync:bool ->
-    path:string ->
+    journal:follower ->
     owner:string ->
     ttl_us:int ->
     heartbeat_us:int ->

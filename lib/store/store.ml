@@ -11,6 +11,7 @@ let header_v2 = "ldx-store/2"
    detection — the threat model is a half-written line after a crash,
    not an adversary forging collisions. *)
 let fnv_offset_basis = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
 
 (* [h] folded over every byte of [s].  No closure captures the local
    [h], so the native compiler keeps it unboxed and the loop allocates
@@ -21,7 +22,7 @@ let fnv_feed (h : int64) (s : string) : int64 =
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        0x100000001b3L
+        fnv_prime
   done;
   !h
 
@@ -29,11 +30,13 @@ let fnv64 (s : string) : int64 = fnv_feed fnv_offset_basis s
 
 let hex_digits = "0123456789abcdef"
 
+(* digit [i] (most significant first) of [h]'s 16-digit rendering *)
+let hash_digit (h : int64) i =
+  String.unsafe_get hex_digits
+    (Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 15)
+
 let hex_of_hash (h : int64) : string =
-  Bytes.init 16 (fun i ->
-      hex_digits.[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i)))
-                  land 15])
-  |> Bytes.unsafe_to_string
+  Bytes.init 16 (hash_digit h) |> Bytes.unsafe_to_string
 
 let hash_hex s = hex_of_hash (fnv64 s)
 
@@ -121,13 +124,43 @@ type manifest = {
   tasks : string list;
 }
 
-(* One checksummed line: "<tag> <crc> <rest>" with crc = fnv64(rest).
-   [rest] must be newline-free (payloads are escaped by the caller of
-   [record]). *)
-let record tag rest = Printf.sprintf "%c %s %s\n" tag (hash_hex rest) rest
+(* One checksummed line, "<tag> <crc> <head><body>\n" where [h] is the
+   FNV-1a hash of [head ^ body], built in one buffer; with [lead], the
+   buffer starts with the '\n' a multi-writer append puts first.
+   [head] and [body] must be newline-free (payloads are escaped). *)
+let build ~lead tag head body (h : int64) : string =
+  let l = if lead then 1 else 0 in
+  let nh = String.length head and nb = String.length body in
+  let b = Bytes.create (l + 19 + nh + nb + 1) in
+  if lead then Bytes.unsafe_set b 0 '\n';
+  Bytes.unsafe_set b l tag;
+  Bytes.unsafe_set b (l + 1) ' ';
+  for i = 0 to 15 do
+    Bytes.unsafe_set b (l + 2 + i) (hash_digit h i)
+  done;
+  Bytes.unsafe_set b (l + 18) ' ';
+  Bytes.unsafe_blit_string head 0 b (l + 19) nh;
+  Bytes.unsafe_blit_string body 0 b (l + 19 + nh) nb;
+  Bytes.unsafe_set b (l + 19 + nh + nb) '\n';
+  Bytes.unsafe_to_string b
 
-let outcome_line index payload =
-  record 'o' (Printf.sprintf "%d %s" index (escape payload))
+let record ~lead tag rest = build ~lead tag rest "" (fnv64 rest)
+
+(* "<index> <escaped payload>": one pass hashes the payload and checks
+   whether [escape] would rewrite it (a quote, a backslash, or a byte
+   outside ' '..'~').  Only then is it escaped and hashed again. *)
+let outcome_line ~lead index payload =
+  let head = string_of_int index ^ " " in
+  let h = ref (fnv64 head) and plain = ref true in
+  for i = 0 to String.length payload - 1 do
+    let c = Char.code (String.unsafe_get payload i) in
+    if c < 32 || c > 126 || c = 34 || c = 92 then plain := false;
+    h := Int64.mul (Int64.logxor !h (Int64.of_int c)) fnv_prime
+  done;
+  if !plain then build ~lead 'o' head payload !h
+  else
+    let body = escape payload in
+    build ~lead 'o' head body (fnv_feed (fnv64 head) body)
 
 (* Journal entries.  Owners ride unescaped inside space-separated
    fields, so they must be flat tokens — they are machine-generated
@@ -143,17 +176,24 @@ let check_owner owner =
      || String.exists (fun c -> c = ' ' || c = '\n' || c = '\r') owner
   then invalid_arg ("Store: bad owner token " ^ String.escaped owner)
 
-let entry_line = function
-  | Outcome { index; payload } -> outcome_line index payload
+let render ~lead = function
+  | Outcome { index; payload } -> outcome_line ~lead index payload
   | Lease { index; owner; epoch; deadline_us } ->
     check_owner owner;
-    record 'l' (Printf.sprintf "%d %s %d %d" index owner epoch deadline_us)
+    record ~lead 'l'
+      (String.concat " "
+         [ string_of_int index; owner; string_of_int epoch;
+           string_of_int deadline_us ])
   | Heartbeat { owner; deadline_us } ->
     check_owner owner;
-    record 'h' (Printf.sprintf "%s %d" owner deadline_us)
+    record ~lead 'h' (owner ^ " " ^ string_of_int deadline_us)
   | Release { index; owner; epoch } ->
     check_owner owner;
-    record 'r' (Printf.sprintf "%d %s %d" index owner epoch)
+    record ~lead 'r'
+      (String.concat " " [ string_of_int index; owner; string_of_int epoch ])
+
+let entry_line e = render ~lead:false e
+let appended_line e = render ~lead:true e
 
 let manifest_lines ~version (m : manifest) : string =
   let buf = Buffer.create 256 in
@@ -164,11 +204,12 @@ let manifest_lines ~version (m : manifest) : string =
     (fun (k, v) ->
        if String.contains k ' ' then
          invalid_arg "Store: manifest keys must not contain spaces";
-       Buffer.add_string buf (record 'm' (k ^ " " ^ escape v)))
+       Buffer.add_string buf (record ~lead:false 'm' (k ^ " " ^ escape v)))
     m.meta;
   List.iteri
     (fun i label ->
-       Buffer.add_string buf (record 't' (string_of_int i ^ " " ^ escape label)))
+       Buffer.add_string buf
+         (record ~lead:false 't' (string_of_int i ^ " " ^ escape label)))
     m.tasks;
   Buffer.contents buf
 
@@ -214,13 +255,13 @@ let checkpoint_gen ~path ~version ~sync (m : manifest) (lines : string list) : t
 let checkpoint ~path ?(sync = false) (m : manifest)
     (outcomes : (int * string) list) : t =
   checkpoint_gen ~path ~version:1 ~sync m
-    (List.map (fun (i, payload) -> outcome_line i payload) outcomes)
+    (List.map (fun (i, payload) -> outcome_line ~lead:false i payload) outcomes)
 
 let checkpoint_entries ~path ?(sync = false) (m : manifest)
     (entries : entry list) : t =
   checkpoint_gen ~path ~version:2 ~sync m (List.map entry_line entries)
 
-let append_line (t : t) (line : string) : unit =
+let write_line (t : t) (line : string) : unit =
   match t.oc with
   | None -> invalid_arg "Store.append: store is closed"
   | Some oc ->
@@ -231,7 +272,7 @@ let append_line (t : t) (line : string) : unit =
     if t.sync then fsync_oc oc
 
 let append (t : t) (index : int) (payload : string) : unit =
-  append_line t (outcome_line index payload)
+  write_line t (outcome_line ~lead:false index payload)
 
 let append_entry (t : t) (e : entry) : unit =
   (match e with
@@ -239,7 +280,7 @@ let append_entry (t : t) (e : entry) : unit =
    | Lease _ | Heartbeat _ | Release _ ->
      if t.version < 2 then
        invalid_arg "Store.append_entry: lease records need a v2 store");
-  append_line t (entry_line e)
+  write_line t (entry_line e)
 
 let path_of t = t.path
 
@@ -267,34 +308,28 @@ let split_once ch s =
   | Some i ->
     Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
-(* "<tag> <crc> <rest>" with a matching checksum, or None.  A crc is
-   16 digits, so its separator sits at offset 18. *)
-let parse_record (line : string) : (char * string) option =
-  let n = String.length line in
-  if n < 2 || line.[1] <> ' ' then None
-  else
-    match String.index_from_opt line 2 ' ' with
-    | Some 18 ->
-      let rest = String.sub line 19 (n - 19) in
-      if String.equal (String.sub line 2 16) (hash_hex rest) then
-        Some (line.[0], rest)
-      else None
-    | _ -> None
-
-(* Decode the checksummed [rest] of a journal record; [None] = a
-   malformed body under a VALID checksum, which the torn-tail rule
-   treats like any other damage. *)
-let parse_entry (tag : char) (rest : string) : entry option =
-  if tag = 'o' then
+(* Decode the checksummed body s[pos..stop) of a journal record ([esc]:
+   it holds a '\\' or a '"'); [None] = a malformed body under a VALID
+   checksum, which the torn-tail rule treats like any other damage. *)
+let parse_entry (tag : char) s pos stop ~esc : entry option =
+  if tag = 'o' then begin
     (* the payload is everything after the index, spaces and all *)
-    let index, payload =
-      Option.value (split_once ' ' rest) ~default:(rest, "")
-    in
-    match (int_of_string_opt index, unescape payload) with
-    | Some index, Ok payload -> Some (Outcome { index; payload })
-    | _ -> None
+    let sp = ref pos in
+    while !sp < stop && String.unsafe_get s !sp <> ' ' do incr sp done;
+    match int_of_string_opt (String.sub s pos (!sp - pos)) with
+    | None -> None
+    | Some index ->
+      let payload =
+        if !sp < stop then String.sub s (!sp + 1) (stop - !sp - 1) else ""
+      in
+      if not esc then Some (Outcome { index; payload })
+      else
+        match unescape payload with
+        | Ok payload -> Some (Outcome { index; payload })
+        | Error _ -> None
+  end
   else
-    match (tag, String.split_on_char ' ' rest) with
+    match (tag, String.split_on_char ' ' (String.sub s pos (stop - pos))) with
     | 'l', [ index; owner; epoch; deadline ] ->
       (match
          (int_of_string_opt index, int_of_string_opt epoch,
@@ -338,11 +373,68 @@ let reader path =
 
 let expected_header r = "# " ^ (if r.version >= 2 then header_v2 else header)
 
-(* Feed one line (its '\n' stripped); a valid journal record comes back
-   as [Some entry]. *)
-let feed (r : reader) (line : string) : entry option =
+(* whether s[pos..pos+16) renders [h] *)
+let digits_match s pos (h : int64) =
+  let ok = ref true in
+  for d = 0 to 15 do
+    if String.unsafe_get s (pos + d) <> hash_digit h d then ok := false
+  done;
+  !ok
+
+(* One pass over the line that starts at [pos]: returns [(stop, crc_ok,
+   esc)], where [stop] is the offset of its '\n', or [String.length s]
+   if it has none.  A line framed as a record, "<tag> <16 bytes> <rest>",
+   is checked by the same loop that looks for its end: the loop hashes
+   <rest> and notes a '\\' or a '"' in it.  [crc_ok] says whether the
+   16 bytes are the hash's lower-case hex digits, and [esc] whether
+   <rest> may need unescaping (both [false] for an unframed line).  A
+   record line is thus read once, however long. *)
+let scan s pos : int * bool * bool =
+  let n = String.length s in
+  let framed =
+    pos + 18 < n
+    && String.unsafe_get s pos <> '\n'
+    && String.unsafe_get s (pos + 1) = ' '
+    && String.unsafe_get s (pos + 18) = ' '
+    &&
+    let ok = ref true in
+    for i = pos + 2 to pos + 17 do
+      let c = String.unsafe_get s i in
+      if c = ' ' || c = '\n' then ok := false
+    done;
+    !ok
+  in
+  if not framed then
+    ((match String.index_from_opt s pos '\n' with Some i -> i | None -> n),
+     false, false)
+  else begin
+    (* [h] stays unboxed: no closure captures it *)
+    let h = ref fnv_offset_basis and esc = ref false in
+    let i = ref (pos + 19) and more = ref true in
+    while !more do
+      if !i = n then more := false
+      else begin
+        let c = String.unsafe_get s !i in
+        if c = '\n' then more := false
+        else begin
+          if c = '\\' || c = '"' then esc := true;
+          h :=
+            Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime;
+          incr i
+        end
+      end
+    done;
+    (!i, digits_match s (pos + 2) !h, !esc)
+  end
+
+(* Feed the line s[pos..stop), with what [scan] found on it; a valid
+   journal record comes back as [Some entry]. *)
+let feed (r : reader) s pos stop ~crc_ok ~esc : entry option =
   let lineno = r.lineno in
   r.lineno <- lineno + 1;
+  let line () = String.sub s pos (stop - pos) in
+  (* the checksummed part of a record whose crc matched *)
+  let rest () = String.sub s (pos + 19) (stop - pos - 19) in
   let fail msg =
     r.err <- Some (Printf.sprintf "%s: line %d: %s" r.r_path (lineno + 1) msg);
     None
@@ -350,13 +442,14 @@ let feed (r : reader) (line : string) : entry option =
   let torn () = r.torn <- r.torn + 1; None in
   if r.err <> None then None
   else if lineno = 0 then begin
+    let line = line () in
     if line = "# " ^ header_v2 then r.version <- 2;
     if line = expected_header r then None
     else fail (Printf.sprintf "expected header %S" (expected_header r))
   end
-  else if line = "" then None
+  else if stop = pos then None
   else
-    match line.[0] with
+    match String.unsafe_get s pos with
     | '#' -> None
     | 'o' | 'l' | 'h' | 'r' as c when c = 'o' || r.version >= 2 ->
       r.in_journal <- true;
@@ -370,54 +463,53 @@ let feed (r : reader) (line : string) : entry option =
          while later appends are intact, so v2 drops bad records
          individually — each one still vouched for (or condemned) by
          its own checksum. *)
-      if r.version < 2 && r.torn > 0 then torn ()
+      if (r.version < 2 && r.torn > 0) || not crc_ok then torn ()
       else (
-        match parse_record line with
-        | Some (tag, rest) ->
-          (match parse_entry tag rest with Some _ as e -> e | None -> torn ())
+        match parse_entry c s (pos + 19) stop ~esc with
+        | Some _ as e -> e
         | None -> torn ())
     | _ when r.in_journal ->
       (* junk after the journal started: same torn-record treatment *)
       torn ()
     | 'f' ->
-      (match split_once ' ' line with
+      (match split_once ' ' (line ()) with
        | Some ("f", fp) when r.fp = None -> r.fp <- Some fp; None
        | _ -> fail "malformed fingerprint record")
     | 'm' ->
-      (match parse_record line with
-       | Some ('m', rest) ->
-         (match split_once ' ' rest with
-          | Some (k, v) ->
-            (match unescape v with
-             | Ok v -> r.meta <- (k, v) :: r.meta; None
-             | Error e -> fail e)
-          | None -> fail "malformed manifest record")
-       | _ -> fail "manifest record failed its checksum")
+      if not crc_ok then fail "manifest record failed its checksum"
+      else (
+        match split_once ' ' (rest ()) with
+        | Some (k, v) ->
+          (match unescape v with
+           | Ok v -> r.meta <- (k, v) :: r.meta; None
+           | Error e -> fail e)
+        | None -> fail "malformed manifest record")
     | 't' ->
-      (match parse_record line with
-       | Some ('t', rest) ->
-         (match split_once ' ' rest with
-          | Some (i, v) ->
-            (match (int_of_string_opt i, unescape v) with
-             | Some i, Ok v -> r.tasks <- (i, v) :: r.tasks; None
-             | _ -> fail "malformed task record")
-          | None -> fail "malformed task record")
-       | _ -> fail "task record failed its checksum")
-    | _ -> fail (Printf.sprintf "unknown record %S" line)
+      if not crc_ok then fail "task record failed its checksum"
+      else (
+        match split_once ' ' (rest ()) with
+        | Some (i, v) ->
+          (match (int_of_string_opt i, unescape v) with
+           | Some i, Ok v -> r.tasks <- (i, v) :: r.tasks; None
+           | _ -> fail "malformed task record")
+        | None -> fail "malformed task record")
+    | _ -> fail (Printf.sprintf "unknown record %S" (line ()))
 
 (* Feed [r] every '\n'-terminated line of [s], and with [~tail:true]
    the unterminated rest as well.  Returns the offset just past the
    last '\n' fed. *)
 let feed_lines r s ~tail (k : entry -> unit) : int =
+  let n = String.length s in
   let rec go pos =
-    match String.index_from_opt s pos '\n' with
-    | Some nl ->
-      Option.iter k (feed r (String.sub s pos (nl - pos)));
-      go (nl + 1)
-    | None ->
-      if tail then
-        Option.iter k (feed r (String.sub s pos (String.length s - pos)));
+    let stop, crc_ok, esc = scan s pos in
+    if stop < n then begin
+      Option.iter k (feed r s pos stop ~crc_ok ~esc);
+      go (stop + 1)
+    end
+    else begin
+      if tail then Option.iter k (feed r s pos n ~crc_ok ~esc);
       pos
+    end
   in
   go 0
 
@@ -513,30 +605,34 @@ let read_at fd ~pos ~len : string =
   in
   Bytes.sub_string buf 0 (go 0)
 
-(* Point [f] at the file now at its path and return that file's size.
-   The held descriptor stays if it is still that file and was not
-   truncated below [offset]; otherwise (first call, an atomic-rename
-   checkpoint, a truncation) the fold starts over at offset 0 on the
-   new descriptor.  Identity and size come from the descriptor we go on
-   to read, so a rename racing this call cannot pair one file's offset
-   with another file's bytes. *)
+(* Point [f] at the file now at its path and return the size to read up
+   to.  One [stat] of the path decides: the held descriptor stays if the
+   path still names its file (held open, its inode number cannot have
+   been reused) and that file was not truncated below [offset]; the size
+   is then that file's.  Otherwise (first call, an atomic-rename
+   checkpoint, a truncation) the fold starts over at offset 0 on a new
+   descriptor, whose own [fstat] gives identity and size, so a rename
+   racing this call cannot pair one file's offset with another file's
+   bytes. *)
 let reopen f : int =
-  let fd = Unix.openfile f.f_path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
-  match Unix.fstat fd with
-  | exception e -> Unix.close fd; raise e
-  | st ->
-    let ident = (st.Unix.st_dev, st.Unix.st_ino) in
-    if f.fd <> None && ident = f.ident && st.Unix.st_size >= f.offset then
-      Unix.close fd
-    else begin
+  let st = Unix.stat f.f_path in
+  if f.fd <> None
+     && f.ident = (st.Unix.st_dev, st.Unix.st_ino)
+     && st.Unix.st_size >= f.offset
+  then st.Unix.st_size
+  else begin
+    let fd = Unix.openfile f.f_path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    match Unix.fstat fd with
+    | exception e -> Unix.close fd; raise e
+    | st ->
       unfollow f;
       f.fd <- Some fd;
-      f.ident <- ident;
+      f.ident <- (st.Unix.st_dev, st.Unix.st_ino);
       f.offset <- 0;
       f.rd <- reader f.f_path;
-      f.acc <- None
-    end;
-    st.Unix.st_size
+      f.acc <- None;
+      st.Unix.st_size
+  end
 
 let catch_up f =
   match

@@ -121,12 +121,15 @@ type entry =
           the owner is {e not} charged with an expiry *)
 
 (** The checksummed single-line rendering of an entry (trailing
-    newline included) — exactly what {!append_entry} writes.  Exposed
-    so multi-process writers can append with one [write(2)] on an
-    [O_APPEND] descriptor (the atomicity the lease-claim arbitration
-    relies on).
+    newline included) — exactly what {!append_entry} writes.
     @raise Invalid_argument if an owner contains a space or newline. *)
 val entry_line : entry -> string
+
+(** ["\n" ^ entry_line e], built in one buffer: what a multi-process
+    writer appends with one [write(2)] on an [O_APPEND] descriptor (the
+    atomicity the lease-claim arbitration relies on).
+    @raise Invalid_argument like {!entry_line}. *)
+val appended_line : entry -> string
 
 (** {1 Writing} *)
 
@@ -194,21 +197,25 @@ val load : path:string -> (loaded, string) result
     file's identity and the byte offset just past the last complete
     line it has folded, and each {!catch_up} reads, checksums and folds
     only the bytes appended since, up to the size the file has when the
-    catch-up opens it (so every append that returned before the call is
+    catch-up looks (so every append that returned before the call is
     included).  It parses with {!load}'s line
     parser, so after every catch-up its fold equals the fold over
     [l_entries] of {!load} on the file cut after its last newline: an
     unterminated final line is left for the next catch-up, because it
     may be an append still in flight.
 
-    The fold starts over from offset 0 when the path names a different
-    file than last time (an atomic-rename {!checkpoint}) or the file is
-    shorter than the offset (a truncation).  Both are judged on the
-    descriptor that is then read, and the previous file's descriptor is
-    held open until then, so its inode number cannot be reused for the
-    replacement.  A truncation that the file regrows past the offset
-    between two catch-ups looks like appends; store files only grow
-    between checkpoints, so only an outside hand can do that. *)
+    A follower holds its descriptor open between catch-ups, and one
+    [stat(2)] of the path per catch-up checks that the path still names
+    that file.  The fold starts over from offset 0 on a new descriptor
+    when the path names a different file (an atomic-rename
+    {!checkpoint}) or the file is shorter than the offset (a
+    truncation).  Holding the descriptor means its inode number cannot
+    be reused for a replacement, so an equal identity is the same file.
+    A truncation that the file regrows past the offset between two
+    catch-ups looks like appends; store files only grow between
+    checkpoints, so only an outside hand can do that.
+
+    A follower is not safe to share between domains. *)
 
 type 'acc follower
 

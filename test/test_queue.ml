@@ -42,6 +42,11 @@ let mk_queue ~path n =
 let view path =
   match Q.load ~path with Ok v -> v | Error e -> Alcotest.fail e
 
+(* a worker's journal handle, closed when [k] returns *)
+let with_journal path k =
+  let journal = Q.follow ~path in
+  Fun.protect ~finally:(fun () -> Q.unfollow journal) (fun () -> k journal)
+
 let claim_exn ~path ~owner ~now_us ~ttl_us =
   match Q.claim ~path ~owner ~now_us ~ttl_us () with
   | Ok r -> r
@@ -152,7 +157,8 @@ let test_worker_runs_each_task_once () =
   mk_queue ~path n;
   let runs = Array.make n 0 in
   let outcome =
-    Q.Worker.run ~now_us:(fun () -> 0) ~path ~owner:"w1" ~ttl_us:1_000
+    with_journal path @@ fun journal ->
+    Q.Worker.run ~now_us:(fun () -> 0) ~journal ~owner:"w1" ~ttl_us:1_000
       ~heartbeat_us:0 ~poll_us:1
       (fun i ->
          runs.(i) <- runs.(i) + 1;
@@ -171,9 +177,10 @@ let test_worker_stop_drains_after_inflight () =
   mk_queue ~path 3;
   let stop = ref false in
   let outcome =
+    with_journal path @@ fun journal ->
     Q.Worker.run ~now_us:(fun () -> 0)
       ~stop:(fun () -> !stop)
-      ~path ~owner:"w1" ~ttl_us:1_000 ~heartbeat_us:0 ~poll_us:1
+      ~journal ~owner:"w1" ~ttl_us:1_000 ~heartbeat_us:0 ~poll_us:1
       (fun i ->
          (* a drain lands while task 0 is in flight *)
          stop := true;
@@ -204,7 +211,8 @@ let test_worker_heartbeat_uses_real_clock () =
   let ttl_us = 1_000_000 in
   let before = Q.now_us () in
   let outcome =
-    Q.Worker.run ~now_us:(fun () -> 0) ~path ~owner:"w1" ~ttl_us
+    with_journal path @@ fun journal ->
+    Q.Worker.run ~now_us:(fun () -> 0) ~journal ~owner:"w1" ~ttl_us
       ~heartbeat_us:1_000 ~poll_us:1
       (fun _ ->
          (* hold the task until the heartbeat domain has written *)
@@ -290,10 +298,32 @@ let test_service_fingerprint_mismatch () =
   let config = svc_config in
   Campaign.Service.init ~path ~config prog attribution_world
     (svc_params config);
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let before = read () in
   let other = Campaign.of_seeds config [ 9 ] in
   match run_service_worker ~path ~owner:"w1" ~config prog other with
-  | Error _ -> ()
+  | Error e ->
+    let prefix = path ^ ": fingerprint mismatch (journal " in
+    check bool "the mismatch is named" true
+      (String.starts_with ~prefix e);
+    Alcotest.(check string) "the worker appended nothing" before (read ())
   | Ok _ -> Alcotest.fail "expected a fingerprint-mismatch error"
+
+(* A worker reads its manifest through its handle, whose catch-up leaves
+   an unterminated last line unread; on a journal that is not one it
+   still reports what [Store.load] reports. *)
+let test_service_worker_empty_journal () =
+  with_tmp @@ fun path ->
+  let prog = instrumented attribution_src in
+  let config = svc_config in
+  let expected = path ^ ": line 1: expected header \"# ldx-store/1\"" in
+  (match Store.load ~path with
+   | Error e -> Alcotest.(check string) "Store.load's error" expected e
+   | Ok _ -> Alcotest.fail "an empty file is not a journal");
+  match run_service_worker ~path ~owner:"w1" ~config prog (svc_params config)
+  with
+  | Error e -> Alcotest.(check string) "the worker's error" expected e
+  | Ok _ -> Alcotest.fail "expected an error on an empty journal"
 
 (* A task whose lease keeps expiring under distinct owners is parked as
    Quarantined by the supervisor's escalation sweep. *)
@@ -403,6 +433,70 @@ let test_followers_interleave_first_record_wins () =
     [ fa; fb ];
   check bool "a is charged with the expiry" true
     (full.Q.expired_owners.(0) = [ "a" ])
+
+(* A worker's journal handle holds its descriptor between catch-ups and
+   checks with one [stat] that the path still names that file.  When a
+   checkpoint renames a new file into the path (Service.init healing
+   the journal on a supervisor restart), the next catch-up must refold
+   the new file, records appended to it included. *)
+let test_handle_follows_checkpoint () =
+  with_tmp @@ fun path ->
+  let prog = instrumented attribution_src in
+  let config = svc_config in
+  let params = svc_params config in
+  let init () =
+    Campaign.Service.init ~path ~config prog attribution_world params
+  in
+  init ();
+  with_journal path @@ fun journal ->
+  let lease =
+    Store.Lease { index = 0; owner = "w1"; epoch = 0; deadline_us = 100 }
+  in
+  let outcome = Store.Outcome { index = 0; payload = "done" } in
+  ignore (Q.catch_up journal);
+  Q.append ~path lease;
+  ignore (Q.catch_up journal);
+  let inode () = (Unix.stat path).Unix.st_ino in
+  let before = inode () in
+  init ();
+  check bool "init renamed a new file into place" true (inode () <> before);
+  Q.append ~path outcome;
+  (match Store.load ~path with
+   | Error e -> Alcotest.fail e
+   | Ok l ->
+     check bool "both records are in the file at the path" true
+       (l.Store.l_entries = [ lease; outcome ] && l.Store.l_torn = 0));
+  match Q.catch_up journal with
+  | Ok v ->
+    check bool "the handle refolds the new file" true (v = view path);
+    check bool "the outcome is folded" true (Q.outcomes v = [ (0, "done") ])
+  | Error e -> Alcotest.fail e
+
+(* A truncated file keeps its identity but is shorter than the handle's
+   offset: the next catch-up refolds it from the start. *)
+let test_handle_follows_truncation () =
+  with_tmp @@ fun path ->
+  mk_queue ~path 2;
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let manifest_only = read () in
+  with_journal path @@ fun journal ->
+  let payload = "a \"quoted\"\npayload" in
+  let outcome = Store.Outcome { index = 1; payload } in
+  Q.append ~path
+    (Store.Lease { index = 0; owner = "w1"; epoch = 0; deadline_us = 100 });
+  Q.append ~path (Store.Heartbeat { owner = "w1"; deadline_us = 200 });
+  ignore (Q.catch_up journal);
+  Unix.truncate path (String.length manifest_only);
+  Q.append ~path outcome;
+  Alcotest.(check string) "the record lands at the new end"
+    (manifest_only ^ "\n" ^ Store.entry_line outcome) (read ());
+  match Q.catch_up journal with
+  | Ok v ->
+    check bool "the handle refolds the truncated file" true (v = view path);
+    check bool "only the new record is folded" true
+      (Q.outcomes v = [ (1, payload) ]
+       && v.Q.states.(0) = Q.Free { next_epoch = 0 })
+  | Error e -> Alcotest.fail e
 
 type follow_op =
   | Append of Store.entry
@@ -655,9 +749,10 @@ let crash_hook_seeds = 12
 
 (* Run [ldx_campaignd] with the crash hook armed after 2 outcomes on a
    [crash_hook_seeds]-task campaign of [attribution_src], workers
-   started through [worker_exe]; check that it exits 0, respawns its
-   victim and prints the uninterrupted table, and return the queue's
-   final view. *)
+   started through [worker_exe]; check that it exits 0, logs its
+   victim's death by SIGKILL (by name, not OCaml's signal number),
+   respawns it and prints the uninterrupted table, and return the
+   queue's final view. *)
 let run_crash_hook ~label ~exe ?worker_exe () =
   let prog_file = Filename.temp_file "ldx_test_queue" ".minic" in
   Fun.protect
@@ -704,6 +799,8 @@ let run_crash_hook ~label ~exe ?worker_exe () =
   in
   check bool (label ^ " exits 0") true (status = Unix.WEXITED 0);
   check bool (label ^ " respawns the victim") true (has "respawned worker");
+  check bool (label ^ " names the victim's signal") true
+    (has "died (SIGKILL)");
   check Alcotest.string (label ^ " table") reference (read_file out);
   match Q.load ~path with
   | Ok v -> v
@@ -775,12 +872,18 @@ let tests =
       test_service_matches_single_process;
     Alcotest.test_case "service refuses a foreign fingerprint" `Quick
       test_service_fingerprint_mismatch;
+    Alcotest.test_case "service worker on an empty journal" `Quick
+      test_service_worker_empty_journal;
     Alcotest.test_case "killer tasks escalate to quarantine" `Quick
       test_service_escalation;
     Alcotest.test_case "heal keeps one heartbeat per owner" `Quick
       test_service_heal_compacts_heartbeats;
     Alcotest.test_case "two followers: first record still wins" `Quick
       test_followers_interleave_first_record_wins;
+    Alcotest.test_case "worker handle refolds after a checkpoint" `Quick
+      test_handle_follows_checkpoint;
+    Alcotest.test_case "worker handle refolds after a truncation" `Quick
+      test_handle_follows_truncation;
     QCheck_alcotest.to_alcotest follower_prop;
     QCheck_alcotest.to_alcotest kill_anywhere_prop;
     Alcotest.test_case "crash hook always respawns its victim" `Quick

@@ -410,6 +410,329 @@ let prop_hex_round_trip =
     ~name:"hex_decode inverts hex_encode" QCheck2.Gen.string
     (fun s -> Store.hex_decode (Store.hex_encode s) = Ok s)
 
+(* ------------------------------------------------------------------ *)
+(* Golden: the writer's bytes and the reader's decisions.              *)
+
+(* [store_golden.txt] holds one MD5 per corpus entry, recorded from an
+   earlier build of the codec.  The writer digests pin the bytes of
+   every record kind, of both checkpoint formats and of multi-writer
+   appends.  The reader digests pin every decision [Store.load] and a
+   follower make on a record damaged at every byte: accepted or torn,
+   the decoded entries and manifest, and the message of a refused
+   file.  Any change to the codec must leave every digest unchanged. *)
+
+(* splitmix64, so the writer corpus does not depend on [Random] *)
+let splitmix seed =
+  let s = ref seed in
+  fun bound ->
+    s := Int64.add !s 0x9e3779b97f4a7c15L;
+    let mix z k m =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z k)) m
+    in
+    let z = mix (mix !s 30 0xbf58476d1ce4e5b9L) 27 0x94d049bb133111ebL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Int64.to_int (Int64.unsigned_rem z (Int64.of_int bound))
+
+(* payloads mixing printable text with every byte class the escaper
+   rewrites *)
+let golden_payload next =
+  String.init (next 48) (fun _ ->
+      if next 4 = 0 then "\\\"\n\t\r\b\x00\x1f\x7f\x80\xff ".[next 12]
+      else Char.chr (32 + next 95))
+
+let golden_entries () =
+  let next = splitmix 0x1d5L in
+  List.init 400 (fun _ ->
+      let index =
+        match next 8 with 0 -> -1 | 1 | 2 | 3 -> next 10 | _ -> next 10_000_000
+      in
+      let owner =
+        Printf.sprintf "w%d.%d.p%d" (next 8) (next 100) (next 100_000)
+      in
+      let epoch = next 50 in
+      let deadline_us = 1_700_000_000_000_000 + next 1_000_000_000 in
+      match next 4 with
+      | 0 -> Store.Lease { index; owner; epoch; deadline_us }
+      | 1 -> Store.Heartbeat { owner; deadline_us }
+      | 2 -> Store.Release { index; owner; epoch }
+      | _ -> Store.Outcome { index; payload = golden_payload next })
+
+let escapey_manifest =
+  { Store.fingerprint = "fp-0123";
+    meta = [ ("prog", "dead\"beef"); ("note", "tab\there\nnl \\ \xff") ];
+    tasks = [ "plain"; "with space"; "with\nnewline"; "q\"\\"; "" ] }
+
+let writer_digests () =
+  let entries = golden_entries () in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let file write = with_tmp (fun path -> write path; read_all path) in
+  [ ("writer-entry-lines",
+     md5 (String.concat "" (List.map Store.entry_line entries)));
+    ("writer-checkpoint-v2",
+     md5 (file (fun path ->
+         Store.close
+           (Store.checkpoint_entries ~path escapey_manifest entries))));
+    ("writer-checkpoint-v1",
+     md5 (file (fun path ->
+         let outcomes =
+           List.filter_map
+             (function
+               | Store.Outcome { index; payload } -> Some (index, payload)
+               | _ -> None)
+             entries
+         in
+         let half = List.length outcomes / 2 in
+         let t =
+           Store.checkpoint ~path escapey_manifest
+             (List.filteri (fun i _ -> i < half) outcomes)
+         in
+         List.iteri
+           (fun i (index, payload) ->
+              if i >= half then Store.append t index payload)
+           outcomes;
+         Store.close t)));
+    ("writer-queue-append",
+     md5 (file (fun path ->
+         Store.close (Store.checkpoint_entries ~path escapey_manifest []);
+         List.iter (Ldx_queue.Queue.append ~path) entries))) ]
+
+(* a record line (no newline) with a valid checksum over any body *)
+let crafted tag rest = Printf.sprintf "%c %s %s" tag (Store.hash_hex rest) rest
+
+let line_of e =
+  let l = Store.entry_line e in
+  String.sub l 0 (String.length l - 1)
+
+(* Journal records the writer emits, with payloads that need escaping
+   or are empty, and one- and many-digit indexes. *)
+let record_corpus =
+  [ ("outcome-hex",
+     line_of (Store.Outcome { index = 0; payload = "0a1b2c3d4e5f" }));
+    ("outcome-escapes",
+     line_of
+       (Store.Outcome
+          { index = 7; payload = "q\"\\ \n\t\r\b\x00\x1f\x7f\x80\xff" }));
+    ("outcome-empty", line_of (Store.Outcome { index = 42; payload = "" }));
+    ("outcome-spaces",
+     line_of (Store.Outcome { index = 1234567; payload = " two  words " }));
+    ("outcome-negative", line_of (Store.Outcome { index = -1; payload = "x" }));
+    ("lease",
+     line_of
+       (Store.Lease
+          { index = 0; owner = "w0.1.p42"; epoch = 0;
+            deadline_us = 1760000000123456 }));
+    ("lease-multidigit",
+     line_of
+       (Store.Lease
+          { index = 98765; owner = "k3.12"; epoch = 17; deadline_us = 5 }));
+    ("heartbeat",
+     line_of
+       (Store.Heartbeat { owner = "w1-999"; deadline_us = 1760000000654321 }));
+    ("release",
+     line_of (Store.Release { index = 10; owner = "w2-1"; epoch = 5 })) ]
+
+(* Bodies the writer never emits, under valid checksums: they reach the
+   body parser. *)
+let crafted_corpus =
+  [ ("crafted-o-hex-index", crafted 'o' "0x1f p");
+    ("crafted-o-plus-index", crafted 'o' "+5 p");
+    ("crafted-o-underscore-index", crafted 'o' "1_000 p");
+    ("crafted-o-zero-padded", crafted 'o' "007 p");
+    ("crafted-o-overflow", crafted 'o' "99999999999999999999 p");
+    ("crafted-o-no-payload", crafted 'o' "5");
+    ("crafted-o-empty-rest", crafted 'o' "");
+    ("crafted-o-space-first", crafted 'o' " 3 p");
+    ("crafted-o-bad-escape", crafted 'o' "1 bad\\q");
+    ("crafted-o-bare-quote", crafted 'o' "1 a\"b");
+    ("crafted-o-valid-escapes", crafted 'o' "2 a\\tb\\\\c\\\"d\\065");
+    ("crafted-o-upper-crc",
+     "o " ^ String.uppercase_ascii (Store.hash_hex "3 abc") ^ " 3 abc");
+    ("crafted-l-three-fields", crafted 'l' "1 w 2");
+    ("crafted-l-empty-owner", crafted 'l' "1  2 3");
+    ("crafted-l-five-fields", crafted 'l' "1 w 2 3 4");
+    ("crafted-h-empty-owner", crafted 'h' " 5");
+    ("crafted-h-bad-deadline", crafted 'h' "w 5x");
+    ("crafted-r-hex-epoch", crafted 'r' "1 w 0x10");
+    ("crafted-z-unknown-tag", crafted 'z' "1 p");
+    ("crafted-m-in-journal", crafted 'm' "k v");
+    ("crafted-t-in-journal", crafted 't' "0 label");
+    ("comment", "# a comment");
+    ("blank", "") ]
+
+(* Extra manifest records, inserted after the task records. *)
+let manifest_corpus =
+  [ ("manifest-m-no-value", crafted 'm' "novalue");
+    ("manifest-m-bad-escape", crafted 'm' "k a\\q");
+    ("manifest-t-bad-index", crafted 't' "x label");
+    ("manifest-t-bad-escape", crafted 't' "1 a\\q");
+    ("manifest-second-f", "f other");
+    ("manifest-z-unknown", crafted 'z' "1 p");
+    ("manifest-lease-record",
+     line_of (Store.Heartbeat { owner = "w"; deadline_us = 1 })) ]
+
+(* [line] damaged at every byte: one bit flipped, cut short, and with a
+   '\\', a '"' or a newline inserted *)
+let damaged line =
+  let n = String.length line in
+  let at i s = String.sub line 0 i ^ s ^ String.sub line i (n - i) in
+  line
+  :: List.concat
+       (List.init n (fun i ->
+            let b = Bytes.of_string line in
+            Bytes.set b i (Char.chr (Char.code line.[i] lxor 1));
+            [ Bytes.to_string b; String.sub line 0 i; at i "\\"; at i "\"";
+              at i "\n" ]))
+  @ [ at n "\\"; at n "\""; at n "\n" ]
+
+let show_entry = function
+  | Store.Outcome { index; payload } -> Printf.sprintf "o %d %S" index payload
+  | Store.Lease { index; owner; epoch; deadline_us } ->
+    Printf.sprintf "l %d %S %d %d" index owner epoch deadline_us
+  | Store.Heartbeat { owner; deadline_us } ->
+    Printf.sprintf "h %S %d" owner deadline_us
+  | Store.Release { index; owner; epoch } ->
+    Printf.sprintf "r %d %S %d" index owner epoch
+
+let show_manifest (m : Store.manifest) =
+  Printf.sprintf "f=%S meta=[%s] tasks=[%s]" m.Store.fingerprint
+    (String.concat ";"
+       (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) m.Store.meta))
+    (String.concat ";" (List.map (Printf.sprintf "%S") m.Store.tasks))
+
+(* the message names the file, which is not part of the decision *)
+let show_error ~path e =
+  if String.starts_with ~prefix:path e then
+    let n = String.length path in
+    "error <path>" ^ String.sub e n (String.length e - n)
+  else "error " ^ e
+
+let show_load ~path =
+  match Store.load ~path with
+  | Error e -> show_error ~path e
+  | Ok l ->
+    Printf.sprintf "load v%d torn=%d %s | %s | %s" l.Store.l_version
+      l.Store.l_torn (show_manifest l.Store.l_manifest)
+      (String.concat "; " (List.map show_entry l.Store.l_entries))
+      (String.concat "; "
+         (List.map (fun (i, p) -> Printf.sprintf "%d:%S" i p)
+            l.Store.l_outcomes))
+
+let show_catch_up ~path f =
+  match Store.catch_up f with
+  | Error e -> show_error ~path e
+  | Ok ((m, entries), torn) ->
+    Printf.sprintf "follow torn=%d %s | %s" torn (show_manifest m)
+      (String.concat "; " (List.rev_map show_entry !entries))
+
+let collecting_follower path =
+  Store.follow ~path ~init:(fun m -> (m, ref [])) ~step:(fun (_, l) e ->
+      l := e :: !l)
+
+(* Every decision on one file, read two ways: a follower catching up
+   on the first [split] bytes and again once the rest is appended, and
+   [Store.load]. *)
+let decisions buf path text ~split =
+  let line s = Buffer.add_string buf s; Buffer.add_char buf '\n' in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub text 0 split));
+  let f = collecting_follower path in
+  line (show_catch_up ~path f);
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc (String.sub text split (String.length text - split)));
+  line (show_catch_up ~path f);
+  Store.unfollow f;
+  line (show_load ~path)
+
+let golden_manifest =
+  { Store.fingerprint = "fp0123";
+    meta = [ ("k", "v \"q\"") ];
+    tasks = [ "a"; "b c" ] }
+
+(* the manifest lines a checkpoint of [version] writes *)
+let manifest_lines version =
+  with_tmp @@ fun path ->
+  Store.close
+    (if version = 1 then Store.checkpoint ~path golden_manifest []
+     else Store.checkpoint_entries ~path golden_manifest []);
+  String.split_on_char '\n' (read_all path) |> List.filter (( <> ) "")
+
+let before = line_of (Store.Outcome { index = 0; payload = "before" })
+let after = line_of (Store.Outcome { index = 1; payload = "after" })
+
+let reader_digests () =
+  let m1 = manifest_lines 1 and m2 = manifest_lines 2 in
+  with_tmp @@ fun path ->
+  (* each case: the file's lines, whether the last one is terminated,
+     and the line in whose middle the follower's first catch-up stops *)
+  let digest name cases =
+    let buf = Buffer.create 65536 in
+    List.iter
+      (fun (lines, terminated, k) ->
+         let text =
+           String.concat "\n" lines ^ if terminated then "\n" else ""
+         in
+         let split =
+           List.fold_left (fun n l -> n + String.length l + 1) 0
+             (List.filteri (fun i _ -> i < k) lines)
+           + (String.length (List.nth lines k) / 2)
+         in
+         decisions buf path text ~split:(min split (String.length text)))
+      cases;
+    (name, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  (* v1 and v2 tear rules with a record after the damage, and the
+     damaged line last and unterminated *)
+  let journal variants (name, line) =
+    digest name
+      (List.concat_map
+         (fun d ->
+            [ (m1 @ [ before; d; after ], true, List.length m1 + 1);
+              (m2 @ [ before; d; after ], true, List.length m2 + 1);
+              (m2 @ [ before; d ], false, List.length m2 + 1) ])
+         (variants line))
+  in
+  let manifest_record (name, line) =
+    digest name
+      (List.map
+         (fun m -> (m @ [ line; before; after ], true, List.length m))
+         [ m1; m2 ])
+  in
+  let manifest_line k =
+    digest (Printf.sprintf "manifest-line-%d" k)
+      (List.map
+         (fun d ->
+            (List.mapi (fun i l -> if i = k then d else l) m2
+             @ [ before; after ],
+             true, k))
+         (damaged (List.nth m2 k)))
+  in
+  List.map (journal damaged) record_corpus
+  @ List.map (journal (fun l -> [ l ])) crafted_corpus
+  @ List.map manifest_record manifest_corpus
+  @ List.init (List.length m2) manifest_line
+
+let golden_digests () = writer_digests () @ reader_digests ()
+
+let test_golden () =
+  let expected =
+    In_channel.with_open_text "store_golden.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+        match String.split_on_char ' ' l with
+        | [ name; d ] -> Some (name, d)
+        | _ -> None)
+  in
+  let got = golden_digests () in
+  check int "corpus size" (List.length expected) (List.length got);
+  let wrong =
+    List.filter_map
+      (fun ((n, d), (n', d')) ->
+         if String.equal n n' && String.equal d d' then None
+         else Some (Printf.sprintf "%s: golden %s, got %s %s" n d n' d'))
+      (List.combine expected got)
+  in
+  Alcotest.(check (list string)) "codec digests" [] wrong
+
 let tests =
   [ Alcotest.test_case "fnv-1a known vector" `Quick test_fnv_known_vector;
     Alcotest.test_case "codec known answers" `Quick test_codec_known_answers;
@@ -442,4 +765,6 @@ let tests =
     Alcotest.test_case "entry_line rejects owners with spaces" `Quick
       test_entry_line_rejects_spacey_owner;
     Alcotest.test_case "sync mode loads back identically" `Quick
-      test_sync_smoke ]
+      test_sync_smoke;
+    Alcotest.test_case "writer bytes and reader decisions match golden"
+      `Quick test_golden ]
