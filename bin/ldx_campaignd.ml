@@ -3,8 +3,9 @@
      ldx_campaignd --queue campaign.ldx --workers 3 prog.minic --sweep-seeds 40
 
    Initializes the journal/lease-queue (idempotent: restarting on the
-   same queue file resumes the campaign), spawns N ldx_worker
-   processes, and supervises them: dead workers are reaped and
+   same queue file resumes the campaign; a queue that is already
+   complete is collected without spawning a worker), spawns N
+   ldx_worker processes, and supervises them: dead workers are reaped and
    respawned with backoff under fresh owner identities, workers that
    stop heartbeating while still alive are SIGKILLed (the respawn path
    then recovers them), and a task whose lease has expired under
@@ -115,6 +116,30 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
     Printf.eprintf "ldx_campaignd: queue %s (%d tasks, %d workers)\n%!" queue
       (List.length c.Service_common.params)
       workers;
+    (* one follower for the supervisor's life: a tick folds only what
+       the workers appended since the previous tick *)
+    let journal = Q.follow ~path:queue in
+    let complete () =
+      match Q.catch_up journal with
+      | Ok v -> Q.is_complete v
+      | Error _ -> false
+    in
+    let finish () =
+      match Campaign.Service.collect ~path:queue c.Service_common.params with
+      | Ok outs ->
+        print_string (Campaign.render outs);
+        Printf.eprintf "ldx_campaignd: campaign complete (journal %s)\n%!"
+          queue;
+        `Ok ()
+      | Error e -> `Error (false, e)
+    in
+    (* a queue an earlier run finished needs no worker *)
+    if complete () then begin
+      Q.unfollow journal;
+      Printf.eprintf "ldx_campaignd: queue already complete\n%!";
+      finish ()
+    end
+    else
     let exe =
       match worker_exe with
       | Some p -> p
@@ -205,14 +230,6 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
       | Unix.WSIGNALED s -> (signal_name s, false)
       | Unix.WSTOPPED s -> ("stopped by " ^ signal_name s, false)
     in
-    (* one follower for the supervisor's life: a tick folds only what
-       the workers appended since the previous tick *)
-    let journal = Q.follow ~path:queue in
-    let complete () =
-      match Q.catch_up journal with
-      | Ok v -> Q.is_complete v
-      | Error _ -> false
-    in
     (* reap dead workers; respawn abnormal deaths (with backoff) unless
        the campaign is over or we are draining *)
     let reap_and_respawn () =
@@ -224,7 +241,8 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
              | _, st ->
                let how, clean = describe st in
                s.live <- false;
-               Printf.eprintf "ldx_campaignd: worker %s died (%s)\n%!" s.owner
+               Printf.eprintf "ldx_campaignd: worker %s %s (%s)\n%!" s.owner
+                 (if clean then "exited" else "died")
                  how;
                if not clean then begin
                  s.deaths <- s.deaths + 1;
@@ -349,13 +367,7 @@ let main queue workers max_kills ttl_ms heartbeat_ms poll_ms
      with
      | `Complete ->
        shutdown ();
-       (match Campaign.Service.collect ~path:queue c.Service_common.params with
-        | Ok outs ->
-          print_string (Campaign.render outs);
-          Printf.eprintf "ldx_campaignd: campaign complete (journal %s)\n%!"
-            queue;
-          `Ok ()
-        | Error e -> `Error (false, e))
+       finish ()
      | `Drain ->
        Printf.eprintf "ldx_campaignd: draining on signal\n%!";
        shutdown ();

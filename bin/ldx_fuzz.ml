@@ -192,53 +192,6 @@ let make_incr_tasks runs rand =
   in
   Array.of_list (List.map (fun p -> Check_incr p) (sequential @ concurrent))
 
-(* Check tasks across [jobs] domains (the calling domain participates).
-   Tasks preceding the lowest failing index are always checked, so the
-   reported counterexample is the earliest one — deterministic across
-   job counts; indexes at or past a known failure are skipped. *)
-let check_parallel ~jobs (tasks : task array) : (int * failure) option =
-  let n = Array.length tasks in
-  let next = Atomic.make 0 in
-  let first_fail = Atomic.make max_int in
-  let fails : failure option array = Array.make n None in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        if i < Atomic.get first_fail then
-          (match check_task tasks.(i) with
-           | None -> ()
-           | Some f ->
-             fails.(i) <- Some f;
-             let rec lower () =
-               let cur = Atomic.get first_fail in
-               if i < cur && not (Atomic.compare_and_set first_fail cur i)
-               then lower ()
-             in
-             lower ());
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let spawned = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join spawned;
-  match Atomic.get first_fail with
-  | i when i < n -> Option.map (fun f -> (i, f)) fails.(i)
-  | _ -> None
-
-let check_sequential (tasks : task array) : (int * failure) option =
-  let n = Array.length tasks in
-  let rec go i =
-    if i >= n then None
-    else
-      match check_task tasks.(i) with
-      | Some f -> Some (i, f)
-      | None -> go (i + 1)
-  in
-  go 0
-
 (* ------------------------------------------------------------------ *)
 (* Durable soak runs: journal each check's outcome through the same
    checksummed store the campaign layer uses, so a long fuzz killed at
@@ -264,16 +217,49 @@ let decode_outcome payload : failure option option =
       Some (Some { f_check; f_detail; f_program = String.concat "\n" rest })
     | _ -> None
 
-(* Check tasks in index order, replaying journaled outcomes and
-   journaling fresh ones write-through; stops at the earliest failure
-   (exactly [check_sequential]'s semantics, so the reported
-   counterexample is independent of where previous runs were killed). *)
-(* raised between checks when a drain was requested; every completed
-   check is already journaled write-through, so --resume continues
-   from exactly the interruption point *)
+(* raised when a drain left a task before the earliest failure
+   unchecked; every completed check is already journaled write-through,
+   so --resume continues from exactly the interruption point *)
 exception Drained
 
-let check_durable ~path ~resume ~stop ~fp (tasks : task array) :
+(* Check every task [outcomes] has no entry for ([Some o] = already
+   checked, e.g. replayed from a journal) over [jobs] domains, appending
+   each fresh outcome to [journal] as it finishes.  A task at or past
+   the earliest failure found so far is skipped and every task before
+   it is checked, so the reported counterexample is the earliest one —
+   the same at any [jobs] and wherever earlier runs were killed. *)
+let check_tasks ~jobs ~stop ~journal ~outcomes (tasks : task array) :
+  (int * failure) option =
+  let n = Array.length tasks in
+  let first_fail = Atomic.make max_int in
+  let note i o =
+    outcomes.(i) <- Some o;
+    if o <> None && i < Atomic.get first_fail then Atomic.set first_fail i
+  in
+  Array.iteri (fun i -> Option.iter (note i)) outcomes;
+  let missing =
+    List.filter (fun i -> outcomes.(i) = None) (List.init n Fun.id)
+  in
+  Campaign.fan_out ~jobs ~stop (Array.of_list missing)
+    ~run:(fun i ->
+        if i < Atomic.get first_fail then Some (check_task tasks.(i)) else None)
+    ~record:(fun i ->
+        Option.iter (fun o ->
+            Option.iter (fun t -> Store.append t i (encode_outcome o)) journal;
+            note i o));
+  let rec earliest i =
+    if i >= n then None
+    else
+      match outcomes.(i) with
+      | Some (Some f) -> Some (i, f)
+      | Some None -> earliest (i + 1)
+      | None -> raise Drained
+  in
+  earliest 0
+
+(* Checkpoint the journal at [path] and run [check_tasks] over it; on
+   [resume], first validate its fingerprint and replay its outcomes. *)
+let check_journaled ~path ~resume ~fp ~jobs ~stop (tasks : task array) :
   ((int * failure) option, string) result =
   let n = Array.length tasks in
   let pre =
@@ -308,27 +294,14 @@ let check_durable ~path ~resume ~stop ~fp (tasks : task array) :
     let store =
       Store.checkpoint ~path manifest (List.map (fun (i, p, _) -> (i, p)) pre)
     in
-    let replayed = Hashtbl.create 64 in
-    List.iter (fun (i, _, o) -> Hashtbl.replace replayed i o) pre;
+    let outcomes = Array.make n None in
+    List.iter (fun (i, _, o) -> outcomes.(i) <- Some o) pre;
     if resume then
       Printf.eprintf "ldx_fuzz: %s: replaying %d/%d checked tasks\n%!" path
-        (Hashtbl.length replayed) n;
+        (Array.fold_left (fun c o -> if o = None then c else c + 1) 0 outcomes)
+        n;
     Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
-    let rec go i =
-      if i >= n then None
-      else
-        let o =
-          match Hashtbl.find_opt replayed i with
-          | Some o -> o
-          | None ->
-            if stop () then raise Drained;
-            let o = check_task tasks.(i) in
-            Store.append store i (encode_outcome o);
-            o
-        in
-        match o with Some f -> Some (i, f) | None -> go (i + 1)
-    in
-    Ok (go 0)
+    Ok (check_tasks ~jobs ~stop ~journal:(Some store) ~outcomes tasks)
 
 let runs_arg =
   Arg.(value & opt int 500 & info [ "runs" ] ~docv:"N" ~doc:"Programs per class.")
@@ -367,8 +340,8 @@ let journal_arg =
        & info [ "journal" ] ~docv:"FILE"
          ~doc:"Journal each check's outcome to $(docv) (checksummed, \
                flushed per record) so a long soak run killed at any \
-               point resumes with --resume.  Checks run sequentially \
-               when journaling.")
+               point resumes with --resume.  Journaled checks honour \
+               --jobs.")
 
 let resume_arg =
   Arg.(value & flag
@@ -458,15 +431,13 @@ let fuzz runs seed jobs chaos incremental sched_explore journal resume =
     else if incremental then "incremental"
     else "invariants"
   in
+  let stop () = Atomic.get draining in
   let outcome =
     match journal with
     | Some path ->
-      if jobs > 1 then
-        prerr_endline "ldx_fuzz: --journal checks sequentially (--jobs ignored)";
       (match
-         check_durable ~path ~resume
-           ~stop:(fun () -> Atomic.get draining)
-           ~fp:(fuzz_fingerprint ~runs ~seed ~cls) tasks
+         check_journaled ~path ~resume ~fp:(fuzz_fingerprint ~runs ~seed ~cls)
+           ~jobs ~stop tasks
        with
        | outcome -> outcome
        | exception Drained ->
@@ -477,8 +448,8 @@ let fuzz runs seed jobs chaos incremental sched_explore journal resume =
       if resume then Error "--resume requires --journal"
       else
         Ok
-          (if jobs <= 1 then check_sequential tasks
-           else check_parallel ~jobs tasks)
+          (check_tasks ~jobs ~stop ~journal:None
+             ~outcomes:(Array.make (Array.length tasks) None) tasks)
   in
   match outcome with
   | Error e -> `Error (false, e)

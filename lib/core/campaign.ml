@@ -7,9 +7,9 @@
    runs: [Engine.master_pass] never reads the slave-only configuration
    fields (sources, strategy, slave_seed, record_trace), and a
    [master_out] is a frozen, replayable outcome log.  A campaign
-   therefore pays ONE master pass and fans the K slave passes out —
-   sequentially, or across an OCaml 5 domain pool with a bounded work
-   queue.
+   therefore pays ONE master pass and fans the K slave passes out over
+   the calling domain and, when they pay for themselves, helper domains
+   ([fan_out]).
 
    Determinism: each slave pass builds its own machine, OS and cursors
    from immutable inputs (the program, the world description, the frozen
@@ -18,8 +18,8 @@
    the property suite).
 
    Durability: [?journal] persists a manifest (configuration
-   fingerprint + task list) and appends each outcome as the calling
-   domain collects it, through [Ldx_store.Store]'s checksummed
+   fingerprint + task list) and appends each outcome as the domain that
+   ran the task records it, through [Ldx_store.Store]'s checksummed
    append-only format; [resume] replays journaled outcomes verbatim and
    runs only the tasks that never made it to disk.  Outcome payloads
    are [Marshal]ed [Engine.result]s (plain data, no closures), guarded
@@ -380,200 +380,70 @@ let eta_cycles ~completed ~total ~cycles_done =
   if completed <= 0 then 0
   else cycles_done / completed * (total - completed)
 
-(* ---------- parallel fan-out ---------- *)
+(* ---------- the fan-out ---------- *)
 
 (* Below roughly this many master-pass steps, a slave pass is so short
-   that [Domain.spawn]/[Domain.join] overhead and the contended work
-   queue dominate — the parallel path measures SLOWER than sequential
-   (observed 0.70x at jobs=4 on small workloads).  [`Auto] mode falls
-   back to sequential under this break-even. *)
+   that spawning and joining domains, the contended work queue and the
+   buffered events of a sink dominate: at jobs=2, 15 tasks, a pool with
+   a sink and a journal runs 403.gcc (8.3k master steps) at 0.66x the
+   speed of one domain, and without them gains only 1.10x, against
+   1.40-1.64x on 401.bzip2 and 473.astar (96k and 648k master steps).
+   [`Auto] mode runs under this break-even at jobs = 1. *)
 let domain_break_even = 20_000
 
-(* Fan the missing tasks out over [jobs] domains (the calling domain
-   participates).  The work queue is a bounded atomic cursor over the
-   index array, but domains claim contiguous CHUNKS of ~k/(4*jobs)
-   tasks per fetch-and-add rather than single indexes: the contended
-   atomic is touched ~4 times per domain instead of once per task,
-   while the 4x over-decomposition keeps late-stage load balance when
-   task costs are uneven.  Each result slot is written by exactly one
-   domain and read only after the joins, which gives the necessary
-   happens-before edges.  [run_task] never raises, and the joins are
-   under [Fun.protect], so no domain can be leaked even if a worker or
-   the calling domain dies unexpectedly.
-
-   This lean path carries no sink and no journal; when either is
-   present [run_collected] is used instead. *)
-let run_parallel ~retry ?deadline ~runner ~jobs ~stop (config : Engine.config)
-    (prog : Ir.program) (world : World.t) (mo : Engine.master_out)
-    (tasks : slave_params array) (idxs : int array)
-    (results : (status * int) option array) : unit =
+(* The calling domain and [jobs - 1] helpers claim contiguous CHUNKS of
+   ~k/(4*jobs) indexes per fetch-and-add rather than single indexes:
+   the contended atomic is touched ~4 times per domain instead of once
+   per task, while the 4x over-decomposition keeps late-stage load
+   balance when task costs are uneven.  [record] runs under one mutex,
+   so it needs no domain safety of its own, and every write it makes
+   happens before the joins. *)
+let fan_out ~jobs ~stop ~run ~record (idxs : int array) : unit =
   let k = Array.length idxs in
-  let chunk = max 1 ((k + (4 * jobs) - 1) / (4 * jobs)) in
+  let domains = max 1 (min jobs k) in
+  let chunk = max 1 ((k + (4 * domains) - 1) / (4 * domains)) in
   let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      (* drain check between chunk claims: [stop] must be domain-safe
-         (it reads a flag a signal handler sets) *)
-      if stop () then ()
-      else
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo < k then begin
-          let hi = min k (lo + chunk) in
-          let j = ref lo in
-          while !j < hi && not (stop ()) do
-            let i = idxs.(!j) in
-            results.(i) <-
-              Some (run_task ~retry ?deadline ~runner config prog world mo
-                      tasks.(i));
-            incr j
-          done;
-          loop ()
-        end
-    in
-    loop ()
-  in
-  (* backtrace recording is per-domain: without propagating the calling
-     domain's setting, a [Crashed] outcome would carry a backtrace or
-     not depending on which domain happened to claim the task — a
-     run-to-run nondeterminism in campaign output *)
-  let record_bt = Printexc.backtrace_status () in
-  let spawned =
-    Array.init (min jobs k - 1) (fun _ ->
-        Domain.spawn (fun () ->
-            Printexc.record_backtrace record_bt;
-            worker ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* always join every spawned domain; a join that re-raises (its
-         worker died outside the containment, e.g. on out-of-memory)
-         must not prevent joining the rest *)
-      let first_exn = ref None in
-      Array.iter
-        (fun d ->
-           try Domain.join d
-           with e -> if !first_exn = None then first_exn := Some e)
-        spawned;
-      match !first_exn with Some e -> raise e | None -> ())
-    worker
-
-(* Parallel fan-out with a collecting domain: used whenever a sink or a
-   journal is present.  Worker domains run tasks with a PRIVATE
-   buffered sink each (an event list needs no domain safety) and post
-   (index, status, attempts, events) to a queue; the calling domain
-   collects, appending each outcome to the journal write-through AS IT
-   ARRIVES — so a kill at any point loses at most the in-flight tasks —
-   and, after the joins, drains the event buffers into the real sink in
-   task order.  Workers never touch the sink or the store. *)
-let run_collected ~retry ?deadline ?obs ~runner ~jobs ~journal ~t0 ~stop
-    (config : Engine.config) (prog : Ir.program) (world : World.t)
-    (mo : Engine.master_out) (tasks : slave_params array) (idxs : int array)
-    (results : (status * int) option array) : unit =
-  let k = Array.length idxs in
-  let w = max 1 (min jobs k) in
-  let chunk = max 1 ((k + (4 * w) - 1) / (4 * w)) in
-  let next = Atomic.make 0 in
-  let q = Queue.create () in
+  let failure = Atomic.make None in
+  let fail e bt = ignore (Atomic.compare_and_set failure None (Some (e, bt))) in
+  let halted () = Option.is_some (Atomic.get failure) || stop () in
   let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let send msg =
-    Mutex.lock mu;
-    Queue.add msg q;
-    Condition.signal cond;
-    Mutex.unlock mu
+  let rec claim () =
+    if not (halted ()) then begin
+      let lo = Atomic.fetch_and_add next chunk in
+      if lo < k then begin
+        let hi = min k (lo + chunk) in
+        let j = ref lo in
+        while !j < hi && not (halted ()) do
+          let i = idxs.(!j) in
+          let r = run i in
+          Mutex.protect mu (fun () -> record i r);
+          incr j
+        done;
+        claim ()
+      end
+    end
   in
-  let recv () =
-    Mutex.lock mu;
-    while Queue.is_empty q do Condition.wait cond mu done;
-    let msg = Queue.pop q in
-    Mutex.unlock mu;
-    msg
-  in
-  let buffered = obs <> None in
-  let worker () =
-    let rec loop () =
-      (* drain check between tasks: the in-flight task always finishes *)
-      if stop () then ()
-      else
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo < k then begin
-          let hi = min k (lo + chunk) in
-          let j = ref lo in
-          while !j < hi && not (stop ()) do
-            let i = idxs.(!j) in
-            let buf = ref [] in
-            let task_obs =
-              if buffered then
-                Some (Obs.Sink.of_fn (fun ev -> buf := ev :: !buf))
-              else None
-            in
-            let s, a =
-              run_task_telemetry ~retry ?deadline ?obs:task_obs ~runner
-                ~index:i ~t0 config prog world mo tasks.(i)
-            in
-            send (`Result (i, s, a, List.rev !buf));
-            incr j
-          done;
-          loop ()
-        end
-    in
-    (* a worker that dies outside the per-task containment must still
-       announce itself, or the collector would wait forever *)
-    (match loop () with
-     | () -> send (`Exit None)
-     | exception e -> send (`Exit (Some e)))
-  in
+  let work () = try claim () with e -> fail e (Printexc.get_raw_backtrace ()) in
+  (* backtrace recording is per-domain: without the caller's setting, a
+     [Crashed] outcome would carry a backtrace or not depending on which
+     domain happened to claim the task *)
   let record_bt = Printexc.backtrace_status () in
-  let spawned =
-    Array.init w (fun _ ->
-        Domain.spawn (fun () ->
-            Printexc.record_backtrace record_bt;
-            worker ()))
-  in
-  let events : Obs.Event.t list array = Array.make (Array.length tasks) [] in
-  let worker_exn = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      let first_exn = ref None in
-      Array.iter
-        (fun d ->
-           try Domain.join d
-           with e -> if !first_exn = None then first_exn := Some e)
-        spawned;
-      match !first_exn with Some e -> raise e | None -> ())
-    (fun () ->
-       let exited = ref 0 in
-       let completed = ref 0 in
-       let cycles_done = ref 0 in
-       while !exited < w do
-         match recv () with
-         | `Result (i, s, a, evs) ->
-           results.(i) <- Some (s, a);
-           events.(i) <- evs;
-           Option.iter (fun t -> Store.append t i (encode_status s a)) journal;
-           (* live heartbeat from the collecting domain, in arrival
-              order (liveness, not determinism: progress events are
-              excluded from traces/goldens) *)
-           incr completed;
-           cycles_done := !cycles_done + wall_cycles_of s;
-           Obs.Sink.emit_opt obs
-             (Obs.Event.Campaign_progress
-                { completed = !completed;
-                  total = k;
-                  cycles_done = !cycles_done;
-                  eta_cycles =
-                    eta_cycles ~completed:!completed ~total:k
-                      ~cycles_done:!cycles_done })
-         | `Exit e ->
-           incr exited;
-           (match e with
-            | Some e when !worker_exn = None -> worker_exn := Some e
-            | _ -> ())
-       done);
-  (* satellite invariant: every slave-pass event reaches the sink, in
-     task order, from this (the collecting) domain *)
-  Array.iter (fun evs -> List.iter (Obs.Sink.emit_opt obs) evs) events;
-  match !worker_exn with Some e -> raise e | None -> ()
+  let helpers = ref [] in
+  (try
+     for _ = 2 to domains do
+       helpers :=
+         Domain.spawn (fun () ->
+             Printexc.record_backtrace record_bt;
+             work ())
+         :: !helpers
+     done
+   with e -> fail e (Printexc.get_raw_backtrace ()));
+  work ();
+  (* [work] never raises, so neither does a join *)
+  List.iter Domain.join !helpers;
+  match Atomic.get failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 (* ---------- the campaign ---------- *)
 
@@ -708,41 +578,44 @@ let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
             est_steps = mo.Engine.msummary.Engine.steps });
      let idxs = Array.of_list missing in
      let t0 = now_us () in
-     if not parallel then begin
-       let completed = ref 0 in
-       let cycles_done = ref 0 in
-       let drained = ref false in
-       Array.iter
-         (fun i ->
-            (* drain check between tasks: the in-flight task finishes,
-               its outcome is journaled, and we exit the loop *)
-            if !drained || stop () then drained := true
-            else begin
-              let s, a =
-                run_task_telemetry ~retry ?deadline ?obs ~runner ~index:i ~t0
-                  config prog world mo tasks.(i)
-              in
-              results.(i) <- Some (s, a);
-              Option.iter (fun t -> Store.append t i (encode_status s a)) store;
-              incr completed;
-              cycles_done := !cycles_done + wall_cycles_of s;
-              Obs.Sink.emit_opt obs
-                (Obs.Event.Campaign_progress
-                   { completed = !completed;
-                     total = nmiss;
-                     cycles_done = !cycles_done;
-                     eta_cycles =
-                       eta_cycles ~completed:!completed ~total:nmiss
-                         ~cycles_done:!cycles_done })
-            end)
-         idxs
-     end
-     else if obs = None && store = None then
-       run_parallel ~retry ?deadline ~runner ~jobs ~stop config prog world mo
-         tasks idxs results
-     else
-       run_collected ~retry ?deadline ?obs ~runner ~jobs ~journal:store ~t0
-         ~stop config prog world mo tasks idxs results;
+     (* a pooled task emits into a private buffer, drained into the sink
+        in task order after the fan-out, so slave-pass events never
+        interleave; a lone domain emits directly *)
+     let buffered = parallel && obs <> None in
+     let events = Array.make n [] in
+     let completed = ref 0 in
+     let cycles_done = ref 0 in
+     fan_out ~jobs:(if parallel then jobs else 1) ~stop idxs
+       ~run:(fun i ->
+           let buf = ref [] in
+           let obs =
+             if buffered then Some (Obs.Sink.of_fn (fun ev -> buf := ev :: !buf))
+             else obs
+           in
+           let s, a =
+             run_task_telemetry ~retry ?deadline ?obs ~runner ~index:i ~t0
+               config prog world mo tasks.(i)
+           in
+           (s, a, List.rev !buf))
+       ~record:(fun i (s, a, evs) ->
+           results.(i) <- Some (s, a);
+           events.(i) <- evs;
+           (* write-through: a kill at any point loses at most the
+              in-flight tasks *)
+           Option.iter (fun t -> Store.append t i (encode_status s a)) store;
+           (* liveness, in completion order (progress events are kept
+              out of traces and goldens) *)
+           incr completed;
+           cycles_done := !cycles_done + wall_cycles_of s;
+           Obs.Sink.emit_opt obs
+             (Obs.Event.Campaign_progress
+                { completed = !completed;
+                  total = nmiss;
+                  cycles_done = !cycles_done;
+                  eta_cycles =
+                    eta_cycles ~completed:!completed ~total:nmiss
+                      ~cycles_done:!cycles_done }));
+     Array.iter (List.iter (Obs.Sink.emit_opt obs)) events;
      Array.iter (fun i -> fresh.(i) <- true) idxs
    end);
   let drained = stop () in
@@ -769,11 +642,10 @@ let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
                 attempts = 0 })
          tasks)
   in
-  (* task fates are emitted from the calling domain, after collection,
-     so the sink never sees concurrent emissions; [Quarantine] fires
-     only for freshly-parked tasks (replayed ones announced it in the
-     run that journaled them).  Tasks a drain never ran emit nothing —
-     they have no fate yet. *)
+  (* task fates are emitted from the calling domain, in task order,
+     after the fan-out; [Quarantine] fires only for freshly-parked
+     tasks (replayed ones announced it in the run that journaled them).
+     Tasks a drain never ran emit nothing — they have no fate yet. *)
   List.iteri
     (fun i o ->
        if not (drained && o.attempts = 0) then begin

@@ -5,8 +5,9 @@
     fields ([sources], [strategy], [slave_seed], [record_trace]), and a
     recorded {!Engine.master_out} is immutable — slave passes read it
     through private cursors.  A campaign exploits both facts: it pays
-    {e one} master pass and fans K slave passes out, sequentially or
-    across an OCaml 5 domain pool with a bounded work queue.
+    {e one} master pass and fans K slave passes out over the calling
+    domain and, when they pay for themselves, helper domains
+    ({!fan_out}).
 
     Every slave pass builds its own machine and simulated OS from
     immutable inputs and the VM scheduler is deterministically seeded,
@@ -138,25 +139,42 @@ type runner =
   Engine.config -> Ldx_cfg.Ir.program -> Ldx_osim.World.t ->
   Engine.master_out -> Engine.result
 
+(** [fan_out ~jobs ~stop ~run ~record idxs] calls [run i] once for
+    every [i] of [idxs] on the calling domain and [jobs - 1] helper
+    domains (none at [jobs = 1]; never more domains than indexes).
+    Domains claim chunks of about [k / (4 * jobs)] indexes off one
+    atomic cursor.  [record i r] then runs, with [r = run i], under one
+    mutex on the domain that finished the task: calls of [record] never
+    overlap, at [jobs = 1] they arrive in [idxs] order, and each
+    happens before [fan_out] returns.
+
+    [stop] is polled before every claim and every task and must be
+    domain-safe; once it returns [true] no further task starts, and
+    tasks in flight finish and are recorded.  A raise from [run] or
+    [record] stops further claims on every domain and is re-raised
+    (with its backtrace) after every helper is joined.  Helpers record
+    backtraces exactly when the calling domain does. *)
+val fan_out :
+  jobs:int -> stop:(unit -> bool) -> run:(int -> 'a) ->
+  record:(int -> 'a -> unit) -> int array -> unit
+
 (** [run ~jobs ?mode ?obs ?retry ?deadline ?runner ?journal ~config
     prog world params] records one master pass under [config]'s
     master-side fields, then runs one slave pass per task under
-    per-task exception containment.  Parallel execution fans tasks out
-    over a domain pool claiming chunked ranges off a shared atomic
-    cursor, every domain always joined ([Fun.protect]) even on
-    unexpected worker death.  Outcomes are returned in task order
-    either way, with identical statuses (a property-suite invariant).
+    per-task exception containment, through {!fan_out}.  Outcomes are
+    returned in task order at any [jobs], with identical statuses (a
+    property-suite invariant).
 
-    [?mode] selects the execution path.  The default [`Auto] goes
-    parallel only when [jobs > 1], there is more than one task, the
-    host reports more than one recommended domain, {e and} the master
-    pass ran at least ~20k steps (shorter slave passes lose more to
-    domain spawn/join than they gain — the measured 0.70x "speedup" of
-    small parallel campaigns); otherwise it runs sequentially in the
-    calling domain.  [`Sequential] and [`Parallel] force their path
-    (subject to [jobs]/task count).  The decision is emitted as a
-    [Campaign_plan] event and lands in the [campaign.mode.<mode>]
-    metrics counter.
+    [?mode] selects how many domains run the tasks.  The default
+    [`Auto] uses [jobs] domains only when [jobs > 1], more than one
+    task is missing, the host reports more than one recommended
+    domain, {e and} the master pass ran at least ~20k steps; otherwise
+    the calling domain runs every task alone, since shorter slave
+    passes gain little from helper domains or lose (DESIGN.md, "Mode
+    selection", has the measurements).  [`Sequential] and [`Parallel]
+    force their choice (subject to [jobs]/task count).  The decision is
+    emitted as a [Campaign_plan] event and lands in the
+    [campaign.mode.<mode>] metrics counter.
 
     [?deadline] bounds each {e task} (not the campaign) to that many
     VM steps per slave pass, re-using the engine's in-quantum fuel
@@ -167,22 +185,24 @@ type runner =
     [?journal] opens a durable journal at that path: the campaign
     manifest (configuration fingerprint, program/world hashes, task
     list) is checkpointed via atomic rename before any task runs, and
-    each task's outcome is appended — checksummed and flushed — as the
-    collecting domain receives it.  A campaign killed at any point
-    resumes via {!resume}.
+    each task's outcome is appended — checksummed and flushed — by the
+    domain that ran the task, as soon as it finishes.  A campaign
+    killed at any point resumes via {!resume}.
 
     [?obs] observes the master pass (bracketed in [Master_run] phase
-    events) and every slave pass: sequentially by direct threading; in
-    parallel, each task gets a {e private buffered sink} and the
-    collecting domain drains the buffers in task order after the
-    joins, so the sink needs no domain safety and still sees every
-    slave-pass event.  Task fates are emitted as [Task_done] (and
-    [Quarantine]) events from the collecting domain, per task, in
-    task order.
+    events) and every slave pass.  The sink is never called
+    concurrently, so it needs no domain safety of its own.  On one
+    domain, tasks emit to it directly.  With helper domains, each task
+    gets a {e private buffered sink}, and the calling domain drains the
+    buffers into the sink in task order after the fan-out.
+    [Campaign_progress] heartbeats come, in completion order, from
+    whichever domain finished the task.  Task fates are emitted as
+    [Task_done] (and [Quarantine]) events from the calling domain, per
+    task, in task order.
 
-    [?stop] is the graceful-drain hook: it is polled between tasks (in
-    every execution path — it must be domain-safe, e.g. read a flag a
-    signal handler sets) and once it returns [true] no further task is
+    [?stop] is the graceful-drain hook: it is polled between tasks
+    (it must be domain-safe, e.g. read a flag a signal handler sets)
+    and once it returns [true] no further task is
     {e started}; in-flight tasks finish and are journaled.  Outcomes of
     tasks a drain never ran come back as [Crashed] with exn
     ["drained (not run)"] and [attempts = 0], and emit no [Task_done] —

@@ -313,6 +313,135 @@ let test_campaign_parallel_matches_sequential () =
     seq par
 
 (* ------------------------------------------------------------------ *)
+(* The fan-out loop every campaign runs its tasks through.            *)
+
+let never () = false
+
+(* Every index reaches [record] exactly once, with its own [run]
+   result, at any job count — more jobs than indexes included. *)
+let test_fan_out_exactly_once () =
+  List.iter
+    (fun (jobs, k) ->
+       let hits = Array.make k 0 in
+       let mismatched = Atomic.make 0 in
+       Campaign.fan_out ~jobs ~stop:never ~run:(fun i -> 3 * i)
+         ~record:(fun i r ->
+             if r <> 3 * i then Atomic.incr mismatched;
+             hits.(i) <- hits.(i) + 1)
+         (Array.init k Fun.id);
+       let what = Printf.sprintf "jobs=%d k=%d" jobs k in
+       check bool (what ^ ": every index recorded once") true
+         (Array.for_all (( = ) 1) hits);
+       check int (what ^ ": record gets run's result") 0 (Atomic.get mismatched))
+    [ (1, 37); (2, 37); (4, 37); (8, 3); (4, 1); (4, 0) ]
+
+(* [record] needs no synchronization of its own: a plain counter, read,
+   left alone a while, then written back, loses no update. *)
+let test_fan_out_records_never_overlap () =
+  let k = 1000 in
+  let counter = ref 0 in
+  Campaign.fan_out ~jobs:4 ~stop:never ~run:ignore
+    ~record:(fun _ () ->
+        let c = !counter in
+        for _ = 1 to 200 do Domain.cpu_relax () done;
+        counter := c + 1)
+    (Array.init k Fun.id);
+  check int "every record saw the previous one's write" k !counter
+
+let test_fan_out_jobs1_order () =
+  let idxs = [| 5; 3; 9; 0; 7; 1; 8; 2; 6; 4 |] in
+  let seen = ref [] in
+  Campaign.fan_out ~jobs:1 ~stop:never ~run:Fun.id
+    ~record:(fun i _ -> seen := i :: !seen)
+    idxs;
+  check (Alcotest.list int) "records arrive in idxs order"
+    (Array.to_list idxs) (List.rev !seen)
+
+let test_fan_out_stop () =
+  List.iter
+    (fun jobs ->
+       let ran = Atomic.make 0 in
+       Campaign.fan_out ~jobs ~stop:(fun () -> true)
+         ~run:(fun _ -> Atomic.incr ran)
+         ~record:(fun _ () -> Atomic.incr ran)
+         (Array.init 20 Fun.id);
+       check int
+         (Printf.sprintf "jobs=%d: a stop from the start runs nothing" jobs)
+         0 (Atomic.get ran))
+    [ 1; 4 ];
+  List.iter
+    (fun m ->
+       let recorded = ref 0 in
+       Campaign.fan_out ~jobs:1 ~stop:(fun () -> !recorded >= m) ~run:ignore
+         ~record:(fun _ () -> incr recorded)
+         (Array.init 20 Fun.id);
+       check int (Printf.sprintf "stop after %d records" m) m !recorded)
+    [ 1; 7; 19 ]
+
+exception Helper_failed
+
+(* A [run] that raises on a helper domain is re-raised on the caller
+   once that helper has ended, and no index is claimed after it.  The
+   helper raises only once the caller's first task has started, and
+   that task waits for the helper's domain to exit (its
+   [Domain.at_exit] runs when the domain's body returns, after the
+   raise was caught), so exactly two tasks ever start. *)
+let test_fan_out_helper_raise () =
+  let caller = Domain.self () in
+  let caller_started = Atomic.make false in
+  let helper_ended = Atomic.make false in
+  let runs = Atomic.make 0 in
+  let records = Atomic.make 0 in
+  let give_up = Unix.gettimeofday () +. 10. in
+  let await flag =
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < give_up do
+      Domain.cpu_relax ()
+    done
+  in
+  let run _ =
+    Atomic.incr runs;
+    if Domain.self () <> caller then begin
+      await caller_started;
+      Domain.at_exit (fun () -> Atomic.set helper_ended true);
+      raise Helper_failed
+    end;
+    Atomic.set caller_started true;
+    await helper_ended
+  in
+  (match
+     Campaign.fan_out ~jobs:2 ~stop:never ~run
+       ~record:(fun _ () -> Atomic.incr records)
+       (Array.init 100 Fun.id)
+   with
+   | () -> Alcotest.fail "the helper's exception was swallowed"
+   | exception Helper_failed -> ());
+  check bool "the helper ended before the re-raise" true
+    (Atomic.get helper_ended);
+  check int "no task started after the raise" 2 (Atomic.get runs);
+  check int "only the caller's task was recorded" 1 (Atomic.get records);
+  (* and a raise waits for every helper's task in flight: here the
+     caller raises while the helper is still inside its first task *)
+  let helper_started = Atomic.make false in
+  let helper_done = Atomic.make false in
+  let run _ =
+    if Domain.self () = caller then begin
+      await helper_started;
+      raise Helper_failed
+    end;
+    Atomic.set helper_started true;
+    Unix.sleepf 0.05;
+    Atomic.set helper_done true
+  in
+  (match
+     Campaign.fan_out ~jobs:2 ~stop:never ~run ~record:(fun _ () -> ())
+       (Array.init 100 Fun.id)
+   with
+   | () -> Alcotest.fail "the caller's exception was swallowed"
+   | exception Helper_failed -> ());
+  check bool "the helper's task in flight finished before the re-raise" true
+    (Atomic.get helper_done)
+
+(* ------------------------------------------------------------------ *)
 (* Crash containment and retries.                                      *)
 
 exception Deliberate of string
@@ -918,6 +1047,15 @@ let tests =
       test_per_source_matches_isolated_runs;
     Alcotest.test_case "parallel campaign equals sequential" `Quick
       test_campaign_parallel_matches_sequential;
+    Alcotest.test_case "fan-out records every index once" `Quick
+      test_fan_out_exactly_once;
+    Alcotest.test_case "fan-out records never overlap" `Quick
+      test_fan_out_records_never_overlap;
+    Alcotest.test_case "fan-out at jobs=1 records in order" `Quick
+      test_fan_out_jobs1_order;
+    Alcotest.test_case "fan-out honours stop" `Quick test_fan_out_stop;
+    Alcotest.test_case "fan-out re-raises after joining every helper" `Quick
+      test_fan_out_helper_raise;
     Alcotest.test_case "crashing task contained (jobs=1 and jobs=4)" `Quick
       test_campaign_crash_contained;
     Alcotest.test_case "retry policy clears transient failures" `Quick

@@ -151,8 +151,40 @@ let test_collect_v2 () =
       (Campaign.render (Campaign.run ~jobs:1 ~config prog world params))
       (Campaign.render outs)
 
+(* [ldx_campaignd] collects a complete queue without starting a worker,
+   so the worker's path over an earlier build's journal is covered
+   here: a worker started on a copy of the completed service journal
+   finds nothing to claim, reports [`Complete] and never records a
+   master pass. *)
+let test_worker_v2 () =
+  let w = Ldx_workloads.Registry.find_exn "Pbzip2" in
+  let config = Workload.leak_config w in
+  let prog = fst (Workload.instrumented w) in
+  let world = w.Workload.world in
+  let params = Campaign.of_seeds config (List.init 6 Fun.id) in
+  with_tmp @@ fun path ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (read (fixture "journals" "service-v2.journal")));
+  Campaign.Service.init ~path ~config prog world params;
+  let master_runs = ref 0 in
+  let obs =
+    Obs.Sink.of_fn (function
+      | Obs.Event.Phase_begin Obs.Event.Master_run -> incr master_runs
+      | _ -> ())
+  in
+  (match
+     Campaign.Service.worker ~obs ~path ~owner:"w-test" ~ttl_us:5_000_000
+       ~heartbeat_us:0 ~poll_us:1_000 ~config prog world params
+   with
+   | Ok `Complete -> ()
+   | Ok `Drained -> Alcotest.fail "worker drained a complete queue"
+   | Error e -> Alcotest.fail e);
+  check int "no master pass recorded" 0 !master_runs
+
 let tests =
   [ Alcotest.test_case "v1 journal of an earlier build resumes" `Quick
       test_resume_v1;
     Alcotest.test_case "v2 journal of an earlier build collects" `Quick
-      test_collect_v2 ]
+      test_collect_v2;
+    Alcotest.test_case "v2 journal of an earlier build drains a worker"
+      `Quick test_worker_v2 ]

@@ -374,6 +374,8 @@ let replace_all ~sub ~by s =
   done;
   Buffer.contents b
 
+(* [`Parallel]: fig2's master pass is far below the campaign's
+   break-even, so [`Auto] would run every task on the calling domain *)
 let campaign_trace ~jobs =
   let prog =
     fst
@@ -389,8 +391,12 @@ let campaign_trace ~jobs =
   @@ fun () ->
   let rc = Obs.Recorder.create () in
   ignore
-    (Campaign.run ~jobs ~obs:(Obs.Recorder.sink rc) ~journal
+    (Campaign.run ~jobs ~mode:`Parallel ~obs:(Obs.Recorder.sink rc) ~journal
        ~config:fig2_config prog fig2_world params);
+  check int
+    (Printf.sprintf "jobs=%d: campaign.mode.parallel" jobs)
+    (if jobs > 1 then 1 else 0)
+    (Obs.Metrics.counter (Obs.Recorder.snapshot rc) "campaign.mode.parallel");
   (* the temp journal path is the one run-specific string in the trace *)
   ( replace_all ~sub:journal ~by:"JOURNAL"
       (Obs.Chrome_trace.to_string (Obs.Recorder.events rc)),

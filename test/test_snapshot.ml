@@ -320,14 +320,21 @@ let camp_params () = Campaign.of_strategies camp_config Mutation.all_strategies
 let test_incremental_identity () =
   let prog = Lazy.force camp_prog in
   let params = camp_params () in
-  let table incremental jobs =
+  let table ?obs ?mode incremental jobs =
     Campaign.render
-      (Campaign.run ~jobs ~incremental ~config:camp_config prog camp_world
-         params)
+      (Campaign.run ~jobs ?mode ?obs ~incremental ~config:camp_config prog
+         camp_world params)
   in
   let full = table false 1 in
   check string "incremental table at jobs=1" full (table true 1);
-  check string "incremental table at jobs=4" full (table true 4);
+  (* [`Parallel]: this master pass is far below the campaign's
+     break-even, so [`Auto] would run every task on the calling domain *)
+  let rc = Ldx_obs.Recorder.create () in
+  check string "incremental table at jobs=4" full
+    (table ~obs:(Ldx_obs.Recorder.sink rc) ~mode:`Parallel true 4);
+  check int "jobs=4 ran on the domain pool" 1
+    (Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
+       "campaign.mode.parallel");
   check bool "the campaign actually leaks" true
     (let outs =
        Campaign.run ~incremental:true ~config:camp_config prog camp_world
