@@ -524,9 +524,6 @@ let run_side_gen (m : Machine.t) ~(blocked : Machine.thread list ref)
     | Machine.Ev_syscall th ->
       step th;
       if !paused = None && not m.Machine.finished then loop ()
-    | Machine.Ev_barrier th ->
-      Machine.release_barrier m th;
-      loop ()
     | Machine.Ev_idle ->
       if retry_blocked () then loop ()
       else if on_stuck !blocked then begin

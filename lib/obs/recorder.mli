@@ -12,7 +12,7 @@
     - [divergence.case1/case2/case3] — sink reports by the paper's case
       number (these equal the run's [sink_report] tally);
     - [divergence.final-state] — final-state extension reports;
-    - [barriers.*] — loop backedge barrier releases;
+    - [barriers.*] — loop backedge barriers;
     - [faults.master] / [faults.slave] — injected environment faults per
       side, and [faults.<action>] per action kind (drop, short,
       transient, error, skew);

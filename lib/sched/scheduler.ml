@@ -62,12 +62,18 @@ type decision = {
   d_runnable : int array;           (* the choice set; captured when recording *)
 }
 
+(* The last decision lives in [last], [quantum], [preempted] and
+   [nrunnable]: [pick] builds no [decision] unless the state records or
+   someone asks for one ([last_decision]). *)
 type state = {
   sspec : spec;
   record : bool;
   mutable cursor : int;             (* round-robin rotation *)
   mutable index : int;              (* decisions made so far *)
   mutable last : int;               (* last chosen thread; -1 before any *)
+  mutable quantum : int;            (* the last decision's quantum *)
+  mutable preempted : bool;         (* the last decision preempted *)
+  mutable nrunnable : int;          (* the last decision's choice-set size *)
   mutable preemptions : int;
   replay_cursor : Schedule.cursor option;
   mutable rev_log : decision list;  (* only when [record] *)
@@ -79,6 +85,9 @@ let instantiate ?(record = false) (s : spec) : state =
     cursor = 0;
     index = 0;
     last = -1;
+    quantum = 0;
+    preempted = false;
+    nrunnable = 0;
     preemptions = 0;
     replay_cursor =
       (match s.policy with
@@ -136,35 +145,50 @@ let rr_pick st (runnable : int array) =
   st.cursor <- st.cursor + 1;
   chosen
 
-let contains (a : int array) (x : int) =
-  let n = Array.length a in
-  let rec go i = i < n && (a.(i) = x || go (i + 1)) in
-  go 0
+(* Top level, not a local closure over [a] and [x]: no allocation. *)
+let rec contains_from (a : int array) (x : int) i =
+  i < Array.length a && (a.(i) = x || contains_from a x (i + 1))
+
+let contains a x = contains_from a x 0
+
+let quantum (st : state) = st.quantum
+
+let decision_of (st : state) d_runnable =
+  { d_index = st.index - 1;
+    d_chosen = st.last;
+    d_quantum = st.quantum;
+    d_preempted = st.preempted;
+    d_nrunnable = st.nrunnable;
+    d_runnable }
+
+(* The decision [pick] just made: the logged record when recording,
+   otherwise built here from the state. *)
+let last_decision (st : state) : decision =
+  match st.rev_log with d :: _ -> d | [] -> decision_of st [||]
 
 (* One scheduling decision over the current [runnable] set (spawn
    indexes in thread-creation order, never empty).  [steps] is the VM's
-   step count at the pick, which the legacy quantum formula consumes. *)
-let pick (st : state) ~(runnable : int array) ~(steps : int) : decision =
-  if Array.length runnable = 0 then
-    invalid_arg "Scheduler.pick: empty runnable set";
+   step count at the pick, which the legacy quantum formula consumes.
+   Returns the chosen thread and leaves the quantum and the preemption
+   flag in the state.  Round-robin and Random allocate nothing; only
+   recording builds a [decision]. *)
+let pick (st : state) ~(runnable : int array) ~(steps : int) : int =
+  let n = Array.length runnable in
+  if n = 0 then invalid_arg "Scheduler.pick: empty runnable set";
   let seed = st.sspec.seed in
-  let default_quantum () =
-    match st.sspec.quantum_override with
-    | Some q -> q
-    | None -> legacy_quantum ~seed ~steps
-  in
-  let chosen, quantum =
+  (st.quantum <-
+     match st.sspec.quantum_override with
+     | Some q -> q
+     | None -> legacy_quantum ~seed ~steps);
+  let chosen =
     match st.sspec.policy with
-    | Round_robin -> (rr_pick st runnable, default_quantum ())
+    | Round_robin -> rr_pick st runnable
     | Random ->
       let h = mix ~seed ~index:st.index in
-      let chosen = runnable.(h mod Array.length runnable) in
-      let quantum =
-        match st.sspec.quantum_override with
-        | Some q -> q
-        | None -> 4 + ((h lsr 12) land 31)
-      in
-      (chosen, quantum)
+      (match st.sspec.quantum_override with
+       | Some _ -> ()
+       | None -> st.quantum <- 4 + ((h lsr 12) land 31));
+      runnable.(h mod n)
     | Priority prios ->
       let prio t =
         match List.assoc_opt t prios with Some p -> p | None -> 0
@@ -175,7 +199,7 @@ let pick (st : state) ~(runnable : int array) ~(steps : int) : decision =
       let cands = Array.of_list
           (List.filter (fun t -> prio t = best) (Array.to_list runnable))
       in
-      (rr_pick st cands, default_quantum ())
+      rr_pick st cands
     | Replay _ ->
       let c = Option.get st.replay_cursor in
       (match Schedule.next c with
@@ -183,37 +207,32 @@ let pick (st : state) ~(runnable : int array) ~(steps : int) : decision =
          (* the recorded thread may not be runnable here (the execution
             replayed onto has diverged): fall back to round-robin but
             keep consuming the log, staying in lockstep by decision *)
-         if contains runnable e.Schedule.s_thread then
-           (e.Schedule.s_thread, e.Schedule.s_quantum)
-         else (rr_pick st runnable, e.Schedule.s_quantum)
-       | None -> (rr_pick st runnable, default_quantum ()))
+         st.quantum <- e.Schedule.s_quantum;
+         if contains runnable e.Schedule.s_thread then e.Schedule.s_thread
+         else rr_pick st runnable
+       | None -> rr_pick st runnable)
     | Forced forced ->
       (match List.assoc_opt st.index forced with
        | Some t when contains runnable t ->
          (* a forced divergence consumes the round-robin rotation too,
             so decisions after the override keep their base phase *)
          st.cursor <- st.cursor + 1;
-         (t, default_quantum ())
-       | Some _ | None -> (rr_pick st runnable, default_quantum ()))
+         t
+       | Some _ | None -> rr_pick st runnable)
     | Pinned t ->
       (* no [contains] check, by design: the point is to hand the VM a
          pick it must validate *)
-      (t, default_quantum ())
+      t
   in
   let preempted = st.last >= 0 && st.last <> chosen && contains runnable st.last in
   if preempted then st.preemptions <- st.preemptions + 1;
-  let d =
-    { d_index = st.index;
-      d_chosen = chosen;
-      d_quantum = quantum;
-      d_preempted = preempted;
-      d_nrunnable = Array.length runnable;
-      d_runnable = (if st.record then Array.copy runnable else [||]) }
-  in
+  st.preempted <- preempted;
+  st.nrunnable <- n;
   st.index <- st.index + 1;
   st.last <- chosen;
-  if st.record then st.rev_log <- d :: st.rev_log;
-  d
+  if st.record then
+    st.rev_log <- decision_of st (Array.copy runnable) :: st.rev_log;
+  chosen
 
 (* ------------------------------------------------------------------ *)
 (* Spec naming (CLI surface).                                          *)

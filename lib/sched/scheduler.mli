@@ -50,9 +50,10 @@ val spec : ?seed:int -> ?quantum:int -> policy -> spec
     quantum): [Machine.create]'s default. *)
 val legacy : seed:int -> spec
 
-(** One scheduling decision.  [d_runnable] is the choice set (spawn
-    indexes in thread-creation order) — captured only when the state
-    records, [[||]] otherwise. *)
+(** One scheduling decision, as the log and the VM's observability
+    hook see it.  [d_runnable] is the choice set (spawn indexes in
+    thread-creation order) — captured only when the state records,
+    [[||]] otherwise. *)
 type decision = {
   d_index : int;
   d_chosen : int;
@@ -65,8 +66,8 @@ type decision = {
 type state
 
 (** [~record] keeps the full decision log (see {!trace},
-    {!to_schedule}); off by default — the recording path is the only
-    one that allocates per decision. *)
+    {!to_schedule}); off by default.  A recording state allocates a
+    {!decision} per {!pick} (see "Decisions" below). *)
 val instantiate : ?record:bool -> spec -> state
 
 val spec_of : state -> spec
@@ -98,12 +99,31 @@ val to_schedule : state -> Schedule.t
     [8 + ((seed lxor (steps * 2654435761)) land 31)]. *)
 val legacy_quantum : seed:int -> steps:int -> int
 
+(** {2 Decisions}
+
+    A decision is three calls: {!pick} chooses, {!quantum} says how
+    many steps the choice runs, and {!last_decision} materialises the
+    record for whoever looks (the VM calls it only when its
+    observability hook is installed).  An unrecorded decision under
+    [Round_robin] or [Random] allocates nothing; [Priority], [Replay]
+    and [Forced] may allocate while choosing. *)
+
 (** [pick st ~runnable ~steps] makes one scheduling decision over the
-    current runnable set (spawn indexes in creation order).  [steps] is
-    the VM step count at the pick (consumed by the legacy quantum
-    formula).
+    current runnable set (spawn indexes in creation order) and returns
+    the chosen spawn index; the quantum and the preemption flag stay in
+    [st].  [steps] is the VM step count at the pick (consumed by the
+    legacy quantum formula).  [runnable] is not retained (the log keeps
+    a copy).
     @raise Invalid_argument on an empty runnable set. *)
-val pick : state -> runnable:int array -> steps:int -> decision
+val pick : state -> runnable:int array -> steps:int -> int
+
+(** The quantum of the last {!pick}. *)
+val quantum : state -> int
+
+(** The last {!pick} as a record: the logged one when [st] records,
+    otherwise built on this call (with [d_runnable = [||]]).
+    Meaningless before the first pick. *)
+val last_decision : state -> decision
 
 (** {2 CLI surface} *)
 

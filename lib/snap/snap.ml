@@ -57,7 +57,7 @@ type t = {
   sp_prof : Profile.snapshot option;
 }
 
-let version = 1
+let version = 2
 
 (* ------------------------------------------------------------------ *)
 (* The osim world, canonically.                                        *)
@@ -183,12 +183,12 @@ let payload (t : t) : string = Marshal.to_string t []
 
 let equal (a : t) (b : t) : bool = String.equal (payload a) (payload b)
 
-let header = "ldx-snap/1"
+let header = "ldx-snap/2"
 
 let fingerprint (t : t) : string = Store.fingerprint [ header; payload t ]
 
 (* ------------------------------------------------------------------ *)
-(* Wire form: one line, ["ldx-snap/1 <digest> <hex payload>"].         *)
+(* Wire form: one line, ["ldx-snap/2 <digest> <hex payload>"].         *)
 
 let to_string (t : t) : string =
   let body = payload t in

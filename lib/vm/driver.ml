@@ -145,10 +145,6 @@ let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
          m.Machine.finished <- true);
       ignore (retry_blocked ());
       if not m.Machine.finished then loop ()
-    | Machine.Ev_barrier th ->
-      (* no partner execution: release immediately *)
-      Machine.release_barrier m th;
-      loop ()
     | Machine.Ev_idle ->
       if retry_blocked () then loop ()
       else begin

@@ -1,13 +1,15 @@
 (* The MiniC virtual machine.
 
    Event-driven: [run_until_event] executes instructions (scheduling
-   threads round-robin with a seeded quantum) until something the driver
+   threads through the pluggable scheduler) until something the driver
    must handle occurs:
    - a syscall was reached (the VM never services syscalls itself;
      the driver answers with [provide_result]),
-   - a loop backedge barrier was reached ([release_barrier] resumes),
    - every live thread is waiting on the driver ([Ev_idle]),
    - the process finished or trapped.
+   Everything else is answered in place: scheduling decisions (a lone
+   runnable thread even refills its own quantum without leaving the
+   flat loop) and loop backedge barriers, which no driver needs to see.
 
    Counter state (Sec. 4-6): each thread carries a stack of counter
    segments; a segment has the current counter value and a stack of
@@ -73,7 +75,6 @@ type barrier = { loop : int; dec : int }
 type status =
   | Runnable
   | Awaiting of pending
-  | At_barrier of barrier
   | Finished of Value.t
 
 (* The compiled execution form.  Immutable after [compile]: machines,
@@ -160,9 +161,9 @@ type t = {
      the disabled path is one pointer comparison).  [on_obs_syscall]
      fires at each syscall return after the cost is charged and before
      signal handlers are pushed (so the thread's position is still the
-     syscall's); [on_obs_barrier] at each barrier release after the
-     counter reset; [on_obs_cnt_sample] at each dynamic counter
-     sample. *)
+     syscall's); [on_obs_barrier] at each loop backedge barrier after
+     the counter reset and cost charge; [on_obs_cnt_sample] at each
+     dynamic counter sample. *)
   mutable on_obs_syscall : (t -> thread -> pending -> unit) option;
   mutable on_obs_barrier : (t -> thread -> barrier -> unit) option;
   mutable on_obs_cnt_sample : (t -> thread -> int -> unit) option;
@@ -175,7 +176,6 @@ type t = {
 
 type event =
   | Ev_syscall of thread
-  | Ev_barrier of thread
   | Ev_idle
   | Ev_done
   | Ev_trap of string
@@ -540,30 +540,22 @@ let provide_result t (th : thread) (v : Value.t) =
     th.status <- Runnable;
     (* signal delivery point: syscall return *)
     !provide_result_hook t th
-  | Runnable | At_barrier _ | Finished _ ->
+  | Runnable | Finished _ ->
     invalid_arg "Machine.provide_result: thread not awaiting"
 
-let release_barrier t (th : thread) =
-  match th.status with
-  | At_barrier { loop; dec } ->
-    let seg = cur_seg th in
-    seg.cnt <- seg.cnt - dec;
-    (match seg.loops with
-     | (l, i) :: rest when l = loop -> seg.loops <- (l, i + 1) :: rest
-     | _ -> trap "loop_back L%d: loop stack mismatch" loop);
-    t.cycles <- t.cycles + Cost.barrier;
-    (match t.prof with
-     | Some pr ->
-       let frame = cur_frame th in
-       Profile.charge_cycles pr ~op:Profile.op_loop_back
-         ~blk:(frame.prof_base + frame.bid) ~cost:Cost.barrier
-     | None -> ());
-    (match t.on_obs_barrier with
-     | Some f -> f t th { loop; dec }
-     | None -> ());
-    th.status <- Runnable
-  | Runnable | Awaiting _ | Finished _ ->
-    invalid_arg "Machine.release_barrier: thread not at barrier"
+(* A loop backedge barrier (Algorithm 3), applied where the thread
+   stands: the counter reset to the header's value, the iteration bump,
+   [Cost.barrier] and the obs hook.  Both steppers then end the quantum,
+   as expiry does; no driver sees a barrier. *)
+let apply_barrier t (th : thread) (frame : frame) ~loop ~dec =
+  t.instr_events <- t.instr_events + 1;
+  charge t frame Profile.op_loop_back Cost.barrier;
+  let seg = cur_seg th in
+  seg.cnt <- seg.cnt - dec;
+  (match seg.loops with
+   | (l, i) :: rest when l = loop -> seg.loops <- (l, i + 1) :: rest
+   | _ -> trap "loop_back L%d: loop stack mismatch" loop);
+  match t.on_obs_barrier with Some f -> f t th { loop; dec } | None -> ()
 
 let record_cnt_sample t (th : thread) =
   let c = (cur_seg th).cnt in
@@ -591,9 +583,47 @@ let syscall_event t (th : thread) (frame : frame) (p : pending) : event option =
   Some (Ev_syscall th)
 
 (* ------------------------------------------------------------------ *)
-(* Flat quantum runner: the hot loop.                                  *)
+(* Scheduling decisions.                                               *)
 
 exception Trapped of string
+
+(* Exact-size runnable-set buffer for [Sched.pick] (which sizes the
+   choice set by [Array.length]); cached per size, reused across
+   decisions.  The scheduler copies the array if it retains it. *)
+let scratch_of t (n : int) : int array =
+  if Array.length t.scratch < n then begin
+    let old = t.scratch in
+    let no = Array.length old in
+    t.scratch <-
+      Array.init (max n 4) (fun i ->
+          if i < no then old.(i) else Array.make (i + 1) 0)
+  end;
+  t.scratch.(n - 1)
+
+(* One scheduling decision over [runnable] (spawn indexes — the
+   dual-execution pairing key, which doubles as the [by_spawn] index):
+   the pick, its validation and the obs hook.  A hostile or buggy
+   scheduler naming an unknown or non-runnable spawn index is a clean
+   trap, not an escaped exception.  The chosen thread runs
+   [Sched.quantum t.sched] steps. *)
+let decide t (runnable : int array) : thread =
+  let c = Sched.pick t.sched ~runnable ~steps:t.steps in
+  if c < 0 || c >= t.spawn_count then
+    raise
+      (Trapped (Printf.sprintf "scheduler pick: no thread with spawn index %d" c));
+  let th = t.by_spawn.(c) in
+  (match th.status with
+   | Runnable -> ()
+   | Awaiting _ | Finished _ ->
+     raise
+       (Trapped (Printf.sprintf "scheduler pick: thread %d is not runnable" c)));
+  (match t.on_obs_sched with
+   | Some f -> f t (Sched.last_decision t.sched)
+   | None -> ());
+  th
+
+(* ------------------------------------------------------------------ *)
+(* Flat quantum runner: the hot loop.                                  *)
 
 (* Batched retirement of a maximal run of [n] consecutive bookkeeping
    instructions (cnt_add / loop_enter / loop_exit) starting at [pc0].
@@ -633,25 +663,43 @@ let exec_instr_run t (th : thread) (frame : frame)
 
 (* Execute up to [q0] instructions of [th] (which must be Runnable).
    Returns the event that ended the quantum early, or [None] when the
-   quantum (or the thread's runnability) ran out.  The current frame's
-   code/regs are held in locals and refetched only when the frame stack
-   changes (call/ret), so the per-instruction cost is one int match,
-   field loads and a call of the instruction's expression closures — no
-   hashing, no list traversal, and no allocation beyond what the
-   semantics demand (syscall argument lists, loop-stack conses, callee
-   register files).  Reads through lowering-produced indices are
+   quantum (or the thread's runnability) ran out.  [lone]: [th] was the
+   only runnable thread at its pick, so an ended quantum refills in
+   place (see [expire]).  The current frame's code/regs are held in
+   locals and refetched only when the frame stack changes (call/ret),
+   so the per-instruction cost is one int match, field loads and a
+   call of the instruction's expression closures — no hashing, no list
+   traversal, and no allocation beyond what the semantics demand
+   (syscall argument lists, loop-stack conses, callee register files).  Reads through lowering-produced indices are
    unchecked: pc targets and register slots are in range by
    construction (every block ends in a redirecting terminator, slots
    are assigned below [nslots]); program-controlled indices — array
    loads/stores — keep their checks. *)
-let run_quantum_flat t (th : thread) (q0 : int) : event option =
+let run_quantum_flat t (th : thread) ~lone (q0 : int) : event option =
   let rec enter q =
     match th.frames with
     | [] -> None
     | frame :: _ ->
       run frame frame.fl.Flat.code frame.regs q
+  (* The quantum ran out or a barrier ended it.  A lone thread is still
+     the only runnable one: inside [run_until_event] only the running
+     thread changes state, while other threads' statuses and the OS
+     exit flag change only in the driver (syscall service and thread
+     ops, signals delivered at syscall return, alarms counted in
+     syscalls).  So the outer loop would make this very decision over
+     [|th|]; make it here, after the same fuel check, and keep the
+     cached frame. *)
+  and expire frame code regs =
+    if not lone then None
+    else begin
+      if t.steps >= t.max_steps then raise (Trapped "fuel exhausted");
+      let runnable = scratch_of t 1 in
+      runnable.(0) <- th.spawn_index;
+      ignore (decide t runnable : thread);
+      run frame code regs (Sched.quantum t.sched)
+    end
   and run frame code regs q =
-    if q = 0 then None
+    if q = 0 then expire frame code regs
     else if t.steps >= t.max_steps then raise (Trapped "fuel exhausted")
     else begin
       let ins = Array.unsafe_get code frame.idx in
@@ -739,12 +787,8 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
           run frame code regs (q - 1)
         end
       | 7 (* loop_back *) ->
-        t.instr_events <- t.instr_events + 1;
-        (* step counted here; the Cost.barrier cycles land in the same
-           block at [release_barrier] *)
-        charge t frame Profile.op_loop_back 0;
-        th.status <- At_barrier { loop = ins.Flat.a; dec = ins.Flat.b };
-        Some (Ev_barrier th)
+        apply_barrier t th frame ~loop:ins.Flat.a ~dec:ins.Flat.b;
+        expire frame code regs
       | 8 (* loop_exit *) ->
         let pc0 = frame.idx - 1 in
         let n = Array.unsafe_get frame.fl.Flat.instr_runs pc0 in
@@ -780,7 +824,7 @@ let run_quantum_flat t (th : thread) (q0 : int) : event option =
         pop_frame t th (ins.Flat.e1 regs);
         (match th.status with
          | Runnable -> enter (q - 1)
-         | Awaiting _ | At_barrier _ | Finished _ -> None)
+         | Awaiting _ | Finished _ -> None)
       | 12 (* call with statically-known arity mismatch: args still
               evaluate first (their traps take precedence), then the
               historical runtime message *) ->
@@ -830,6 +874,9 @@ let slot_of_opt (frame : frame) = function
     (match Hashtbl.find_opt frame.fl.Flat.slot_of d with
      | Some i -> i
      | None -> assert false)
+
+(* Raised by a barrier: it ends the tree quantum. *)
+exception Quantum_end
 
 let step_tree t (th : thread) : event option =
   let frame = cur_frame th in
@@ -895,10 +942,8 @@ let step_tree t (th : thread) : event option =
       seg.loops <- (loop, 0) :: seg.loops;
       None
     | Ir.Loop_back { loop; dec } ->
-      t.instr_events <- t.instr_events + 1;
-      charge t frame Profile.op_loop_back 0;
-      th.status <- At_barrier { loop; dec };
-      Some (Ev_barrier th)
+      apply_barrier t th frame ~loop ~dec;
+      raise_notrace Quantum_end
     | Ir.Loop_exit { pops; bump } ->
       charge t frame Profile.op_loop_exit Cost.cnt_instr;
       t.instr_events <- t.instr_events + 1;
@@ -935,7 +980,9 @@ let step_tree t (th : thread) : event option =
   end
 
 (* Tree quantum runner: per-step loop over [step_tree], same contract
-   as [run_quantum_flat]. *)
+   as [run_quantum_flat] but never refilling — every decision comes
+   from [run_until_event], so [diff-vm] compares the flat refill with
+   the round trip it replaces. *)
 let run_quantum_tree t (th : thread) (q : int) : event option =
   let result = ref None in
   let go = ref true in
@@ -947,10 +994,11 @@ let run_quantum_tree t (th : thread) (q : int) : event option =
     | None ->
       (match th.status with
        | Runnable -> ()
-       | Awaiting _ | At_barrier _ | Finished _ -> go := false)
+       | Awaiting _ | Finished _ -> go := false)
     | Some e ->
       result := Some e;
       go := false
+    | exception Quantum_end -> go := false
   done;
   !result
 
@@ -962,121 +1010,68 @@ let runnable_threads t =
     (fun th -> match th.status with Runnable -> true | _ -> false)
     t.threads
 
-(* Exact-size runnable-set buffer for [Sched.pick] (which sizes the
-   choice set by [Array.length]); cached per size, reused across
-   decisions.  The scheduler copies the array if it retains it. *)
-let scratch_of t (n : int) : int array =
-  if Array.length t.scratch < n then begin
-    let old = t.scratch in
-    let no = Array.length old in
-    t.scratch <-
-      Array.init (max n 4) (fun i ->
-          if i < no then old.(i) else Array.make (i + 1) 0)
-  end;
-  t.scratch.(n - 1)
-
 let run_until_event (t : t) : event =
-  if t.finished then Ev_done
-  else begin
-    try
-      let result = ref Ev_idle in
-      let running = ref true in
-      while !running do
-        if Ldx_osim.Os.exited t.os then begin
-          t.finished <- true;
-          result := Ev_done;
-          running := false
-        end
-        (* exact fuel bound: trap *before* the step that would exceed
-           max_steps, so exactly max_steps steps execute *)
-        else if t.steps >= t.max_steps then raise (Trapped "fuel exhausted")
-        else begin
-          match t.by_spawn.(0).status with
-          | Finished _ ->
+  let rec loop () =
+    if Ldx_osim.Os.exited t.os then begin
+      t.finished <- true;
+      Ev_done
+    end
+    (* exact fuel bound: trap *before* the step that would exceed
+       max_steps, so exactly max_steps steps execute *)
+    else if t.steps >= t.max_steps then raise (Trapped "fuel exhausted")
+    else
+      match t.by_spawn.(0).status with
+      | Finished _ ->
+        t.finished <- true;
+        Ev_done
+      | Runnable | Awaiting _ ->
+        let nthreads = t.spawn_count in
+        let nr = ref 0 and waiting = ref false in
+        for i = 0 to nthreads - 1 do
+          match t.by_spawn.(i).status with
+          | Runnable -> incr nr
+          | Awaiting _ -> waiting := true
+          | Finished _ -> ()
+        done;
+        if !nr = 0 then
+          if !waiting then Ev_idle
+          else begin
             t.finished <- true;
-            result := Ev_done;
-            running := false
-          | Runnable | Awaiting _ | At_barrier _ ->
-            let nthreads = t.spawn_count in
-            let nr = ref 0 in
-            for i = 0 to nthreads - 1 do
-              match t.by_spawn.(i).status with
-              | Runnable -> incr nr
-              | _ -> ()
-            done;
-            if !nr = 0 then begin
-              let waiting = ref false in
-              for i = 0 to nthreads - 1 do
-                match t.by_spawn.(i).status with
-                | Awaiting _ | At_barrier _ -> waiting := true
-                | Runnable | Finished _ -> ()
-              done;
-              if !waiting then begin
-                result := Ev_idle;
-                running := false
-              end
-              else begin
-                t.finished <- true;
-                result := Ev_done;
-                running := false
-              end
-            end
-            else begin
-              (* delegate the pick to the pluggable scheduler; threads
-                 are identified by spawn index (the dual-execution
-                 pairing key), which doubles as the [by_spawn] index *)
-              let runnable = scratch_of t !nr in
-              let j = ref 0 in
-              for i = 0 to nthreads - 1 do
-                match t.by_spawn.(i).status with
-                | Runnable ->
-                  runnable.(!j) <- i;
-                  incr j
-                | _ -> ()
-              done;
-              let d = Sched.pick t.sched ~runnable ~steps:t.steps in
-              let c = d.Sched.d_chosen in
-              (* validate the pick: a hostile or buggy scheduler naming
-                 a non-runnable (or unknown) spawn index is a clean
-                 trap, not an escaped Not_found *)
-              if c < 0 || c >= nthreads then
-                raise
-                  (Trapped
-                     (Printf.sprintf
-                        "scheduler pick: no thread with spawn index %d" c));
-              let th = t.by_spawn.(c) in
-              (match th.status with
-               | Runnable -> ()
-               | Awaiting _ | At_barrier _ | Finished _ ->
-                 raise
-                   (Trapped
-                      (Printf.sprintf
-                         "scheduler pick: thread %d is not runnable" c)));
-              (match t.on_obs_sched with Some f -> f t d | None -> ());
-              let q = d.Sched.d_quantum in
-              (* the quantum runners re-check fuel before every step:
-                 without that an execution could overshoot max_steps by
-                 a full quantum before the outer check fires *)
-              (try
-                 match
-                   (match t.vm with
-                    | Flat -> run_quantum_flat t th q
-                    | Tree -> run_quantum_tree t th q)
-                 with
-                 | Some e ->
-                   result := e;
-                   running := false
-                 | None -> ()
-               with Trap msg -> raise (Trapped msg))
-            end
+            Ev_done
+          end
+        else begin
+          let runnable = scratch_of t !nr in
+          let j = ref 0 in
+          for i = 0 to nthreads - 1 do
+            match t.by_spawn.(i).status with
+            | Runnable ->
+              runnable.(!j) <- i;
+              incr j
+            | Awaiting _ | Finished _ -> ()
+          done;
+          let th = decide t runnable in
+          let q = Sched.quantum t.sched in
+          (* the quantum runners re-check fuel before every step:
+             without that an execution could overshoot max_steps by a
+             full quantum before the outer check fires *)
+          match
+            try
+              match t.vm with
+              | Flat -> run_quantum_flat t th ~lone:(!nr = 1) q
+              | Tree -> run_quantum_tree t th q
+            with Trap msg -> raise (Trapped msg)
+          with
+          | Some e -> e
+          | None -> loop ()
         end
-      done;
-      !result
+  in
+  if t.finished then Ev_done
+  else
+    try loop ()
     with Trapped msg ->
       t.trap <- Some msg;
       t.finished <- true;
       Ev_trap msg
-  end
 
 (* All threads currently awaiting the driver. *)
 let awaiting_threads t =
@@ -1087,13 +1082,13 @@ let awaiting_threads t =
 let pending_of (th : thread) =
   match th.status with
   | Awaiting p -> p
-  | Runnable | At_barrier _ | Finished _ ->
+  | Runnable | Finished _ ->
     invalid_arg "Machine.pending_of: thread not awaiting"
 
 let result_of_main t =
   match (main_thread t).status with
   | Finished v -> Some v
-  | Runnable | Awaiting _ | At_barrier _ -> None
+  | Runnable | Awaiting _ -> None
 
 (* Average dynamic counter value (Table 1 "Dyn. Cnt"). *)
 let dyn_cnt_avg t =
@@ -1153,7 +1148,6 @@ type spending = {
 type sstatus =
   | S_runnable
   | S_awaiting of spending
-  | S_at_barrier of barrier
   | S_finished of Value.t
 
 type sthread = {
@@ -1279,7 +1273,6 @@ let snapshot (t : t) : snapshot =
         S_awaiting { sp_sys = p.sys; sp_args = List.map cv p.sysargs;
                      sp_dst = p.dst; sp_dst_slot = p.dst_slot;
                      sp_site = p.site }
-      | At_barrier b -> S_at_barrier b
       | Finished v -> S_finished (cv v)
     in
     { sth_tid = th.tid; sth_spawn = th.spawn_index;
@@ -1376,7 +1369,6 @@ let restore ?prof ?sched ~(prog : Ir.program)
            Awaiting { sys = p.sp_sys; sysargs = List.map rv p.sp_args;
                       dst = p.sp_dst; dst_slot = p.sp_dst_slot;
                       site = p.sp_site }
-         | S_at_barrier b -> At_barrier b
          | S_finished v -> Finished (rv v));
       jmp_bufs;
       alarm = st.sth_alarm;

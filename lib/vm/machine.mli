@@ -1,11 +1,14 @@
 (** The MiniC virtual machine.
 
     Event-driven: {!run_until_event} executes instructions (scheduling
-    threads round-robin with a seeded quantum) until the driver must
-    intervene — a syscall ({!provide_result} resumes), a loop backedge
-    barrier ({!release_barrier} resumes), all threads waiting, or
-    process end.  The VM never services syscalls itself, which is what
-    lets the LDX engine interpose its master/slave wrappers.
+    threads through the pluggable scheduler, {!Sched}) until the driver
+    must intervene — a syscall ({!provide_result} resumes), all threads
+    waiting, or process end.  The VM never services syscalls itself,
+    which is what lets the LDX engine interpose its master/slave
+    wrappers.  Scheduling decisions and loop backedge barriers need no
+    driver and are made in place: a barrier ends the quantum, and a
+    thread that was the only runnable one at its pick refills its own
+    quantum without leaving the flat stepper.
 
     Counter state (Sec. 4-6 of the paper): each thread carries a stack of
     counter segments; a segment holds the counter value and the stack of
@@ -54,12 +57,13 @@ type pending = {
   site : int;
 }
 
+(** A loop backedge barrier as {!t.on_obs_barrier} sees it: the loop
+    and the counter decrement of its reset. *)
 type barrier = { loop : int; dec : int }
 
 type status =
   | Runnable
   | Awaiting of pending      (** at a syscall, waiting for the driver *)
-  | At_barrier of barrier    (** at a loop backedge barrier *)
   | Finished of Value.t
 
 type frame = {
@@ -144,14 +148,15 @@ type t = {
           (the thread's position is still the syscall's); [None] (the
           default) costs one pointer comparison *)
   mutable on_obs_barrier : (t -> thread -> barrier -> unit) option;
-      (** fires at each loop-backedge barrier release, after the
-          counter reset and cost charge *)
+      (** fires at each loop-backedge barrier, after the counter reset
+          and cost charge *)
   mutable on_obs_cnt_sample : (t -> thread -> int -> unit) option;
       (** fires at each dynamic counter sample (one per syscall) with
           the sampled counter value *)
   mutable on_obs_sched : (t -> Sched.decision -> unit) option;
       (** fires at each scheduling decision, before the chosen thread's
-          quantum runs *)
+          quantum runs; the decision record is built only for it (or
+          for a recording scheduler) *)
   prof : Profile.t option;
       (** cost-attribution counters mirroring every virtual-clock
           charge ({!Profile}); [None] = off, one pointer comparison per
@@ -160,7 +165,6 @@ type t = {
 
 type event =
   | Ev_syscall of thread
-  | Ev_barrier of thread
   | Ev_idle     (** no runnable thread; all pending on the driver *)
   | Ev_done
   | Ev_trap of string
@@ -244,10 +248,6 @@ val raise_signal : thread -> int -> unit
     @raise Invalid_argument if the thread is not [Awaiting]. *)
 val provide_result : t -> thread -> Value.t -> unit
 
-(** Release a barrier: applies the counter reset and iteration bump.
-    @raise Invalid_argument if the thread is not [At_barrier]. *)
-val release_barrier : t -> thread -> unit
-
 (** Run until the next event (see module doc).  Traps become [Ev_trap]
     and finish the machine; a scheduler pick naming an unknown or
     non-runnable spawn index traps rather than escaping as a raw
@@ -312,7 +312,6 @@ type spending = {
 type sstatus =
   | S_runnable
   | S_awaiting of spending
-  | S_at_barrier of barrier
   | S_finished of Value.t
 
 type sthread = {

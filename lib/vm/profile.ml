@@ -146,7 +146,7 @@ let[@inline] charge (p : t) ~op ~blk ~cost =
   Array.unsafe_set p.blk_cycles blk (Array.unsafe_get p.blk_cycles blk + cost)
 
 (* Cycles charged after the dispatch step was already counted (syscall
-   service at [provide_result], barrier release): cycles only, no step. *)
+   service at [provide_result]): cycles only, no step. *)
 let[@inline] charge_cycles (p : t) ~op ~blk ~cost =
   p.op_cycles.(op) <- p.op_cycles.(op) + cost;
   p.blk_cycles.(blk) <- p.blk_cycles.(blk) + cost

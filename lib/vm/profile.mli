@@ -68,8 +68,8 @@ val copy : t -> t
     block [blk]. *)
 val charge : t -> op:int -> blk:int -> cost:int -> unit
 
-(** Cycles whose step was already counted at dispatch (syscall service,
-    barrier release): cycles only. *)
+(** Cycles whose step was already counted at dispatch (syscall
+    service): cycles only. *)
 val charge_cycles : t -> op:int -> blk:int -> cost:int -> unit
 
 (** Per-syscall breakdown (cold path, keyed by syscall name). *)

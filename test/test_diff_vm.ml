@@ -14,6 +14,7 @@ module Engine = Ldx_core.Engine
 module Tracker = Ldx_taint.Tracker
 module World = Ldx_osim.World
 module Sched = Ldx_sched.Scheduler
+module Schedule = Ldx_sched.Schedule
 module Gen_minic = Ldx_genprog.Gen_minic
 
 let test_world =
@@ -34,8 +35,8 @@ type obs = {
   o_sched : (int * int * int) list;
 }
 
-let observe ~vm ~seed src : obs =
-  let sched = Sched.instantiate ~record:true (Sched.legacy ~seed) in
+let observe ~vm ~seed ?(spec = Sched.legacy ~seed) src : obs =
+  let sched = Sched.instantiate ~record:true spec in
   let o =
     Driver.run_source ~instrument:true ~seed ~sched ~record_trace:true ~vm src
       test_world
@@ -59,9 +60,40 @@ let observe ~vm ~seed src : obs =
               (d.Sched.d_index, d.Sched.d_chosen, d.Sched.d_quantum))
            (Sched.trace sched)) }
 
-let prop_native_equivalent (p, seed) =
+(* The native properties draw a scheduling policy per case.  The flat
+   stepper refills a lone thread's quantum in place and the tree
+   stepper returns to [run_until_event] for every decision, so the two
+   must agree under every policy.  [Replay] replays the round-robin
+   run's own schedule, which must reproduce that run. *)
+type policy = Rr | Random | Priority | Forced | Replay
+
+let policy_name = function
+  | Rr -> "rr" | Random -> "random" | Priority -> "priority"
+  | Forced -> "forced" | Replay -> "replay"
+
+let prop_native_equivalent (p, seed, policy) =
   let src = Gen_minic.print_program p in
-  observe ~vm:Machine.Tree ~seed src = observe ~vm:Machine.Flat ~seed src
+  let rr = lazy (observe ~vm:Machine.Tree ~seed src) in
+  let spec =
+    match policy with
+    | Rr -> Sched.legacy ~seed
+    | Random -> Sched.spec ~seed Sched.Random
+    | Priority -> Sched.spec ~seed (Sched.Priority [ (seed mod 3, 1) ])
+    | Forced ->
+      Sched.spec ~seed
+        (Sched.Forced [ (seed mod 5, 1); (5 + (seed mod 11), 2); (20, 0) ])
+    | Replay ->
+      Sched.spec ~seed
+        (Sched.Replay
+           (Array.of_list
+              (List.map
+                 (fun (_, s_thread, s_quantum) ->
+                    { Schedule.s_thread; s_quantum })
+                 (Lazy.force rr).o_sched)))
+  in
+  let tree = observe ~vm:Machine.Tree ~seed ~spec src in
+  tree = observe ~vm:Machine.Flat ~seed ~spec src
+  && (policy <> Replay || tree = Lazy.force rr)
 
 (* The tainting baselines share the flat lowering: tree and flat runs
    must produce the same verdicts, sites, clocks and output. *)
@@ -249,14 +281,16 @@ let qtest ?(count = 60) name gen prop =
     (QCheck2.Test.make ~name ~count ~print:Gen_minic.print_program gen prop)
 
 let with_seed gen =
-  QCheck2.Gen.pair gen (QCheck2.Gen.int_range 0 1000)
+  QCheck2.Gen.triple gen (QCheck2.Gen.int_range 0 1000)
+    (QCheck2.Gen.oneofl [ Rr; Random; Priority; Forced; Replay ])
 
-let print_pair (p, seed) =
-  Printf.sprintf "seed %d\n%s" seed (Gen_minic.print_program p)
+let print_triple (p, seed, policy) =
+  Printf.sprintf "seed %d, policy %s\n%s" seed (policy_name policy)
+    (Gen_minic.print_program p)
 
 let qtest_seeded ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count ~print:print_pair (with_seed gen) prop)
+    (QCheck2.Test.make ~name ~count ~print:print_triple (with_seed gen) prop)
 
 let tests =
   [ qtest_seeded "D1 native tree=flat (structured)" Gen_minic.gen_program

@@ -169,19 +169,31 @@ let test_hostile_scheduler_traps () =
 
 (* Regression: the fuel check used [>], so an execution got max_steps+1
    steps before trapping.  Pin the exact count: an infinite loop under
-   a budget of 100 must execute exactly 100 steps, in both steppers. *)
+   a budget of n must execute exactly n steps, in both steppers.  The
+   budgets sweep many quantum boundaries, where the flat stepper
+   refills a lone thread's quantum in place (fuel check first, then a
+   fresh decision) and the tree stepper goes round the outer loop: the
+   decisions and the recorded schedules must agree too. *)
 let test_fuel_exact_step_count () =
-  List.iter
-    (fun vm ->
-       let o =
-         Driver.run_source ~max_steps:100 ~vm
-           {| fn main() { let i = 0; while (i >= 0) { i = i + 1; } } |}
-           World.empty
-       in
-       check (Alcotest.option string) "fuel trap" (Some "fuel exhausted")
-         o.Driver.trap;
-       check int "exactly max_steps steps" 100 o.Driver.steps)
-    [ Machine.Tree; Machine.Flat ]
+  for max_steps = 1 to 200 do
+    let run vm =
+      let sched = Machine.Sched.(instantiate ~record:true (legacy ~seed:0)) in
+      let o =
+        Driver.run_source ~max_steps ~sched ~vm
+          {| fn main() { let i = 0; while (i >= 0) { i = i + 1; } } |}
+          World.empty
+      in
+      check (Alcotest.option string) "fuel trap" (Some "fuel exhausted")
+        o.Driver.trap;
+      check int "exactly max_steps steps" max_steps o.Driver.steps;
+      (Machine.Sched.decisions sched, Machine.Sched.to_schedule sched)
+    in
+    let tree_n, tree_s = run Machine.Tree in
+    let flat_n, flat_s = run Machine.Flat in
+    check int (Printf.sprintf "decisions at budget %d" max_steps) tree_n flat_n;
+    check bool (Printf.sprintf "schedule at budget %d" max_steps) true
+      (tree_s = flat_s)
+  done
 
 let tests =
   [ Alcotest.test_case "scheduler deterministic per seed" `Quick

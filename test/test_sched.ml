@@ -67,7 +67,7 @@ let test_cursor_clone () =
 
 let picks st runnable n =
   Array.init n (fun i ->
-      (Sched.pick st ~runnable ~steps:(i * 100)).Sched.d_chosen)
+      Sched.pick st ~runnable ~steps:(i * 100))
 
 let test_legacy_quantum_formula () =
   check int "quantum formula kept bit-for-bit"
@@ -114,6 +114,34 @@ let test_quantum_override () =
   ignore (picks st [| 0; 1 |] 8);
   check bool "fixed quantum honoured" true
     (Array.for_all (fun d -> d.Sched.d_quantum = 5) (Sched.trace st))
+
+(* A decision allocates nothing unless someone looks: 10,000
+   unrecorded decisions under Round_robin and under Random cost no
+   minor-heap words beyond the measurement's own, and a recording
+   state still logs every decision. *)
+let test_unrecorded_picks_allocate_nothing () =
+  let runnable = [| 0; 1; 2 |] in
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let decide st () =
+    for i = 1 to 10_000 do
+      ignore (Sched.pick st ~runnable ~steps:i : int)
+    done
+  in
+  let baseline = minor_words ignore in
+  List.iter
+    (fun (name, spec) ->
+       let words = minor_words (decide (Sched.instantiate spec)) in
+       check (Alcotest.float 0.) (name ^ ": no minor words") baseline words;
+       let st = Sched.instantiate ~record:true spec in
+       decide st ();
+       check int (name ^ ": recording logs every decision") 10_000
+         (Array.length (Sched.trace st)))
+    [ ("round-robin", Sched.legacy ~seed:7);
+      ("random", Sched.spec ~seed:7 Sched.Random) ]
 
 let test_state_copy_mid_stream () =
   let spec = Sched.spec ~seed:3 Sched.Random in
@@ -386,5 +414,7 @@ let tests =
     ("sweep render", `Quick, test_render_mentions_classification);
     ("campaign of_scheds", `Quick, test_campaign_of_scheds);
     ("campaign auto mode sequential fallback", `Quick,
-     test_campaign_auto_falls_back_sequential) ]
+     test_campaign_auto_falls_back_sequential);
+    ("unrecorded decisions allocate nothing", `Quick,
+     test_unrecorded_picks_allocate_nothing) ]
   @ qcheck_tests

@@ -132,9 +132,6 @@ let drive ?(pause_at = max_int) ?first (m : Machine.t) :
         step th;
         if not m.Machine.finished then loop ()
       end
-    | Machine.Ev_barrier th ->
-      Machine.release_barrier m th;
-      loop ()
     | Machine.Ev_idle ->
       if retry_blocked () then loop ()
       else begin
@@ -248,7 +245,7 @@ let test_capture_deterministic () =
   check bool "captures of one state are equal" true (Snap.equal s1 s2);
   check string "fingerprints agree" (Snap.fingerprint s1)
     (Snap.fingerprint s2);
-  check int "format version" 1 s1.Snap.sp_version
+  check int "format version" 2 s1.Snap.sp_version
 
 let test_wire_roundtrip () =
   let _, m = paused_snapshot () in
@@ -261,6 +258,16 @@ let test_wire_roundtrip () =
   match Snap.of_string (line ^ "corrupt") with
   | Ok _ -> Alcotest.fail "corrupt payload accepted"
   | Error _ -> ()
+
+(* An intact, correctly digested payload that says it has the version-1
+   layout (the one with a barrier status) is refused by its version. *)
+let test_old_version_refused () =
+  let _, m = paused_snapshot () in
+  let old = { (Snap.capture m) with Snap.sp_version = 1 } in
+  match Snap.of_string (Snap.to_string old) with
+  | Ok _ -> Alcotest.fail "version-1 payload accepted"
+  | Error e ->
+    check string "version refusal" "ldx-snap: unsupported version 1" e
 
 (* The wire form rides an Ldx_store journal record across the process
    boundary: append it as an outcome payload, load the journal back,
@@ -485,4 +492,6 @@ let tests =
     Alcotest.test_case "snapshot layer silent unless asked" `Quick
       test_no_perturbation;
     Alcotest.test_case "engine counters pinned (fig6/table3)" `Quick
-      test_counters_pinned ]
+      test_counters_pinned;
+    Alcotest.test_case "version-1 payload refused" `Quick
+      test_old_version_refused ]
