@@ -30,4 +30,5 @@ let () =
       ("diff-vm", Test_diff_vm.tests);
       ("snapshot", Test_snapshot.tests);
       ("journals", Test_journals.tests);
-      ("frontend", Test_frontend.tests) ]
+      ("frontend", Test_frontend.tests);
+      ("vm-golden", Test_vm_golden.tests) ]
