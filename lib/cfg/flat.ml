@@ -6,15 +6,14 @@
      dense opcode ids, so dispatch and attribution share one numbering),
    - locals resolved to integer register slots (params first, then
      first-use order; reads of a never-written slot are detected at run
-     time through a sentinel, preserving the tree walker's "undefined
-     variable" traps),
+     time through a sentinel and trap as undefined variables),
    - jump targets resolved to instruction indexes (blocks are
      concatenated in bid order, each ending with its explicit
      terminator instruction),
    - direct calls resolved to function indexes, with statically-known
      failures (unknown callee, arity mismatch) lowered to dedicated
-     trap opcodes so the *runtime* error order and messages stay
-     identical to the tree walker's,
+     trap opcodes that keep the runtime error order and messages of a
+     dynamic lookup (arguments first, then the call's own trap),
    - every instruction carrying its origin block id, which keeps the
      profile's [prof_base + bid] block-attribution contract intact.
 
@@ -73,7 +72,7 @@ let n_ops = 14
      index, e2 = value
    - call: a = callee function index, args, dst, fresh
    - call_indirect: e1 = fptr, args, dst, b = site (always fresh)
-   - syscall: name = syscall, args, dst, dst_name, b = site
+   - syscall: name = syscall, args, dst, b = site
    - cnt_add: a = k
    - loop_enter: a = loop id
    - loop_back: a = loop id, b = dec
@@ -88,7 +87,6 @@ type 'c finstr = {
   op : int;
   i_bid : int;             (* origin block: profile attribution target *)
   dst : int;               (* destination slot; -1 = none *)
-  dst_name : string option;  (* syscall only: the driver-facing dst *)
   a : int;
   b : int;
   e1 : 'c;
@@ -107,7 +105,7 @@ type 'c func = {
   nslots : int;
   nparams : int;           (* params occupy slots 0..nparams-1, in order *)
   slot_names : string array;      (* slot -> source name (trap messages) *)
-  slot_of : (string, int) Hashtbl.t;  (* name -> slot (tree mode, setjmp) *)
+  slot_of : (string, int) Hashtbl.t;  (* name -> slot (Eval.eval_reg) *)
   instr_runs : int array;
   (* [instr_runs.(pc)] is the length of the maximal run of consecutive
      pure-bookkeeping instrumentation instructions (cnt_add, loop_enter,
@@ -138,10 +136,9 @@ type ('v, 'c) consts = {
 
 (* ------------------------------------------------------------------ *)
 (* Slot assignment: params first (duplicates get fresh positional
-   slots, the name maps to the last one — matching the tree walker's
-   Hashtbl.replace binding order), then every other name in first-use
-   order over blocks/instrs.  Deterministic, so slot numbering is
-   stable across compiles. *)
+   slots, the name maps to the last one), then every other name in
+   first-use order over blocks/instrs.  Deterministic, so slot
+   numbering is stable across compiles. *)
 
 let collect_slots (f : Ir.func) : (string, int) Hashtbl.t * string array =
   let slot_of = Hashtbl.create 32 in
@@ -196,10 +193,9 @@ let compile_func (cs : ('v, 'c) consts) (prog : Ir.program)
     (fidx : (string, int) Hashtbl.t) (slot_of : (string, int) Hashtbl.t)
     (slot_names : string array) (f : Ir.func) : 'c func =
   let nil = cs.c_expr slot_names (Const cs.c_unit) in
-  let mk ?(dst = -1) ?(dst_name = None) ?(a = 0) ?(b = 0) ?(e1 = nil)
-      ?(e2 = nil) ?(args = [||]) ?(name = "") ?(pops = [||])
-      ?(fresh = false) op i_bid =
-    { op; i_bid; dst; dst_name; a; b; e1; e2; args; name; pops; fresh }
+  let mk ?(dst = -1) ?(a = 0) ?(b = 0) ?(e1 = nil) ?(e2 = nil) ?(args = [||])
+      ?(name = "") ?(pops = [||]) ?(fresh = false) op i_bid =
+    { op; i_bid; dst; a; b; e1; e2; args; name; pops; fresh }
   in
   let rec cexpr (e : Ast.expr) : 'v fexpr =
     match e with
@@ -270,7 +266,7 @@ let compile_func (cs : ('v, 'c) consts) (prog : Ir.program)
             | Ir.Syscall { dst; sys; args; site } ->
               emit
                 (mk op_syscall bi ~name:sys ~args:(cargs args)
-                   ~dst:(slot_opt dst) ~dst_name:dst ~b:site)
+                   ~dst:(slot_opt dst) ~b:site)
             | Ir.Cnt_add k -> emit (mk op_cnt_add bi ~a:k)
             | Ir.Loop_enter { loop } -> emit (mk op_loop_enter bi ~a:loop)
             | Ir.Loop_back { loop; dec } ->

@@ -281,15 +281,14 @@ let gen_any_fundef : Ast.fundef Gen.t =
   let* body = gen_any_block 2 in
   return { Ast.fname = "f_" ^ name; params; body }
 
-(* ---------------- stress programs for differential VM testing ------- *)
+(* ---------------- stress programs for VM property testing ---------- *)
 
 (* Programs that may trap, spawn threads, install signal handlers and
-   take one-shot setjmp/longjmp exits — every runtime feature the tree
-   and flat steppers implement separately, in one pot.  Used by the
-   tree-vs-flat differential property: both steppers must agree on all
-   observables (stdout, trap message, steps, cycles, syscalls).
-   Termination is still guaranteed (bounded loops, one-shot longjmp
-   guard); trapping is allowed and part of the point. *)
+   take one-shot setjmp/longjmp exits — every runtime feature of the
+   VM, in one pot.  Used by the replay and snapshot round-trip
+   properties, and frozen in the VM golden corpus.  Termination is
+   still guaranteed (bounded loops, one-shot longjmp guard); trapping
+   is allowed and part of the point. *)
 let gen_stress_program : Ast.program Gen.t =
   let open Gen in
   counter := 0;

@@ -57,7 +57,7 @@ type t = {
   sp_prof : Profile.snapshot option;
 }
 
-let version = 2
+let version = 3
 
 (* ------------------------------------------------------------------ *)
 (* The osim world, canonically.                                        *)
@@ -183,12 +183,12 @@ let payload (t : t) : string = Marshal.to_string t []
 
 let equal (a : t) (b : t) : bool = String.equal (payload a) (payload b)
 
-let header = "ldx-snap/2"
+let header = "ldx-snap/3"
 
 let fingerprint (t : t) : string = Store.fingerprint [ header; payload t ]
 
 (* ------------------------------------------------------------------ *)
-(* Wire form: one line, ["ldx-snap/2 <digest> <hex payload>"].         *)
+(* Wire form: one line, ["ldx-snap/3 <digest> <hex payload>"].         *)
 
 let to_string (t : t) : string =
   let body = payload t in

@@ -63,8 +63,10 @@ type t = {
   sp_prof : Profile.snapshot option;  (** counters when profiling was on *)
 }
 
-(** The current snapshot format version (2: the machine's barrier
-    status is gone and the scheduler state carries the last decision). *)
+(** The current snapshot format version (3: the machine snapshot no
+    longer records a stepper mode, nor a pending syscall's destination
+    name; 2 dropped the barrier status and gave the scheduler state its
+    last decision). *)
 val version : int
 
 (** Capture the machine and its OS world.  Safe at any driver-visible
@@ -105,7 +107,7 @@ val fingerprint : t -> string
 
 (** {1 Wire form}
 
-    A single line — ["ldx-snap/2 <digest> <hex payload>"] — so a
+    A single line — ["ldx-snap/3 <digest> <hex payload>"] — so a
     snapshot can ride anywhere a newline-free string can: an
     [Ldx_store] journal record, an environment block, a file. *)
 

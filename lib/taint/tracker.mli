@@ -1,7 +1,7 @@
 (** The dynamic-tainting baseline engines (LIBDFT-like, TaintGrind-like).
 
-    A direct interpreter over the same IR the VM executes, with shadow
-    taint on every value.  Differences from LDX that Table 3 hinges on:
+    An interpreter over the same flat bytecode the VM executes, with
+    shadow taint on every value.  Differences from LDX that Table 3 hinges on:
     data-dependence-only propagation (branch conditions never taint what
     is computed under them), the LibDFT library-call modelling gap, and a
     per-instruction monitoring cost ({!Ldx_vm.Cost.taint_shadow}, the ~6x
@@ -29,13 +29,9 @@ type result = {
 }
 
 (** Run on an UNinstrumented program (counter instructions, if present,
-    are ignored).  [?vm] selects the interpreter form — flat bytecode
-    (default, {!Ldx_vm.Machine.default_vm}) or the original tree walk;
-    both produce identical verdicts, steps and cycles. *)
-val run :
-  ?config:config -> ?vm:Ldx_vm.Machine.vm_mode ->
-  Ldx_cfg.Ir.program -> Ldx_osim.World.t -> result
+    are ignored).  Sources match as the LDX engine's do
+    ({!Ldx_core.Engine.source_matcher}): each [src_nth] spec counts its
+    own occurrences. *)
+val run : ?config:config -> Ldx_cfg.Ir.program -> Ldx_osim.World.t -> result
 
-val run_source :
-  ?config:config -> ?vm:Ldx_vm.Machine.vm_mode ->
-  string -> Ldx_osim.World.t -> result
+val run_source : ?config:config -> string -> Ldx_osim.World.t -> result

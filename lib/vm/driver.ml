@@ -55,7 +55,7 @@ let service_thread_op (m : Machine.t) (th : Machine.thread)
      | None -> `Block)
   | "yield", [] -> `Done (Value.Int 0)
   | "setjmp", [ bufv ] ->
-    Machine.do_setjmp m th bufv ~dst:p.Machine.dst;
+    Machine.do_setjmp m th bufv ~dst:p.Machine.dst_slot;
     `Done (Value.Int 0)
   | "signal", [ Value.Int signo; Value.Fptr h ] ->
     Machine.register_signal m signo h;
@@ -77,9 +77,9 @@ let service_thread_op (m : Machine.t) (th : Machine.thread)
       (String.concat ", " (List.map Value.to_string args))
 
 let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
-    ?vm (prog : Ldx_cfg.Ir.program) (world : Ldx_osim.World.t) : outcome =
+    (prog : Ldx_cfg.Ir.program) (world : Ldx_osim.World.t) : outcome =
   let os = Os.create world in
-  let m = Machine.create ~seed ?sched ~max_steps ?vm prog os in
+  let m = Machine.create ~seed ?sched ~max_steps prog os in
   let trace = ref [] in
   let blocked : Machine.thread list ref = ref [] in
   let service th =
@@ -165,10 +165,10 @@ let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
     trace = List.rev !trace }
 
 (* Convenience: parse, lower, optionally instrument, run. *)
-let run_source ?(instrument = false) ?seed ?sched ?max_steps ?record_trace ?vm
-    src world =
+let run_source ?(instrument = false) ?seed ?sched ?max_steps ?record_trace src
+    world =
   let prog = Ldx_cfg.Lower.lower_source src in
   let prog =
     if instrument then fst (Ldx_instrument.Counter.instrument prog) else prog
   in
-  run ?seed ?sched ?max_steps ?record_trace ?vm prog world
+  run ?seed ?sched ?max_steps ?record_trace prog world

@@ -41,15 +41,13 @@ val service_thread_op :
 (** Run a program against a fresh instantiation of the world.
     [?sched] installs an instantiated scheduler state
     ({!Machine.create}); the default is the legacy round-robin seeded
-    with [?seed].  [?vm] selects the stepper (default
-    {!Machine.default_vm}). *)
+    with [?seed]. *)
 val run :
   ?seed:int -> ?sched:Machine.Sched.state -> ?max_steps:int ->
-  ?record_trace:bool -> ?vm:Machine.vm_mode ->
-  Ldx_cfg.Ir.program -> Ldx_osim.World.t -> outcome
+  ?record_trace:bool -> Ldx_cfg.Ir.program -> Ldx_osim.World.t -> outcome
 
 (** Parse, check, lower, optionally instrument, then {!run}. *)
 val run_source :
   ?instrument:bool -> ?seed:int -> ?sched:Machine.Sched.state ->
-  ?max_steps:int -> ?record_trace:bool -> ?vm:Machine.vm_mode ->
-  string -> Ldx_osim.World.t -> outcome
+  ?max_steps:int -> ?record_trace:bool -> string -> Ldx_osim.World.t ->
+  outcome

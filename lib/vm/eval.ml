@@ -135,32 +135,10 @@ let apply_index (va : t) (vi : t) : t =
     else trap "string index %d out of bounds (len %d)" k (String.length s)
   | _ -> trap "indexing non-array"
 
-(* Evaluate a pure expression against locals. *)
-let rec eval (locals : (string, t) Hashtbl.t) (e : Ast.expr) : t =
-  match e with
-  | Ast.Int n -> Int n
-  | Ast.Str s -> Str s
-  | Ast.Var x ->
-    (match Hashtbl.find_opt locals x with
-     | Some v -> v
-     | None -> trap "undefined variable %s" x)
-  | Ast.Funref f -> Fptr f
-  | Ast.Unop (op, a) -> apply_unop op (eval locals a)
-  | Ast.Binop (op, a, b) ->
-    let va = eval locals a in
-    let vb = eval locals b in
-    apply_binop op va vb
-  | Ast.Index (a, i) ->
-    let va = eval locals a in
-    let vi = eval locals i in
-    apply_index va vi
-  | Ast.Call (name, args) ->
-    let vargs = List.map (eval locals) args in
-    apply_builtin name vargs
-
 (* Evaluate a pure expression against register slots, resolving names
-   through the flat symbol table (the tree-mode VM path: same Ast walk
-   as [eval], same traps, register-file storage). *)
+   through the flat symbol table: a direct walk of the source
+   expression, the reference [compile_flat]'s closures are tested
+   against. *)
 let rec eval_reg (slot_of : (string, int) Hashtbl.t) (regs : t array)
     (e : Ast.expr) : t =
   match e with

@@ -14,13 +14,12 @@ val apply_binop : Ldx_lang.Ast.binop -> Value.t -> Value.t -> Value.t
 
 val apply_unop : Ldx_lang.Ast.unop -> Value.t -> Value.t
 
-(** Evaluate a pure expression against the locals table.
+(** Evaluate a pure expression over register-file storage, resolving
+    names through the flat symbol table: a direct walk of the source
+    expression, the reference {!compile_flat} is tested against.
+    Unknown names and slots holding {!Value.undef} trap as undefined
+    variables.
     @raise Value.Trap on undefined variables or dynamic type errors. *)
-val eval : (string, Value.t) Hashtbl.t -> Ldx_lang.Ast.expr -> Value.t
-
-(** Same walk over register-file storage, resolving names through the
-    flat symbol table (the VM's tree-mode path).  Slots holding
-    {!Value.undef} trap as undefined variables. *)
 val eval_reg :
   (string, int) Hashtbl.t -> Value.t array -> Ldx_lang.Ast.expr -> Value.t
 

@@ -21,18 +21,15 @@
    (Ldx_cfg.Flat) — integer opcodes, register slots, resolved jumps,
    expressions as closures over the register file ({!Eval.compile_flat})
    — unless the caller hands it a program already compiled from the
-   same IR.  The default stepper dispatches over that with no
-   per-instruction hashing or allocation.  The original tree walker
-   survives as the [Tree] mode (same frames, name lookups through the
-   flat symbol tables) so the two paths can be differentially tested;
-   both charge the virtual clock and the profile identically. *)
+   same IR.  The stepper dispatches over that with no per-instruction
+   hashing or allocation. *)
 
 module Ir = Ldx_cfg.Ir
 module Flat = Ldx_cfg.Flat
 module Sched = Ldx_sched.Scheduler
 open Value
 
-(* The two steppers must agree on opcode numbering with the profile. *)
+(* The stepper and the profile must agree on opcode numbering. *)
 let () =
   assert (
     Flat.op_assign = Profile.op_assign
@@ -50,13 +47,6 @@ let () =
     && Flat.op_call_arity = 12
     && Flat.op_call_missing = 13)
 
-type vm_mode = Tree | Flat
-
-(* Session-wide default stepper; [LDX_VM=tree] keeps the legacy tree
-   walker (parity smoke, differential tests). *)
-let default_vm : vm_mode ref =
-  ref (match Sys.getenv_opt "LDX_VM" with Some "tree" -> Tree | _ -> Flat)
-
 type seg = {
   mutable cnt : int;
   mutable loops : (int * int) list;   (* (loop id, iteration), innermost first *)
@@ -65,7 +55,6 @@ type seg = {
 type pending = {
   sys : string;
   sysargs : Value.t list;
-  dst : string option;
   dst_slot : int;                     (* resolved register slot; -1 = none *)
   site : int;
 }
@@ -84,10 +73,8 @@ type compiled = Eval.code Flat.program
 type frame = {
   fn : Ir.func;
   fl : Eval.code Flat.func;
-  mutable bid : int;
-  mutable idx : int;
-  (* [idx] is the flat pc in Flat mode, the in-block instruction index
-     in Tree mode; [bid] is the current block in both *)
+  mutable bid : int;                   (* current block *)
+  mutable idx : int;                   (* pc into [fl.code] *)
   regs : Value.t array;                (* slots; [Value.undef] = unset *)
   ret_dst : int;                       (* caller slot for the result; -1 *)
   fresh : bool;                        (* pushed a counter segment *)
@@ -128,7 +115,6 @@ type lock_state = {
 type t = {
   prog : Ir.program;
   fprog : compiled;                    (* the compiled execution form *)
-  vm : vm_mode;
   os : Ldx_osim.Os.t;
   mutable threads : thread list;       (* creation order *)
   mutable by_spawn : thread array;     (* index = spawn_index (O(1) picks) *)
@@ -200,17 +186,16 @@ let value_consts : (Value.t, Eval.code) Flat.consts =
 let compile (prog : Ir.program) : compiled = Flat.compile value_consts prog
 
 (* Fresh frame for [fl]; regs start as the undef sentinel. *)
-let new_frame vm (fl : Eval.code Flat.func) ~ret_dst ~fresh ~prof_base =
+let new_frame (fl : Eval.code Flat.func) ~ret_dst ~fresh ~prof_base =
   let fn = fl.Flat.f_ir in
   { fn; fl;
     bid = fn.Ir.entry;
-    idx = (match vm with Tree -> 0 | Flat -> fl.Flat.entry_pc);
+    idx = fl.Flat.entry_pc;
     regs = Array.make fl.Flat.nslots undef;
     ret_dst; fresh; prof_base }
 
-let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?vm ?fprog
+let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?fprog
     (prog : Ir.program) (os : Ldx_osim.Os.t) : t =
-  let vm = match vm with Some v -> v | None -> !default_vm in
   let main = Ir.find_func_exn prog "main" in
   if main.Ir.params <> [] then invalid_arg "Machine.create: main takes no params";
   (match prof with Some p -> Profile.attach p prog | None -> ());
@@ -227,7 +212,7 @@ let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?vm ?fprog
   let main_fl = fprog.Flat.funcs.(Hashtbl.find fprog.Flat.fidx "main") in
   let main_thread =
     { tid = 0; spawn_index = 0;
-      frames = [ new_frame vm main_fl ~ret_dst:(-1) ~fresh:false
+      frames = [ new_frame main_fl ~ret_dst:(-1) ~fresh:false
                    ~prof_base:main_base ];
       segs = [ new_seg () ];
       status = Runnable;
@@ -235,7 +220,7 @@ let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?vm ?fprog
       alarm = None;
       pending_signals = [] }
   in
-  { prog; fprog; vm; os;
+  { prog; fprog; os;
     threads = [ main_thread ];
     by_spawn = Array.make 4 main_thread;
     next_tid = 1;
@@ -319,8 +304,7 @@ let spawn t (fname : string) (arg : Value.t) : int =
       assert false
   in
   let frame =
-    new_frame t.vm fl ~ret_dst:(-1) ~fresh:false
-      ~prof_base:(prof_base_of t fname)
+    new_frame fl ~ret_dst:(-1) ~fresh:false ~prof_base:(prof_base_of t fname)
   in
   (match fl.Flat.nparams with
    | 0 -> ()
@@ -391,24 +375,17 @@ let try_join t (target : int) : Value.t option =
 
 (* setjmp: snapshot the resume point and a deep copy of the counter
    stack.  Called while the thread is Awaiting the setjmp syscall, so
-   the current frame's [idx] already points past it. *)
-let do_setjmp t (th : thread) (bufv : Value.t) ~(dst : string option) : unit =
+   the current frame's [idx] already points past it; [dst] is the
+   pending call's destination slot. *)
+let do_setjmp t (th : thread) (bufv : Value.t) ~(dst : int) : unit =
   ignore t;
   let key = lock_key bufv in
   let frame = cur_frame th in
-  let j_dst =
-    match dst with
-    | None -> -1
-    | Some d ->
-      (match Hashtbl.find_opt frame.fl.Flat.slot_of d with
-       | Some i -> i
-       | None -> -1)
-  in
   Hashtbl.replace th.jmp_bufs key
     { j_frames = th.frames;
       j_bid = frame.bid;
       j_idx = frame.idx;
-      j_dst;
+      j_dst = dst;
       j_segs = List.map (fun s -> (s.cnt, s.loops)) th.segs }
 
 (* longjmp: unwind to the saved frame list, restore the counter stack,
@@ -455,9 +432,9 @@ let push_seg t (th : thread) =
   let depth = List.length th.segs in
   if depth > t.max_seg_depth then t.max_seg_depth <- depth
 
-(* Generic call path (tree mode, indirect calls, signal handlers):
-   args arrive as a list, arity is checked at runtime with the
-   historical trap message. *)
+(* Generic call path (indirect calls, signal handlers): args arrive as
+   a list, arity is checked at runtime with the historical trap
+   message. *)
 let push_call t (th : thread) ~(fl : Eval.code Flat.func)
     ~(vargs : Value.t list) ~(ret_dst : int) ~fresh =
   let nargs = List.length vargs in
@@ -465,7 +442,7 @@ let push_call t (th : thread) ~(fl : Eval.code Flat.func)
     trap "call %s: arity mismatch (%d args, %d params)" fl.Flat.f_ir.Ir.fname
       nargs fl.Flat.nparams;
   let frame =
-    new_frame t.vm fl ~ret_dst ~fresh
+    new_frame fl ~ret_dst ~fresh
       ~prof_base:(prof_base_of t fl.Flat.f_ir.Ir.fname)
   in
   List.iteri (fun i a -> frame.regs.(i) <- a) vargs;
@@ -545,7 +522,7 @@ let provide_result t (th : thread) (v : Value.t) =
 
 (* A loop backedge barrier (Algorithm 3), applied where the thread
    stands: the counter reset to the header's value, the iteration bump,
-   [Cost.barrier] and the obs hook.  Both steppers then end the quantum,
+   [Cost.barrier] and the obs hook.  The stepper then ends the quantum,
    as expiry does; no driver sees a barrier. *)
 let apply_barrier t (th : thread) (frame : frame) ~loop ~dec =
   t.instr_events <- t.instr_events + 1;
@@ -757,8 +734,8 @@ let run_quantum_flat t (th : thread) ~lone (q0 : int) : event option =
       | 4 (* syscall *) ->
         let vargs = Eval.eval_args ins.Flat.args regs in
         syscall_event t th frame
-          { sys = ins.Flat.name; sysargs = vargs; dst = ins.Flat.dst_name;
-            dst_slot = ins.Flat.dst; site = ins.Flat.b }
+          { sys = ins.Flat.name; sysargs = vargs; dst_slot = ins.Flat.dst;
+            site = ins.Flat.b }
       | 5 (* cnt_add *) ->
         let pc0 = frame.idx - 1 in
         let n = Array.unsafe_get frame.fl.Flat.instr_runs pc0 in
@@ -851,158 +828,6 @@ let run_quantum_flat t (th : thread) ~lone (q0 : int) : event option =
   enter q0
 
 (* ------------------------------------------------------------------ *)
-(* Tree stepper: the original walk over the block-structured IR, kept
-   as the differential-testing reference ([LDX_VM=tree]).  Locals live
-   in the same register file; names resolve through the flat symbol
-   table.                                                              *)
-
-let lookup_tree (frame : frame) (x : string) : Value.t =
-  match Hashtbl.find_opt frame.fl.Flat.slot_of x with
-  | Some i ->
-    let v = frame.regs.(i) in
-    if v == undef then trap "undefined variable %s" x else v
-  | None -> trap "undefined variable %s" x
-
-let set_tree (frame : frame) (x : string) (v : Value.t) : unit =
-  match Hashtbl.find_opt frame.fl.Flat.slot_of x with
-  | Some i -> frame.regs.(i) <- v
-  | None -> assert false (* every name in the function's code has a slot *)
-
-let slot_of_opt (frame : frame) = function
-  | None -> -1
-  | Some d ->
-    (match Hashtbl.find_opt frame.fl.Flat.slot_of d with
-     | Some i -> i
-     | None -> assert false)
-
-(* Raised by a barrier: it ends the tree quantum. *)
-exception Quantum_end
-
-let step_tree t (th : thread) : event option =
-  let frame = cur_frame th in
-  let block = frame.fn.Ir.blocks.(frame.bid) in
-  t.steps <- t.steps + 1;
-  let eval e = Eval.eval_reg frame.fl.Flat.slot_of frame.regs e in
-  if frame.idx < Array.length block.Ir.instrs then begin
-    let instr = block.Ir.instrs.(frame.idx) in
-    frame.idx <- frame.idx + 1;
-    match instr with
-    | Ir.Assign (x, e) ->
-      charge t frame Profile.op_assign Cost.instr;
-      set_tree frame x (eval e);
-      None
-    | Ir.Store (a, i, e) ->
-      charge t frame Profile.op_store Cost.instr;
-      let va = lookup_tree frame a in
-      let vi = eval i in
-      let ve = eval e in
-      (match (va, vi) with
-       | Arr arr, Int k ->
-         if k >= 0 && k < Array.length arr then arr.(k) <- ve
-         else trap "store index %d out of bounds (len %d)" k (Array.length arr)
-       | _ -> trap "store into non-array %s" a);
-      None
-    | Ir.Call { dst; callee; args; fresh_frame } ->
-      charge t frame Profile.op_call Cost.instr;
-      let vargs = List.map eval args in
-      (match func_by_name t callee with
-       | Some fl ->
-         push_call t th ~fl ~vargs ~ret_dst:(slot_of_opt frame dst)
-           ~fresh:fresh_frame
-       | None ->
-         ignore (Ir.find_func_exn t.prog callee : Ir.func);
-         ());
-      None
-    | Ir.Call_indirect { dst; fptr; args; site = _ } ->
-      charge t frame Profile.op_call_indirect Cost.instr;
-      let vf = eval fptr in
-      let vargs = List.map eval args in
-      (match vf with
-       | Fptr name ->
-         (match func_by_name t name with
-          | Some fl ->
-            push_call t th ~fl ~vargs ~ret_dst:(slot_of_opt frame dst)
-              ~fresh:true
-          | None -> trap "indirect call to unknown function %s" name)
-       | v -> trap "indirect call through non-funptr %s" (to_string v));
-      None
-    | Ir.Syscall { dst; sys; args; site } ->
-      let vargs = List.map eval args in
-      syscall_event t th frame
-        { sys; sysargs = vargs; dst; dst_slot = slot_of_opt frame dst; site }
-    | Ir.Cnt_add k ->
-      charge t frame Profile.op_cnt_add Cost.cnt_instr;
-      t.instr_events <- t.instr_events + 1;
-      (cur_seg th).cnt <- (cur_seg th).cnt + k;
-      None
-    | Ir.Loop_enter { loop } ->
-      charge t frame Profile.op_loop_enter Cost.cnt_instr;
-      t.instr_events <- t.instr_events + 1;
-      let seg = cur_seg th in
-      seg.loops <- (loop, 0) :: seg.loops;
-      None
-    | Ir.Loop_back { loop; dec } ->
-      apply_barrier t th frame ~loop ~dec;
-      raise_notrace Quantum_end
-    | Ir.Loop_exit { pops; bump } ->
-      charge t frame Profile.op_loop_exit Cost.cnt_instr;
-      t.instr_events <- t.instr_events + 1;
-      let seg = cur_seg th in
-      List.iter
-        (fun l ->
-           match seg.loops with
-           | (l', _) :: rest when l' = l -> seg.loops <- rest
-           | _ -> trap "loop_exit L%d: loop stack mismatch" l)
-        pops;
-      seg.cnt <- seg.cnt + bump;
-      None
-  end
-  else begin
-    (* terminator: charge before [frame.bid] moves so the attribution
-       lands in the block being left *)
-    match block.Ir.term with
-    | Ir.Jump l ->
-      charge t frame Profile.op_jump Cost.instr;
-      frame.bid <- l;
-      frame.idx <- 0;
-      None
-    | Ir.Branch (c, bt, bf) ->
-      charge t frame Profile.op_branch Cost.instr;
-      let v = eval c in
-      frame.bid <- (if truthy v then bt else bf);
-      frame.idx <- 0;
-      None
-    | Ir.Ret e ->
-      charge t frame Profile.op_ret Cost.instr;
-      let v = match e with None -> Unit | Some e -> eval e in
-      pop_frame t th v;
-      None
-  end
-
-(* Tree quantum runner: per-step loop over [step_tree], same contract
-   as [run_quantum_flat] but never refilling — every decision comes
-   from [run_until_event], so [diff-vm] compares the flat refill with
-   the round trip it replaces. *)
-let run_quantum_tree t (th : thread) (q : int) : event option =
-  let result = ref None in
-  let go = ref true in
-  let i = ref 0 in
-  while !go && !i < q do
-    if t.steps >= t.max_steps then raise (Trapped "fuel exhausted");
-    incr i;
-    match step_tree t th with
-    | None ->
-      (match th.status with
-       | Runnable -> ()
-       | Awaiting _ | Finished _ -> go := false)
-    | Some e ->
-      result := Some e;
-      go := false
-    | exception Quantum_end -> go := false
-  done;
-  !result
-
-(* ------------------------------------------------------------------ *)
 (* Scheduling.                                                         *)
 
 let runnable_threads t =
@@ -1051,14 +876,11 @@ let run_until_event (t : t) : event =
           done;
           let th = decide t runnable in
           let q = Sched.quantum t.sched in
-          (* the quantum runners re-check fuel before every step:
+          (* the quantum runner re-checks fuel before every step:
              without that an execution could overshoot max_steps by a
              full quantum before the outer check fires *)
           match
-            try
-              match t.vm with
-              | Flat -> run_quantum_flat t th ~lone:(!nr = 1) q
-              | Tree -> run_quantum_tree t th q
+            try run_quantum_flat t th ~lone:(!nr = 1) q
             with Trap msg -> raise (Trapped msg)
           with
           | Some e -> e
@@ -1140,7 +962,6 @@ type sjmp = {
 type spending = {
   sp_sys : string;
   sp_args : Value.t list;
-  sp_dst : string option;
   sp_dst_slot : int;
   sp_site : int;
 }
@@ -1165,7 +986,6 @@ type sthread = {
 }
 
 type snapshot = {
-  sn_vm : vm_mode;
   sn_threads : sthread array;          (* creation order *)
   sn_next_tid : int;
   sn_spawn_count : int;
@@ -1271,8 +1091,7 @@ let snapshot (t : t) : snapshot =
       | Runnable -> S_runnable
       | Awaiting p ->
         S_awaiting { sp_sys = p.sys; sp_args = List.map cv p.sysargs;
-                     sp_dst = p.dst; sp_dst_slot = p.dst_slot;
-                     sp_site = p.site }
+                     sp_dst_slot = p.dst_slot; sp_site = p.site }
       | Finished v -> S_finished (cv v)
     in
     { sth_tid = th.tid; sth_spawn = th.spawn_index;
@@ -1294,8 +1113,7 @@ let snapshot (t : t) : snapshot =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sig_handlers []
     |> List.sort compare
   in
-  { sn_vm = t.vm;
-    sn_threads = Array.of_list (List.map snap_thread t.threads);
+  { sn_threads = Array.of_list (List.map snap_thread t.threads);
     sn_next_tid = t.next_tid;
     sn_spawn_count = t.spawn_count;
     sn_locks = locks;
@@ -1367,8 +1185,7 @@ let restore ?prof ?sched ~(prog : Ir.program)
          | S_runnable -> Runnable
          | S_awaiting p ->
            Awaiting { sys = p.sp_sys; sysargs = List.map rv p.sp_args;
-                      dst = p.sp_dst; dst_slot = p.sp_dst_slot;
-                      site = p.sp_site }
+                      dst_slot = p.sp_dst_slot; site = p.sp_site }
          | S_finished v -> Finished (rv v));
       jmp_bufs;
       alarm = st.sth_alarm;
@@ -1386,7 +1203,7 @@ let restore ?prof ?sched ~(prog : Ir.program)
   List.iter (fun (k, v) -> Hashtbl.replace sig_handlers k v)
     snap.sn_handlers;
   let t =
-    { prog; fprog; vm = snap.sn_vm; os;
+    { prog; fprog; os;
       threads;
       by_spawn = Array.make (max 4 snap.sn_spawn_count) (List.hd threads);
       next_tid = snap.sn_next_tid;

@@ -19,30 +19,18 @@
     Execution form: {!create} compiles the program once to flat bytecode
     ({!Ldx_cfg.Flat}) — integer opcodes, register slots, resolved jump
     targets, expressions as closures over the register file — or takes
-    one already compiled from the same program, and the default stepper
-    dispatches over that form.  The
-    original tree walker survives as {!Tree} mode (selected with
-    [LDX_VM=tree] or the [?vm] argument) for differential testing; both
-    modes charge the virtual clock and the profile identically. *)
+    one already compiled from the same program, and the stepper
+    dispatches over that form. *)
 
 module Ir = Ldx_cfg.Ir
 module Flat = Ldx_cfg.Flat
 module Sched = Ldx_sched.Scheduler
-
-(** Which stepper executes instructions.  Same semantics, same costs;
-    [Flat] is the fast path. *)
-type vm_mode = Tree | Flat
 
 (** A compiled program: the flat form with each expression closed over
     the register file ({!Eval.compile_flat}).  Immutable after
     {!compile}, so any number of machines — including machines running
     in different domains — may share one. *)
 type compiled = Eval.code Flat.program
-
-(** Session default, from the [LDX_VM] environment variable at module
-    init ("tree" selects the tree walker; anything else, [Flat]).
-    Differential tests flip this around {!create} calls. *)
-val default_vm : vm_mode ref
 
 type seg = {
   mutable cnt : int;
@@ -52,8 +40,7 @@ type seg = {
 type pending = {
   sys : string;
   sysargs : Value.t list;
-  dst : string option;       (** destination name (driver surface) *)
-  dst_slot : int;            (** resolved register slot; -1 = none *)
+  dst_slot : int;            (** destination register slot; -1 = none *)
   site : int;
 }
 
@@ -69,9 +56,8 @@ type status =
 type frame = {
   fn : Ir.func;
   fl : Eval.code Flat.func;  (** the function's compiled form *)
-  mutable bid : int;         (** current block (both modes) *)
-  mutable idx : int;
-      (** [Flat]: pc into [fl.code]; [Tree]: in-block instruction index *)
+  mutable bid : int;         (** current block *)
+  mutable idx : int;         (** pc into [fl.code] *)
   regs : Value.t array;      (** register slots; {!Value.undef} = unset *)
   ret_dst : int;             (** caller slot for the result; -1 = none *)
   fresh : bool;              (** pushed a counter segment *)
@@ -111,7 +97,6 @@ type lock_state = {
 type t = {
   prog : Ir.program;
   fprog : compiled;          (** compiled at, or handed to, {!create} *)
-  vm : vm_mode;
   os : Ldx_osim.Os.t;
   mutable threads : thread list;  (** creation order *)
   mutable by_spawn : thread array;
@@ -180,7 +165,6 @@ val lock_key : Value.t -> string
     machine mirrors every virtual-clock charge into it without
     perturbing execution (one profile per program — do not share
     between machines running different programs).
-    [?vm] selects the stepper; default {!default_vm}.
     [?fprog] skips compilation: it must be {!compile} of this very
     [prog] (physically equal), typically another machine's [fprog]
     over the same program — the engine builds every slave-side machine
@@ -189,7 +173,7 @@ val lock_key : Value.t -> string
     or [?fprog] was compiled from another program. *)
 val create :
   ?seed:int -> ?sched:Sched.state -> ?max_steps:int -> ?prof:Profile.t ->
-  ?vm:vm_mode -> ?fprog:compiled -> Ir.program -> Ldx_osim.Os.t -> t
+  ?fprog:compiled -> Ir.program -> Ldx_osim.Os.t -> t
 
 val main_thread : t -> thread
 val cur_seg : thread -> seg
@@ -218,8 +202,9 @@ val unlock : t -> thread -> Value.t -> bool
 val try_join : t -> int -> Value.t option
 
 (** Snapshot the resume point and counter stack (call while the thread
-    is [Awaiting] the setjmp). *)
-val do_setjmp : t -> thread -> Value.t -> dst:string option -> unit
+    is [Awaiting] the setjmp); [dst] is the slot a later longjmp makes
+    the setjmp return 1 in — the pending call's [dst_slot]. *)
+val do_setjmp : t -> thread -> Value.t -> dst:int -> unit
 
 (** Unwind and restore; [false] when the buffer was never set. *)
 val do_longjmp : t -> thread -> Value.t -> bool
@@ -304,7 +289,6 @@ type sjmp = {
 type spending = {
   sp_sys : string;
   sp_args : Value.t list;
-  sp_dst : string option;
   sp_dst_slot : int;
   sp_site : int;
 }
@@ -330,7 +314,6 @@ type sthread = {
 }
 
 type snapshot = {
-  sn_vm : vm_mode;
   sn_threads : sthread array;  (** creation order *)
   sn_next_tid : int;
   sn_spawn_count : int;

@@ -191,6 +191,41 @@ let test_nth_single () =
   | reps ->
     Alcotest.failf "expected exactly one report, got %d" (List.length reps)
 
+(* The taint tracker matches sources with the engine's matcher, so the
+   same two cases hold there: [nth2; nth2] taints the SECOND recv only,
+   as a single [nth2] does, and [nth1] taints the other send.  The
+   tracker's own counters were keyed by [Hashtbl.hash spec]: the two
+   equal specs shared one counter and tainted the first recv. *)
+let test_tracker_nth_specs () =
+  let src =
+    {| fn main() {
+         let s = socket("c");
+         let a = recv(s);
+         let b = recv(s);
+         send(s, a);
+         send(s, b);
+       } |}
+  in
+  let world = World.(empty |> with_endpoint "c" [ "aa"; "bb" ]) in
+  let sites sources =
+    let r =
+      Ldx_taint.Tracker.run_source
+        ~config:
+          { Ldx_taint.Tracker.default_config with
+            Ldx_taint.Tracker.sources; sinks = Engine.Network_outputs }
+        src world
+    in
+    check (Alcotest.option Alcotest.string) "no trap" None
+      r.Ldx_taint.Tracker.trap;
+    check int "one tainted sink" 1 r.Ldx_taint.Tracker.tainted_sinks;
+    r.Ldx_taint.Tracker.tainted_sites
+  in
+  let nth n = Engine.source ~sys:"recv" ~nth:n () in
+  let first = sites [ nth 1 ] and second = sites [ nth 2 ] in
+  check bool "nth1 and nth2 taint different sends" true (first <> second);
+  check (Alcotest.list int) "equal specs taint the second send" second
+    (sites [ nth 2; nth 2 ])
+
 (* ------------------------------------------------------------------ *)
 (* Replayable master log.                                              *)
 
@@ -1037,6 +1072,8 @@ let tests =
       `Quick test_nth_spec_collision;
     Alcotest.test_case "single nth spec picks the nth match" `Quick
       test_nth_single;
+    Alcotest.test_case "tracker nth specs as the engine" `Quick
+      test_tracker_nth_specs;
     Alcotest.test_case "master log replays identically" `Quick
       test_replay_identical;
     Alcotest.test_case "replay across slave configs equals fresh runs"

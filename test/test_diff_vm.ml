@@ -1,17 +1,19 @@
-(* Differential testing of the two VM steppers: the tree walker and the
-   flat-bytecode interpreter must be observationally identical — same
-   stdout, same trap message, same step/cycle/syscall counts, same
-   syscall trace (with alignment counters), same scheduling decisions,
-   same taint verdicts, same dual-execution result and same cost
-   profiles.  Quantifies over random structured programs, random
-   threaded programs, and "stress" programs that mix threads, signals,
-   setjmp/longjmp and deliberate traps. *)
+(* The VM against references that need no second stepper.
+
+   - D1-D3: under every scheduling policy, replaying the recorded
+     schedule reproduces the run: same stdout, trap, step, cycle and
+     syscall counts, exit code, syscall trace (with alignment counters)
+     and decision log.  Quantifies over random structured programs,
+     random threaded programs, and "stress" programs that mix threads,
+     signals, setjmp/longjmp and deliberate traps.
+   - D6: the closure the flat compiler builds for an expression
+     computes what [Eval.eval_reg] computes on the source expression.
+
+   Step, cycle, trace, schedule and profile equality against an
+   independent stepper is pinned on a frozen corpus only, by the
+   vm-golden test (DESIGN.md, "Frozen oracle"). *)
 
 module Driver = Ldx_vm.Driver
-module Machine = Ldx_vm.Machine
-module Profile = Ldx_vm.Profile
-module Engine = Ldx_core.Engine
-module Tracker = Ldx_taint.Tracker
 module World = Ldx_osim.World
 module Sched = Ldx_sched.Scheduler
 module Schedule = Ldx_sched.Schedule
@@ -35,10 +37,10 @@ type obs = {
   o_sched : (int * int * int) list;
 }
 
-let observe ~vm ~seed ?(spec = Sched.legacy ~seed) src : obs =
+let observe ~seed spec src : obs =
   let sched = Sched.instantiate ~record:true spec in
   let o =
-    Driver.run_source ~instrument:true ~seed ~sched ~record_trace:true ~vm src
+    Driver.run_source ~instrument:true ~seed ~sched ~record_trace:true src
       test_world
   in
   { o_stdout = o.Driver.stdout;
@@ -60,74 +62,41 @@ let observe ~vm ~seed ?(spec = Sched.legacy ~seed) src : obs =
               (d.Sched.d_index, d.Sched.d_chosen, d.Sched.d_quantum))
            (Sched.trace sched)) }
 
-(* The native properties draw a scheduling policy per case.  The flat
-   stepper refills a lone thread's quantum in place and the tree
-   stepper returns to [run_until_event] for every decision, so the two
-   must agree under every policy.  [Replay] replays the round-robin
-   run's own schedule, which must reproduce that run. *)
-type policy = Rr | Random | Priority | Forced | Replay
+(* The native properties draw a scheduling policy per case.  Replaying
+   the run's recorded schedule must reproduce it decision for decision,
+   whether a decision was made in [run_until_event] or as a lone
+   thread's in-place refill. *)
+type policy = Rr | Random | Priority | Forced
 
 let policy_name = function
   | Rr -> "rr" | Random -> "random" | Priority -> "priority"
-  | Forced -> "forced" | Replay -> "replay"
+  | Forced -> "forced"
 
-let prop_native_equivalent (p, seed, policy) =
+let spec_of ~seed = function
+  | Rr -> Sched.legacy ~seed
+  | Random -> Sched.spec ~seed Sched.Random
+  | Priority -> Sched.spec ~seed (Sched.Priority [ (seed mod 3, 1) ])
+  | Forced ->
+    Sched.spec ~seed
+      (Sched.Forced [ (seed mod 5, 1); (5 + (seed mod 11), 2); (20, 0) ])
+
+let prop_replay_reproduces (p, seed, policy) =
   let src = Gen_minic.print_program p in
-  let rr = lazy (observe ~vm:Machine.Tree ~seed src) in
-  let spec =
-    match policy with
-    | Rr -> Sched.legacy ~seed
-    | Random -> Sched.spec ~seed Sched.Random
-    | Priority -> Sched.spec ~seed (Sched.Priority [ (seed mod 3, 1) ])
-    | Forced ->
-      Sched.spec ~seed
-        (Sched.Forced [ (seed mod 5, 1); (5 + (seed mod 11), 2); (20, 0) ])
-    | Replay ->
-      Sched.spec ~seed
-        (Sched.Replay
-           (Array.of_list
-              (List.map
-                 (fun (_, s_thread, s_quantum) ->
-                    { Schedule.s_thread; s_quantum })
-                 (Lazy.force rr).o_sched)))
+  let run = observe ~seed (spec_of ~seed policy) src in
+  let schedule =
+    Schedule.of_list
+      (List.map
+         (fun (_, s_thread, s_quantum) -> { Schedule.s_thread; s_quantum })
+         run.o_sched)
   in
-  let tree = observe ~vm:Machine.Tree ~seed ~spec src in
-  tree = observe ~vm:Machine.Flat ~seed ~spec src
-  && (policy <> Replay || tree = Lazy.force rr)
-
-(* The tainting baselines share the flat lowering: tree and flat runs
-   must produce the same verdicts, sites, clocks and output. *)
-let prop_tracker_equivalent (p : Ldx_lang.Ast.program) =
-  let src = Gen_minic.print_program p in
-  Tracker.run_source ~vm:Machine.Tree src test_world
-  = Tracker.run_source ~vm:Machine.Flat src test_world
-
-(* Full dual execution, selected through the env-driven default
-   ([Engine] has no ?vm: it inherits [Machine.default_vm]), with cost
-   profiles attached: the entire result record and both per-side
-   profile snapshots must be bit-identical. *)
-let engine_obs vm src =
-  let saved = !Machine.default_vm in
-  Fun.protect
-    ~finally:(fun () -> Machine.default_vm := saved)
-    (fun () ->
-       Machine.default_vm := vm;
-       let prof = Engine.fresh_profiles () in
-       let r = Engine.run_source ~prof src test_world in
-       (r, Profile.snapshot prof.Engine.prof_master,
-        Profile.snapshot prof.Engine.prof_slave))
-
-let prop_engine_equivalent (p : Ldx_lang.Ast.program) =
-  let src = Gen_minic.print_program p in
-  engine_obs Machine.Tree src = engine_obs Machine.Flat src
+  observe ~seed (Sched.spec ~seed (Sched.Replay schedule)) src = run
 
 (* ------------------------------------------------------------------ *)
 (* Expression level: the flat VM's closure form of an expression, built
-   through the flat lowering, against [Eval.eval_reg] (the tree
-   stepper's evaluator) on the same [Ast.expr] and register file.  The
-   whole-program properties above compare end results; this pins the
-   value or the trap message of every operand shape, operand by
-   operand. *)
+   through the flat lowering, against [Eval.eval_reg] (a direct walk of
+   the source expression) on the same [Ast.expr] and register file.
+   This pins the value or the trap message of every operand shape,
+   operand by operand. *)
 
 module Ast = Ldx_lang.Ast
 module Eval = Ldx_vm.Eval
@@ -218,13 +187,13 @@ let disagreement (e : Ast.expr) : string option =
   let code, slot_of, nslots = closure_of e in
   let regs = Array.make nslots Value.undef in
   List.iteri (fun i (_, v) -> regs.(i) <- v) regfile;
-  let via_tree = outcome (fun () -> Eval.eval_reg slot_of regs e) in
+  let via_walk = outcome (fun () -> Eval.eval_reg slot_of regs e) in
   let via_closure = outcome (fun () -> code regs) in
   let show = function Ok v -> Value.to_string v | Error m -> m in
-  if via_tree = via_closure then None
+  if via_walk = via_closure then None
   else
     Some
-      (Printf.sprintf "eval_reg: %s\nclosure: %s" (show via_tree)
+      (Printf.sprintf "eval_reg: %s\nclosure: %s" (show via_walk)
          (show via_closure))
 
 let prop_expr_closure_equivalent (e : Ast.expr) =
@@ -276,13 +245,9 @@ let test_expr_closure_corpus () =
       Binop (Add, Binop (Add, v "u", i 1), Binop (Div, i 1, i 0));
       Binop (Add, Binop (Div, i 1, i 0), v "u") ]
 
-let qtest ?(count = 60) name gen prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count ~print:Gen_minic.print_program gen prop)
-
 let with_seed gen =
   QCheck2.Gen.triple gen (QCheck2.Gen.int_range 0 1000)
-    (QCheck2.Gen.oneofl [ Rr; Random; Priority; Forced; Replay ])
+    (QCheck2.Gen.oneofl [ Rr; Random; Priority; Forced ])
 
 let print_triple (p, seed, policy) =
   Printf.sprintf "seed %d, policy %s\n%s" seed (policy_name policy)
@@ -293,16 +258,12 @@ let qtest_seeded ?(count = 60) name gen prop =
     (QCheck2.Test.make ~name ~count ~print:print_triple (with_seed gen) prop)
 
 let tests =
-  [ qtest_seeded "D1 native tree=flat (structured)" Gen_minic.gen_program
-      prop_native_equivalent;
-    qtest_seeded "D2 native tree=flat (threads)" Gen_minic.gen_conc_program
-      prop_native_equivalent;
-    qtest_seeded ~count:120 "D3 native tree=flat (stress)"
-      Gen_minic.gen_stress_program prop_native_equivalent;
-    qtest ~count:40 "D4 tracker tree=flat" Gen_minic.gen_program
-      prop_tracker_equivalent;
-    qtest ~count:30 "D5 engine+profiles tree=flat"
-      Gen_minic.gen_stress_program prop_engine_equivalent;
+  [ qtest_seeded "D1 native replay (structured)" Gen_minic.gen_program
+      prop_replay_reproduces;
+    qtest_seeded "D2 native replay (threads)" Gen_minic.gen_conc_program
+      prop_replay_reproduces;
+    qtest_seeded ~count:120 "D3 native replay (stress)"
+      Gen_minic.gen_stress_program prop_replay_reproduces;
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"D6 expression closure = eval_reg" ~count:2000
          ~print:Ldx_lang.Printer.expr_to_string gen_expr

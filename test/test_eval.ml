@@ -156,24 +156,21 @@ let test_binops_eq_cyclic () =
   d.(1) <- vi 6;
   expect_int "mutual, one element apart" 0
     (bin Ast.Eq (Value.Arr c) (Value.Arr d));
-  (* the same comparison from a MiniC program, under both steppers *)
-  List.iter
-    (fun vm ->
-       let o =
-         Ldx_vm.Driver.run_source ~vm
-           {| fn main() {
-                let a = mkarray(1, 0);
-                a[0] = a;
-                let b = mkarray(1, 0);
-                b[0] = b;
-                if (a == a) { print("eq "); }
-                if (a != b) { print("ne"); } else { print("eq"); }
-              } |}
-           Ldx_osim.World.empty
-       in
-       check (Alcotest.option string) "no trap" None o.Ldx_vm.Driver.trap;
-       check string "stdout" "eq eq" o.Ldx_vm.Driver.stdout)
-    [ Ldx_vm.Machine.Flat; Ldx_vm.Machine.Tree ]
+  (* the same comparison from a MiniC program *)
+  let o =
+    Ldx_vm.Driver.run_source
+      {| fn main() {
+           let a = mkarray(1, 0);
+           a[0] = a;
+           let b = mkarray(1, 0);
+           b[0] = b;
+           if (a == a) { print("eq "); }
+           if (a != b) { print("ne"); } else { print("eq"); }
+         } |}
+      Ldx_osim.World.empty
+  in
+  check (Alcotest.option string) "no trap" None o.Ldx_vm.Driver.trap;
+  check string "stdout" "eq eq" o.Ldx_vm.Driver.stdout
 
 (* A cyclic array in a trap message and in a comparison, from a MiniC
    program: the VM and the taint tracker give the same trap for [a + 1]
@@ -213,19 +210,23 @@ let test_truthiness () =
   check bool "string truthy" true (Value.truthy (vs "x"));
   check bool "fptr truthy" true (Value.truthy (Value.Fptr "f"))
 
+(* [Eval.eval_reg] over a register file: names resolve through the
+   slot table; an unknown name and a slot still holding [Value.undef]
+   both trap as undefined variables. *)
 let test_eval_env () =
-  let locals = Hashtbl.create 4 in
-  Hashtbl.replace locals "x" (vi 10);
-  expect_int "var" 10 (Eval.eval locals (Ast.Var "x"));
+  let slot_of = Hashtbl.create 4 in
+  List.iteri (fun i x -> Hashtbl.replace slot_of x i) [ "x"; "s"; "u" ];
+  let regs = [| vi 10; vs "xyz"; Value.undef |] in
+  let eval = Eval.eval_reg slot_of regs in
+  expect_int "var" 10 (eval (Ast.Var "x"));
   expect_int "expr" 25
-    (Eval.eval locals
+    (eval
        (Ast.Binop (Ast.Add, Ast.Var "x",
                    Ast.Binop (Ast.Mul, Ast.Int 3, Ast.Int 5))));
-  check bool "unbound traps" true
-    (traps (fun () -> Eval.eval locals (Ast.Var "nope")));
+  check bool "unbound traps" true (traps (fun () -> eval (Ast.Var "nope")));
+  check bool "unset slot traps" true (traps (fun () -> eval (Ast.Var "u")));
   (* string indexing in expressions *)
-  Hashtbl.replace locals "s" (vs "xyz");
-  expect_int "string index" 121 (Eval.eval locals (Ast.Index (Ast.Var "s", Ast.Int 1)))
+  expect_int "string index" 121 (eval (Ast.Index (Ast.Var "s", Ast.Int 1)))
 
 (* Regression: builtin "find" used String.sub per candidate offset —
    O(|hay|*|needle|) garbage on a hot path.  The scan must now be

@@ -169,30 +169,22 @@ let test_hostile_scheduler_traps () =
 
 (* Regression: the fuel check used [>], so an execution got max_steps+1
    steps before trapping.  Pin the exact count: an infinite loop under
-   a budget of n must execute exactly n steps, in both steppers.  The
-   budgets sweep many quantum boundaries, where the flat stepper
-   refills a lone thread's quantum in place (fuel check first, then a
-   fresh decision) and the tree stepper goes round the outer loop: the
-   decisions and the recorded schedules must agree too. *)
+   a budget of n must execute exactly n steps.  The budgets sweep many
+   quantum boundaries, where the stepper refills a lone thread's
+   quantum in place (fuel check first, then a fresh decision).  The
+   decisions and recorded schedules of this sweep are pinned by the
+   vm-golden test's "fuel-sweep" digest. *)
 let test_fuel_exact_step_count () =
   for max_steps = 1 to 200 do
-    let run vm =
-      let sched = Machine.Sched.(instantiate ~record:true (legacy ~seed:0)) in
-      let o =
-        Driver.run_source ~max_steps ~sched ~vm
-          {| fn main() { let i = 0; while (i >= 0) { i = i + 1; } } |}
-          World.empty
-      in
-      check (Alcotest.option string) "fuel trap" (Some "fuel exhausted")
-        o.Driver.trap;
-      check int "exactly max_steps steps" max_steps o.Driver.steps;
-      (Machine.Sched.decisions sched, Machine.Sched.to_schedule sched)
+    let o =
+      Driver.run_source ~max_steps
+        {| fn main() { let i = 0; while (i >= 0) { i = i + 1; } } |}
+        World.empty
     in
-    let tree_n, tree_s = run Machine.Tree in
-    let flat_n, flat_s = run Machine.Flat in
-    check int (Printf.sprintf "decisions at budget %d" max_steps) tree_n flat_n;
-    check bool (Printf.sprintf "schedule at budget %d" max_steps) true
-      (tree_s = flat_s)
+    check (Alcotest.option string)
+      (Printf.sprintf "fuel trap at budget %d" max_steps)
+      (Some "fuel exhausted") o.Driver.trap;
+    check int "exactly max_steps steps" max_steps o.Driver.steps
   done
 
 let tests =

@@ -2,8 +2,8 @@
 
    The core soundness bar: capturing a snapshot at ANY driver-visible
    point must not perturb the captured execution, and restoring it must
-   continue to an outcome bit-identical to never having stopped — in
-   both VM modes, for sequential and stress programs.  On top of that,
+   continue to an outcome bit-identical to never having stopped, for
+   sequential, stress and threaded programs.  On top of that,
    the campaign's incremental mode (shared prefix once, per-task
    suffixes) must render byte-identical tables to full slave passes at
    any job count, survive journal resume, and reject snapshots from a
@@ -167,24 +167,24 @@ let obs_of (m : Machine.t) trace =
     o_syscalls = m.Machine.syscalls;
     o_trace = trace }
 
-let fresh_machine ~vm ~seed prog =
-  Machine.create ~seed ~vm prog (Os.create test_world)
+let fresh_machine ~seed prog =
+  Machine.create ~seed prog (Os.create test_world)
 
 (* Snapshot-at-random-step round trip: pausing at the k-th syscall,
    capturing, restoring and continuing must be bit-identical to never
    pausing — and the CAPTURED machine, continued afterwards, must be
    too (capture is non-perturbing). *)
-let prop_snapshot_roundtrip ~vm (p, seed, k) =
+let prop_snapshot_roundtrip (p, seed, k) =
   let prog =
     fst (Ldx_instrument.Counter.instrument (Ldx_cfg.Lower.lower_program p))
   in
   let uninterrupted =
-    let m = fresh_machine ~vm ~seed prog in
+    let m = fresh_machine ~seed prog in
     match drive m with
     | `Done t -> obs_of m t
     | `Paused _ -> assert false
   in
-  let m1 = fresh_machine ~vm ~seed prog in
+  let m1 = fresh_machine ~seed prog in
   match drive ~pause_at:k m1 with
   | `Done t ->
     (* fewer than k syscalls: nothing to pause, the run itself must
@@ -217,10 +217,10 @@ let with_pause gen =
 let print_triple (p, seed, k) =
   Printf.sprintf "seed %d, pause at %d\n%s" seed k (Gen_minic.print_program p)
 
-let qsnap ?(count = 60) name gen ~vm =
+let qsnap ?(count = 60) name gen =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count ~print:print_triple (with_pause gen)
-       (prop_snapshot_roundtrip ~vm))
+       prop_snapshot_roundtrip)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot identity and the wire form. *)
@@ -233,7 +233,7 @@ let paused_snapshot () =
             "fn main() { let c = socket(\"in\"); let a = recv(c); \
              let b = recv(c); send(c, a); send(c, b); }"))
   in
-  let m = fresh_machine ~vm:Machine.Flat ~seed:7 prog in
+  let m = fresh_machine ~seed:7 prog in
   match drive ~pause_at:2 m with
   | `Paused (_, _) -> (prog, m)
   | `Done _ -> Alcotest.fail "expected a pause"
@@ -245,7 +245,7 @@ let test_capture_deterministic () =
   check bool "captures of one state are equal" true (Snap.equal s1 s2);
   check string "fingerprints agree" (Snap.fingerprint s1)
     (Snap.fingerprint s2);
-  check int "format version" 2 s1.Snap.sp_version
+  check int "format version" 3 s1.Snap.sp_version
 
 let test_wire_roundtrip () =
   let _, m = paused_snapshot () in
@@ -259,15 +259,20 @@ let test_wire_roundtrip () =
   | Ok _ -> Alcotest.fail "corrupt payload accepted"
   | Error _ -> ()
 
-(* An intact, correctly digested payload that says it has the version-1
-   layout (the one with a barrier status) is refused by its version. *)
+(* An intact, correctly digested payload that says it has an earlier
+   layout is refused by its version: 1 (with a barrier status) and 2
+   (with a stepper mode and a syscall destination name). *)
 let test_old_version_refused () =
   let _, m = paused_snapshot () in
-  let old = { (Snap.capture m) with Snap.sp_version = 1 } in
-  match Snap.of_string (Snap.to_string old) with
-  | Ok _ -> Alcotest.fail "version-1 payload accepted"
-  | Error e ->
-    check string "version refusal" "ldx-snap: unsupported version 1" e
+  List.iter
+    (fun v ->
+       let old = { (Snap.capture m) with Snap.sp_version = v } in
+       match Snap.of_string (Snap.to_string old) with
+       | Ok _ -> Alcotest.failf "version-%d payload accepted" v
+       | Error e ->
+         check string "version refusal"
+           (Printf.sprintf "ldx-snap: unsupported version %d" v) e)
+    [ 1; 2 ]
 
 (* The wire form rides an Ldx_store journal record across the process
    boundary: append it as an outcome payload, load the journal back,
@@ -467,16 +472,11 @@ let test_counters_pinned () =
       ("473.astar", 649514, 787915, 787915, 45, 3, 2, 12) ]
 
 let tests =
-  [ qsnap "S1 snapshot round trip (structured, flat)" Gen_minic.gen_program
-      ~vm:Machine.Flat;
-    qsnap "S2 snapshot round trip (structured, tree)" Gen_minic.gen_program
-      ~vm:Machine.Tree;
+  [ qsnap "S1 snapshot round trip (structured, flat)" Gen_minic.gen_program;
     qsnap ~count:80 "S3 snapshot round trip (stress, flat)"
-      Gen_minic.gen_stress_program ~vm:Machine.Flat;
-    qsnap ~count:40 "S4 snapshot round trip (stress, tree)"
-      Gen_minic.gen_stress_program ~vm:Machine.Tree;
+      Gen_minic.gen_stress_program;
     qsnap ~count:40 "S5 snapshot round trip (threads, flat)"
-      Gen_minic.gen_conc_program ~vm:Machine.Flat;
+      Gen_minic.gen_conc_program;
     Alcotest.test_case "capture is deterministic" `Quick
       test_capture_deterministic;
     Alcotest.test_case "wire form round trips and rejects corruption" `Quick

@@ -17,11 +17,13 @@
    - Fuel sweep: an infinite loop under every budget 1..200, with the
      trap, step count, decision count and recorded schedule of each.
 
-   [vm_golden.txt] was recorded while the tree stepper and the flat
-   stepper agreed on every case; both must still match it. *)
+   [vm_golden.txt] was recorded while an independent tree-walking
+   stepper (since deleted) and the flat stepper agreed on every case:
+   it is that stepper's frozen testimony.  Corpus and digests cannot be
+   re-recorded, since nothing is left to check new ones against; a
+   mismatch is a change of behaviour. *)
 
 module Driver = Ldx_vm.Driver
-module Machine = Ldx_vm.Machine
 module Engine = Ldx_core.Engine
 module Tracker = Ldx_taint.Tracker
 module World = Ldx_osim.World
@@ -91,7 +93,6 @@ let read_corpus () : case list =
 (* Printed forms. *)
 
 let opt f = function None -> "-" | Some x -> f x
-let svals l = Sval.list_to_string l
 
 let decision_line buf (d : Sched.decision) =
   Printf.bprintf buf "decision %d chose %d quantum %d preempted %b of %d [%s]\n"
@@ -102,15 +103,15 @@ let decision_line buf (d : Sched.decision) =
 
 (* One native run under [spec], recorded; the driver's outcome and the
    decision log. *)
-let native ~vm ~seed spec src =
+let native ~seed spec src =
   let sched = Sched.instantiate ~record:true spec in
   let o =
-    Driver.run_source ~instrument:true ~seed ~sched ~record_trace:true ~vm src
+    Driver.run_source ~instrument:true ~seed ~sched ~record_trace:true src
       test_world
   in
   (o, sched)
 
-let spec_of ~vm (c : case) =
+let spec_of (c : case) =
   match c.policy with
   | "rr" -> Sched.legacy ~seed:c.seed
   | "random" -> Sched.spec ~seed:c.seed Sched.Random
@@ -120,12 +121,12 @@ let spec_of ~vm (c : case) =
       (Sched.Forced [ (c.seed mod 5, 1); (5 + (c.seed mod 11), 2); (20, 0) ])
   | "replay" ->
     (* the round-robin run's own schedule *)
-    let _, rr = native ~vm ~seed:c.seed (Sched.legacy ~seed:c.seed) c.src in
+    let _, rr = native ~seed:c.seed (Sched.legacy ~seed:c.seed) c.src in
     Sched.spec ~seed:c.seed (Sched.Replay (Sched.to_schedule rr))
   | p -> failwith ("vm_corpus.txt: unknown policy " ^ p)
 
-let render_native buf ~vm (c : case) =
-  let o, sched = native ~vm ~seed:c.seed (spec_of ~vm c) c.src in
+let render_native buf (c : case) =
+  let o, sched = native ~seed:c.seed (spec_of c) c.src in
   Printf.bprintf buf "native stdout %S\ntrap %s\n" o.Driver.stdout
     (opt Fun.id o.Driver.trap);
   Printf.bprintf buf "steps %d cycles %d syscalls %d exit %s\n" o.Driver.steps
@@ -133,13 +134,15 @@ let render_native buf ~vm (c : case) =
   List.iter
     (fun (t : Driver.trace_entry) ->
        Printf.bprintf buf "syscall %s(%s) = %s counter %d site %d tid %d\n"
-         t.Driver.sys (svals t.Driver.args) (Sval.to_string t.Driver.result)
+         t.Driver.sys
+         (Sval.list_to_string t.Driver.args)
+         (Sval.to_string t.Driver.result)
          t.Driver.counter t.Driver.site t.Driver.tid)
     o.Driver.trace;
   Array.iter (decision_line buf) (Sched.trace sched)
 
-let render_tracker buf ~vm (c : case) =
-  let r = Tracker.run_source ~vm c.src test_world in
+let render_tracker buf (c : case) =
+  let r = Tracker.run_source c.src test_world in
   Printf.bprintf buf
     "tracker tainted %d of %d sites [%s] cycles %d steps %d\n\
      stdout %S\ntrap %s\n"
@@ -155,23 +158,13 @@ let summary buf side (s : Engine.exec_summary) =
     (opt string_of_int s.Engine.exit_code) s.Engine.faults_injected
     (opt Fun.id s.Engine.trap) s.Engine.stdout
 
-(* [Engine] has no stepper argument: it creates its machines with the
-   session default. *)
-let with_vm vm f =
-  let saved = !Machine.default_vm in
-  Fun.protect
-    ~finally:(fun () -> Machine.default_vm := saved)
-    (fun () -> Machine.default_vm := vm; f ())
-
-let render_engine buf ~vm (c : case) =
+let render_engine buf (c : case) =
   let config =
     { Engine.default_config with
       Engine.record_trace = true; record_sched = true }
   in
   let prof = Engine.fresh_profiles () in
-  let r =
-    with_vm vm (fun () -> Engine.run_source ~config ~prof c.src test_world)
-  in
+  let r = Engine.run_source ~config ~prof c.src test_world in
   Printf.bprintf buf
     "engine leak %b tainted %d of %d diffs %d (%d before first) syscalls %d \
      mutated %d wall %d cnt avg %h max %d depth %d\n"
@@ -183,7 +176,9 @@ let render_engine buf ~vm (c : case) =
   summary buf "slave" r.Engine.slave;
   List.iter
     (fun (t : Engine.trace_entry) ->
-       let call = opt (fun (sys, args) -> sys ^ "(" ^ svals args ^ ")") in
+       let call =
+         opt (fun (sys, args) -> sys ^ "(" ^ Sval.list_to_string args ^ ")")
+       in
        Printf.bprintf buf "align %s %s master %s slave %s\n" t.Engine.t_pos
          (Engine.trace_action_to_string t.Engine.t_action)
          (call t.Engine.t_master) (call t.Engine.t_slave))
@@ -197,11 +192,11 @@ let render_engine buf ~vm (c : case) =
        (Ldx_prof.Report.of_profiles ~master:prof.Engine.prof_master
           ~slave:prof.Engine.prof_slave))
 
-let case_digest ~vm (c : case) =
+let case_digest (c : case) =
   let buf = Buffer.create 4096 in
-  render_native buf ~vm c;
-  render_tracker buf ~vm c;
-  render_engine buf ~vm c;
+  render_native buf c;
+  render_tracker buf c;
+  render_engine buf c;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
@@ -225,28 +220,18 @@ let ci_legs =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let leg_digest ~vm args =
+let leg_digest args =
   let out = Filename.temp_file "ldx_vm_golden" ".out" in
   let sched = Filename.temp_file "ldx_vm_golden" ".sched" in
   let remove f = try Sys.remove f with Sys_error _ -> () in
   Fun.protect ~finally:(fun () -> remove out; remove sched) @@ fun () ->
   let exe = ldx_run_exe () in
-  let env =
-    Array.append
-      (Array.of_list
-         (List.filter
-            (fun v -> not (String.starts_with ~prefix:"LDX_VM=" v))
-            (Array.to_list (Unix.environment ()))))
-      [| (match vm with
-          | Machine.Tree -> "LDX_VM=tree"
-          | Machine.Flat -> "LDX_VM=flat") |]
-  in
   let argv =
     Array.of_list ((exe :: args) @ [ "--metrics"; "--sched-record"; sched ])
   in
   let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid = Unix.create_process_env exe argv env Unix.stdin out_fd null in
+  let pid = Unix.create_process exe argv Unix.stdin out_fd null in
   Unix.close out_fd;
   Unix.close null;
   let status =
@@ -267,12 +252,12 @@ let leg_digest ~vm args =
 (* ------------------------------------------------------------------ *)
 (* Fuel sweep. *)
 
-let fuel_digest ~vm =
+let fuel_digest () =
   let buf = Buffer.create 65536 in
   for max_steps = 1 to 200 do
     let sched = Sched.instantiate ~record:true (Sched.legacy ~seed:0) in
     let o =
-      Driver.run_source ~max_steps ~sched ~vm
+      Driver.run_source ~max_steps ~sched
         {| fn main() { let i = 0; while (i >= 0) { i = i + 1; } } |}
         World.empty
     in
@@ -284,10 +269,10 @@ let fuel_digest ~vm =
 
 (* ------------------------------------------------------------------ *)
 
-let digests ~vm =
-  List.map (fun c -> (c.name, case_digest ~vm c)) (read_corpus ())
-  @ List.map (fun (name, args) -> (name, leg_digest ~vm args)) ci_legs
-  @ [ ("fuel-sweep", fuel_digest ~vm) ]
+let digests () =
+  List.map (fun c -> (c.name, case_digest c)) (read_corpus ())
+  @ List.map (fun (name, args) -> (name, leg_digest args)) ci_legs
+  @ [ ("fuel-sweep", fuel_digest ()) ]
 
 let golden () =
   In_channel.with_open_text "vm_golden.txt" In_channel.input_all
@@ -297,8 +282,8 @@ let golden () =
       | [ name; d ] -> Some (name, d)
       | _ -> None)
 
-let test_golden vm () =
-  let expected = golden () and got = digests ~vm in
+let test_golden () =
+  let expected = golden () and got = digests () in
   Alcotest.(check int) "case count" (List.length expected) (List.length got);
   let wrong =
     List.filter_map
@@ -310,7 +295,4 @@ let test_golden vm () =
   Alcotest.(check (list string)) "VM digests" [] wrong
 
 let tests =
-  [ Alcotest.test_case "tree stepper matches golden digests" `Quick
-      (test_golden Machine.Tree);
-    Alcotest.test_case "flat stepper matches golden digests" `Quick
-      (test_golden Machine.Flat) ]
+  [ Alcotest.test_case "VM matches golden digests" `Quick test_golden ]
