@@ -1,21 +1,32 @@
 (* VM golden test: the observables of the virtual machine on frozen
-   inputs, one MD5 per case over printed forms (never [Marshal] images,
-   so the digests do not depend on the compiler version).
+   inputs, MD5s over printed forms (never [Marshal] images, so the
+   digests do not depend on the compiler version).
 
    - Corpus cases ([vm_corpus.txt]: generated programs committed as
      sources, each with the scheduler seed and policy of its native
-     run).  A case digests the native run (stdout, trap, steps, cycles,
-     syscalls, exit code, the syscall trace with counter, site and tid,
-     and the full scheduling decision log), the taint tracker's result,
-     and a dual run with both cost profiles attached (the result's
-     counters, alignment trace, master schedule, every sink report and
-     the rendered profiles).
+     run).  A case has one digest per component:
+     - [native]: the native run (stdout, trap, steps, cycles, syscalls,
+       exit code, the syscall trace with counter, site and tid, and the
+       full scheduling decision log);
+     - [tracker]: the taint tracker's verdict (tainted and total sinks,
+       tainted sites, stdout, trap);
+     - [tracker-cost]: the tracker's cycles and steps;
+     - [engine]: a dual run with both cost profiles attached (the
+       result's counters, alignment trace, master schedule, every sink
+       report and the rendered profiles).
+     The combined line (no suffix) is the MD5 of the native, tracker
+     and engine printouts together, as first recorded; the component
+     digests were recorded from the same printouts.
    - CI legs: [ldx_run --workload W --metrics --sched-record F] on five
      registry workloads and on Pbzip2 under the random policy; the
      digest covers stdout (without the line naming the schedule file),
      the exit status and the recorded schedule.
    - Fuel sweep: an infinite loop under every budget 1..200, with the
      trap, step count, decision count and recorded schedule of each.
+   - Taint baselines ([taint-*] lines, a test of their own): Table 3
+     and both case studies as rendered, and the verdict of each
+     registry workload under each model with its leak sources.  Cost
+     is left out of these.
 
    [vm_golden.txt] was recorded while an independent tree-walking
    stepper (since deleted) and the flat stepper agreed on every case:
@@ -30,6 +41,11 @@ module World = Ldx_osim.World
 module Sval = Ldx_osim.Sval
 module Sched = Ldx_sched.Scheduler
 module Schedule = Ldx_sched.Schedule
+module Shadow = Ldx_taint.Shadow
+module Experiments = Ldx_report.Experiments
+module Table = Ldx_report.Table
+module Workload = Ldx_workloads.Workload
+module Registry = Ldx_workloads.Registry
 
 let test_world =
   World.(
@@ -141,15 +157,27 @@ let render_native buf (c : case) =
     o.Driver.trace;
   Array.iter (decision_line buf) (Sched.trace sched)
 
-let render_tracker buf (c : case) =
-  let r = Tracker.run_source c.src test_world in
+let sites (r : Tracker.result) =
+  String.concat " " (List.map string_of_int r.Tracker.tainted_sites)
+
+(* The combined digest's form of a tracker result. *)
+let render_tracker buf (r : Tracker.result) =
   Printf.bprintf buf
     "tracker tainted %d of %d sites [%s] cycles %d steps %d\n\
      stdout %S\ntrap %s\n"
-    r.Tracker.tainted_sinks r.Tracker.total_sinks
-    (String.concat " " (List.map string_of_int r.Tracker.tainted_sites))
+    r.Tracker.tainted_sinks r.Tracker.total_sinks (sites r)
     r.Tracker.cycles r.Tracker.steps r.Tracker.stdout
     (opt Fun.id r.Tracker.trap)
+
+(* A tracker result as its verdict and, apart, its cost. *)
+let tracker_verdict (r : Tracker.result) =
+  Printf.sprintf "tracker tainted %d of %d sites [%s]\nstdout %S\ntrap %s\n"
+    r.Tracker.tainted_sinks r.Tracker.total_sinks (sites r) r.Tracker.stdout
+    (opt Fun.id r.Tracker.trap)
+
+let tracker_cost (r : Tracker.result) =
+  Printf.sprintf "tracker cycles %d steps %d\n" r.Tracker.cycles
+    r.Tracker.steps
 
 let summary buf side (s : Engine.exec_summary) =
   Printf.bprintf buf
@@ -192,12 +220,22 @@ let render_engine buf (c : case) =
        (Ldx_prof.Report.of_profiles ~master:prof.Engine.prof_master
           ~slave:prof.Engine.prof_slave))
 
-let case_digest (c : case) =
+let md5 s = Digest.to_hex (Digest.string s)
+
+let printout render x =
   let buf = Buffer.create 4096 in
-  render_native buf c;
-  render_tracker buf c;
-  render_engine buf c;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  render buf x;
+  Buffer.contents buf
+
+let case_digests (c : case) =
+  let native = printout render_native c in
+  let r = Tracker.run_source c.src test_world in
+  let engine = printout render_engine c in
+  [ (c.name, md5 (native ^ printout render_tracker r ^ engine));
+    (c.name ^ ".native", md5 native);
+    (c.name ^ ".tracker", md5 (tracker_verdict r));
+    (c.name ^ ".tracker-cost", md5 (tracker_cost r));
+    (c.name ^ ".engine", md5 engine) ]
 
 (* ------------------------------------------------------------------ *)
 (* CI legs: the shipped CLI, as a child process.  Tests run from the
@@ -246,8 +284,7 @@ let leg_digest args =
         not (String.starts_with ~prefix:"schedule written to" l))
     |> String.concat "\n"
   in
-  Digest.to_hex
-    (Digest.string (stdout ^ "\n" ^ status ^ "\n" ^ read_file sched))
+  md5 (stdout ^ "\n" ^ status ^ "\n" ^ read_file sched)
 
 (* ------------------------------------------------------------------ *)
 (* Fuel sweep. *)
@@ -265,14 +302,38 @@ let fuel_digest () =
       (opt Fun.id o.Driver.trap) o.Driver.steps (Sched.decisions sched)
       (Schedule.to_string (Sched.to_schedule sched))
   done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  md5 (Buffer.contents buf)
+
+(* ------------------------------------------------------------------ *)
+(* Taint baselines on the registry. *)
+
+let taint_digests () =
+  let verdict (w : Workload.t) (label, model) =
+    let config =
+      { Tracker.model; sources = w.Workload.leak_sources;
+        sinks = w.Workload.sinks; max_steps = 30_000_000 }
+    in
+    let r = Tracker.run ~config (Workload.lower w) w.Workload.world in
+    (Printf.sprintf "taint-%s.%s" w.Workload.name label,
+     md5 (tracker_verdict r))
+  in
+  [ ("taint-table3", md5 (Table.render (Experiments.table3 ())));
+    ("taint-case-gcc", md5 (Experiments.case_gcc ()));
+    ("taint-case-firefox", md5 (Experiments.case_firefox ())) ]
+  @ List.concat_map
+    (fun w ->
+       List.map (verdict w)
+         [ ("taintgrind", Shadow.Taintgrind); ("libdft", Shadow.Libdft) ])
+    Registry.all
 
 (* ------------------------------------------------------------------ *)
 
 let digests () =
-  List.map (fun c -> (c.name, case_digest c)) (read_corpus ())
+  List.concat_map case_digests (read_corpus ())
   @ List.map (fun (name, args) -> (name, leg_digest args)) ci_legs
   @ [ ("fuel-sweep", fuel_digest ()) ]
+
+let is_taint (name, _) = String.starts_with ~prefix:"taint-" name
 
 let golden () =
   In_channel.with_open_text "vm_golden.txt" In_channel.input_all
@@ -282,8 +343,7 @@ let golden () =
       | [ name; d ] -> Some (name, d)
       | _ -> None)
 
-let test_golden () =
-  let expected = golden () and got = digests () in
+let check_digests what expected got =
   Alcotest.(check int) "case count" (List.length expected) (List.length got);
   let wrong =
     List.filter_map
@@ -292,7 +352,18 @@ let test_golden () =
          else Some (Printf.sprintf "%s: golden %s, got %s %s" n d n' d'))
       (List.combine expected got)
   in
-  Alcotest.(check (list string)) "VM digests" [] wrong
+  Alcotest.(check (list string)) what [] wrong
+
+let test_golden () =
+  check_digests "VM digests"
+    (List.filter (fun l -> not (is_taint l)) (golden ()))
+    (digests ())
+
+let test_taint_golden () =
+  check_digests "taint digests" (List.filter is_taint (golden ()))
+    (taint_digests ())
 
 let tests =
-  [ Alcotest.test_case "VM matches golden digests" `Quick test_golden ]
+  [ Alcotest.test_case "VM matches golden digests" `Quick test_golden;
+    Alcotest.test_case "taint baselines match golden digests" `Quick
+      test_taint_golden ]
