@@ -93,7 +93,7 @@ let kernel_table3 () =
   List.iter
     (fun ((w : Workload.t), _) ->
        let config =
-         { Ldx_taint.Tracker.model = Ldx_taint.Shadow.Taintgrind;
+         { Ldx_taint.Tracker.model = Ldx_taint.Tracker.Taintgrind;
            sources = w.Workload.leak_sources;
            sinks = w.Workload.sinks;
            max_steps = 30_000_000 }

@@ -13,7 +13,6 @@
 
 module Engine = Ldx_core.Engine
 module Tracker = Ldx_taint.Tracker
-module Shadow = Ldx_taint.Shadow
 module World = Ldx_osim.World
 
 let program =
@@ -89,8 +88,8 @@ let () =
     in
     Tracker.run_source ~config program world
   in
-  let tg = taint Shadow.Taintgrind in
-  let ld = taint Shadow.Libdft in
+  let tg = taint Tracker.Taintgrind in
+  let ld = taint Tracker.Libdft in
   Printf.printf "TaintGrind-like tainted sinks: %d\n" tg.Tracker.tainted_sinks;
   Printf.printf "LibDFT-like tainted sinks    : %d\n" ld.Tracker.tainted_sinks;
   Printf.printf "(both miss the control-dependence leak LDX reported)\n"

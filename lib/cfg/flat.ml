@@ -17,13 +17,12 @@
    - every instruction carrying its origin block id, which keeps the
      profile's [prof_base + bid] block-attribution contract intact.
 
-   Two type parameters are injected through {!consts}, so both engines
-   share this one lowering: the constant type ('v: runtime values in
-   the VM, shadow values in the tainting baselines) and the executable
-   form of an expression ('c), built once per expression by
-   [c_expr] from the lowered ['v fexpr].  The VM makes closures over
-   the register file; the tracker keeps the [fexpr] and interprets
-   it. *)
+   Two type parameters are injected through {!consts}, so this lowering
+   does not depend on the VM: the constant type ('v, the VM's runtime
+   values) and the executable form of an expression ('c), built once
+   per expression by [c_expr] from the lowered ['v fexpr].  The VM
+   makes closures over the register file; a taint tracker's closures
+   differ only in the builtin rule they call. *)
 
 module Ast = Ldx_lang.Ast
 

@@ -9,7 +9,6 @@ module Mutation = Ldx_core.Mutation
 module Tightlip = Ldx_core.Tightlip
 module Dualex = Ldx_core.Dualex_index
 module Tracker = Ldx_taint.Tracker
-module Shadow = Ldx_taint.Shadow
 module Workload = Ldx_workloads.Workload
 module Registry = Ldx_workloads.Registry
 module Counter = Ldx_instrument.Counter
@@ -188,9 +187,9 @@ let taint_config (w : Workload.t) model =
     max_steps = 30_000_000 }
 
 let table3_row (w : Workload.t) =
-  let tg = Tracker.run ~config:(taint_config w Shadow.Taintgrind)
+  let tg = Tracker.run ~config:(taint_config w Tracker.Taintgrind)
       (Workload.lower w) w.Workload.world in
-  let ld = Tracker.run ~config:(taint_config w Shadow.Libdft)
+  let ld = Tracker.run ~config:(taint_config w Tracker.Libdft)
       (Workload.lower w) w.Workload.world in
   let ldx = dual w in
   (w, tg, ld, ldx)
@@ -290,9 +289,9 @@ let case_gcc () =
   let prog, _ = Workload.instrumented w in
   let config = Workload.leak_config ~strategy w in
   let r = Engine.run ~config prog w.Workload.world in
-  let tg = Tracker.run ~config:(taint_config w Shadow.Taintgrind)
+  let tg = Tracker.run ~config:(taint_config w Tracker.Taintgrind)
       (Workload.lower w) w.Workload.world in
-  let ld = Tracker.run ~config:(taint_config w Shadow.Libdft)
+  let ld = Tracker.run ~config:(taint_config w Tracker.Libdft)
       (Workload.lower w) w.Workload.world in
   Printf.sprintf
     "## Case study: 403.gcc (Fig. 7)\n\n\
@@ -313,9 +312,9 @@ let case_firefox () =
   let prog, _ = Workload.instrumented w in
   let config = Workload.leak_config ~strategy w in
   let r = Engine.run ~config prog w.Workload.world in
-  let tg = Tracker.run ~config:(taint_config w Shadow.Taintgrind)
+  let tg = Tracker.run ~config:(taint_config w Tracker.Taintgrind)
       (Workload.lower w) w.Workload.world in
-  let ld = Tracker.run ~config:(taint_config w Shadow.Libdft)
+  let ld = Tracker.run ~config:(taint_config w Tracker.Libdft)
       (Workload.lower w) w.Workload.world in
   Printf.sprintf
     "## Case study: Firefox / ShowIP extension\n\n\

@@ -1,15 +1,20 @@
 (** The dynamic-tainting baseline engines (LIBDFT-like, TaintGrind-like).
 
-    An interpreter over the same flat bytecode the VM executes, with
-    shadow taint on every value.  Differences from LDX that Table 3 hinges on:
-    data-dependence-only propagation (branch conditions never taint what
-    is computed under them), the LibDFT library-call modelling gap, and a
-    per-instruction monitoring cost ({!Ldx_vm.Cost.taint_shadow}, the ~6x
-    slowdown of Sec. 8.1).  Threads are sequentialized ([spawn] runs the
-    worker synchronously) — a documented simplification. *)
+    A native run ({!Ldx_vm.Driver.run}) in which the results of source
+    syscalls carry the {!Ldx_vm.Value.Tainted} wrapper.  Differences
+    from LDX that Table 3 hinges on: data-dependence-only propagation
+    (the VM's rule: branch conditions never taint what is computed
+    under them), the LibDFT library-call modelling gap, and a
+    per-instruction monitoring cost ({!Ldx_vm.Cost.taint_shadow}, the
+    ~6x slowdown of Sec. 8.1).  Threads, setjmp and signals are the
+    VM's own, scheduled as {!Ldx_vm.Driver.run}'s default round-robin. *)
+
+(** TaintGrind models every library call; LibDFT drops taint across
+    {!Ldx_lang.Names.libdft_unmodeled} (the paper's observed gap). *)
+type model = Taintgrind | Libdft
 
 type config = {
-  model : Shadow.model;
+  model : model;
   sources : Ldx_core.Engine.source_spec list;
   sinks : Ldx_core.Engine.sink_config;
   max_steps : int;
@@ -23,15 +28,16 @@ type result = {
   total_sinks : int;
   tainted_sites : int list;  (** distinct static sites flagged *)
   cycles : int;
-  steps : int;
+      (** the native run's cycles plus [steps * Cost.taint_shadow] *)
+  steps : int;               (** the native run's *)
   stdout : string;
   trap : string option;
 }
 
-(** Run on an UNinstrumented program (counter instructions, if present,
-    are ignored).  Sources match as the LDX engine's do
-    ({!Ldx_core.Engine.source_matcher}): each [src_nth] spec counts its
-    own occurrences. *)
+(** Run natively, tracking taint.  Sources match as the LDX engine's
+    do ({!Ldx_core.Engine.source_matcher}): each [src_nth] spec counts
+    its own occurrences.  Meant for uninstrumented programs; counter
+    instructions, if present, run as in any native run. *)
 val run : ?config:config -> Ldx_cfg.Ir.program -> Ldx_osim.World.t -> result
 
 val run_source : ?config:config -> string -> Ldx_osim.World.t -> result

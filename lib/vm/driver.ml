@@ -36,7 +36,7 @@ let is_thread_op = function
 
 (* Service a thread-operation syscall with the VM primitives; [`Block]
    leaves the thread pending for retry. *)
-let service_thread_op (m : Machine.t) (th : Machine.thread)
+let rec service_thread_op (m : Machine.t) (th : Machine.thread)
     (p : Machine.pending) : [ `Done of Value.t | `Block ] =
   match (p.Machine.sys, p.Machine.sysargs) with
   | "lock", [ lockv ] ->
@@ -72,15 +72,41 @@ let service_thread_op (m : Machine.t) (th : Machine.thread)
          nothing observable at its (abandoned) call site *)
       `Done (Value.Int 0)
     else Value.trap "longjmp: buffer was never set"
-  | sys, args ->
+  | sys, args -> thread_op_other m th p sys args
+
+(* Control arguments read through the taint wrapper; spawn's argument
+   keeps it.  Apart from [service_thread_op]'s match, which it would
+   otherwise make larger on every path. *)
+and thread_op_other m th p sys args =
+  if List.exists Value.is_tainted args then
+    let args =
+      match (sys, args) with
+      | "spawn", [ f; arg ] -> [ Value.untaint f; arg ]
+      | _ -> List.map Value.untaint args
+    in
+    service_thread_op m th { p with Machine.sysargs = args }
+  else
     Value.trap "thread op %s: bad arguments (%s)" sys
       (String.concat ", " (List.map Value.to_string args))
 
+let os_exec os (p : Machine.pending) sargs =
+  try Os.exec ~site:p.Machine.site os p.Machine.sys sargs
+  with Os.Os_error msg -> raise (Value.Trap ("os-error: " ^ msg))
+
 let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
-    (prog : Ldx_cfg.Ir.program) (world : Ldx_osim.World.t) : outcome =
+    ?fprog ?on_os_call (prog : Ldx_cfg.Ir.program) (world : Ldx_osim.World.t)
+  : outcome =
   let os = Os.create world in
-  let m = Machine.create ~seed ?sched ~max_steps prog os in
+  let m = Machine.create ~seed ?sched ~max_steps ?fprog prog os in
   let trace = ref [] in
+  let record th (p : Machine.pending) args result =
+    if record_trace then
+      trace :=
+        { sys = p.Machine.sys; args; result;
+          counter = Machine.counter_of th; site = p.Machine.site;
+          tid = th.Machine.tid }
+        :: !trace
+  in
   let blocked : Machine.thread list ref = ref [] in
   let service th =
     let p = Machine.pending_of th in
@@ -93,31 +119,22 @@ let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
           `Done Value.Unit
       with
       | `Done v ->
-        if record_trace then
-          trace :=
-            { sys = p.Machine.sys;
-              args = List.map Value.to_sval_safe p.Machine.sysargs;
-              result = Value.to_sval_safe v;
-              counter = Machine.counter_of th;
-              site = p.Machine.site;
-              tid = th.Machine.tid }
-            :: !trace;
+        record th p (List.map Value.to_sval_safe p.Machine.sysargs)
+          (Value.to_sval_safe v);
         Machine.provide_result m th v
       | `Block -> blocked := th :: !blocked
     end
     else begin
       let sargs = List.map Value.to_sval p.Machine.sysargs in
-      let r =
-        try Os.exec ~site:p.Machine.site os p.Machine.sys sargs
-        with Os.Os_error msg -> raise (Value.Trap ("os-error: " ^ msg))
-      in
-      if record_trace then
-        trace :=
-          { sys = p.Machine.sys; args = sargs; result = r;
-            counter = Machine.counter_of th; site = p.Machine.site;
-            tid = th.Machine.tid }
-          :: !trace;
-      Machine.provide_result m th (Value.of_sval r)
+      match on_os_call with
+      | None ->
+        let r = os_exec os p sargs in
+        record th p sargs r;
+        Machine.provide_result m th (Value.of_sval r)
+      | Some hook ->
+        let v = hook os p sargs (fun () -> os_exec os p sargs) in
+        record th p sargs (Value.to_sval v);
+        Machine.provide_result m th v
     end
   in
   let retry_blocked () =

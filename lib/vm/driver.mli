@@ -41,10 +41,22 @@ val service_thread_op :
 (** Run a program against a fresh instantiation of the world.
     [?sched] installs an instantiated scheduler state
     ({!Machine.create}); the default is the legacy round-robin seeded
-    with [?seed]. *)
+    with [?seed].  [?fprog] is {!Machine.create}'s.
+
+    [?on_os_call] wraps every OS call (a syscall that is not a thread
+    op): [on_os_call os p sargs call] gets the process's OS, the
+    pending call with its {!Value} arguments, the arguments as the OS
+    takes them, and [call], which services the call once and returns
+    its result.  What it returns is what the thread receives (and the
+    trace records).  The taint tracker counts sinks before [call] and
+    wraps source results after it.  Without it the result reaches the
+    thread as the OS gave it. *)
 val run :
   ?seed:int -> ?sched:Machine.Sched.state -> ?max_steps:int ->
-  ?record_trace:bool -> Ldx_cfg.Ir.program -> Ldx_osim.World.t -> outcome
+  ?record_trace:bool -> ?fprog:Machine.compiled ->
+  ?on_os_call:
+    (Os.t -> Machine.pending -> Sval.t list -> (unit -> Sval.t) -> Value.t) ->
+  Ldx_cfg.Ir.program -> Ldx_osim.World.t -> outcome
 
 (** Parse, check, lower, optionally instrument, then {!run}. *)
 val run_source :

@@ -1,6 +1,10 @@
 (* Pure-expression evaluation: the [pexpr] fragment of the IR (no calls
-   except builtins).  Shared by the VM; the taint baselines reimplement it
-   with shadow values. *)
+   except builtins).  Operators propagate [Tainted] by data dependence.
+   Each operator's match leaves the wrapper to one fallback, called
+   from its last arm ([binop_other], [index_other]): a wrapper arm
+   inside the match, even the last one, makes every arm dispatch on
+   the operands' tags through a jump table instead of compares, and
+   untainted runs paid for that. *)
 
 open Ldx_lang
 open Value
@@ -85,7 +89,7 @@ let apply_builtin name (args : t list) : t =
     trap "builtin %s: bad arguments (%s)" name
       (String.concat ", " (List.map to_string args))
 
-let apply_binop (op : Ast.binop) (a : t) (b : t) : t =
+let rec apply_binop (op : Ast.binop) (a : t) (b : t) : t =
   match (op, a, b) with
   | Ast.Add, Int x, Int y -> int (x + y)
   | Ast.Add, Str x, Str y -> Str (x ^ y)
@@ -97,8 +101,10 @@ let apply_binop (op : Ast.binop) (a : t) (b : t) : t =
   | Ast.Div, Int x, Int y -> int (x / y)
   | Ast.Mod, Int _, Int 0 -> trap "modulo by zero"
   | Ast.Mod, Int x, Int y -> int (x mod y)
-  | Ast.Eq, x, y -> int (if equal x y then 1 else 0)
-  | Ast.Ne, x, y -> int (if equal x y then 0 else 1)
+  | Ast.Eq, x, y when not (is_tainted x || is_tainted y) ->
+    int (if equal x y then 1 else 0)
+  | Ast.Ne, x, y when not (is_tainted x || is_tainted y) ->
+    int (if equal x y then 0 else 1)
   | Ast.Lt, Int x, Int y -> int (if x < y then 1 else 0)
   | Ast.Le, Int x, Int y -> int (if x <= y then 1 else 0)
   | Ast.Gt, Int x, Int y -> int (if x > y then 1 else 0)
@@ -112,20 +118,34 @@ let apply_binop (op : Ast.binop) (a : t) (b : t) : t =
   | Ast.Bxor, Int x, Int y -> int (x lxor y)
   | Ast.Shl, Int x, Int y -> int (if y < 0 || y > 62 then 0 else x lsl y)
   | Ast.Shr, Int x, Int y -> int (if y < 0 || y > 62 then 0 else x asr y)
-  | Ast.And, x, y -> int (if truthy x && truthy y then 1 else 0)
-  | Ast.Or, x, y -> int (if truthy x || truthy y then 1 else 0)
-  | op, a, b ->
+  | Ast.And, Int x, Int y -> int (if x <> 0 && y <> 0 then 1 else 0)
+  | Ast.Or, Int x, Int y -> int (if x <> 0 || y <> 0 then 1 else 0)
+  | Ast.And, x, y when not (is_tainted x || is_tainted y) ->
+    int (if truthy x && truthy y then 1 else 0)
+  | Ast.Or, x, y when not (is_tainted x || is_tainted y) ->
+    int (if truthy x || truthy y then 1 else 0)
+  | op, a, b -> binop_other op a b
+
+and binop_other op a b =
+  if is_tainted a || is_tainted b then
+    Tainted (apply_binop op (untaint a) (untaint b))
+  else
     trap "binop %s: bad operands %s, %s" (Ast.binop_to_string op)
       (to_string a) (to_string b)
 
-let apply_unop (op : Ast.unop) (a : t) : t =
+let rec apply_unop (op : Ast.unop) (a : t) : t =
   match (op, a) with
   | Ast.Neg, Int x -> int (-x)
-  | Ast.Not, x -> int (if truthy x then 0 else 1)
-  | Ast.Neg, (Str _ | Arr _ | Fptr _ | Unit) -> trap "negation of non-int"
+  | Ast.Not, Int x -> int (if x = 0 then 1 else 0)
+  | Ast.Not, x when not (is_tainted x) -> int (if truthy x then 0 else 1)
+  | _ -> (
+      match a with
+      | Tainted x -> Tainted (apply_unop op x)
+      | _ -> trap "negation of non-int")
 
-(* [a[i]] on evaluated operands. *)
-let apply_index (va : t) (vi : t) : t =
+(* [a[i]] on evaluated operands.  [a[i]] is the element as stored, so a
+   wrapped array or index adds no taint; [s[i]] takes the string's. *)
+let rec apply_index (va : t) (vi : t) : t =
   match (va, vi) with
   | Arr arr, Int k ->
     if k >= 0 && k < Array.length arr then arr.(k)
@@ -133,6 +153,12 @@ let apply_index (va : t) (vi : t) : t =
   | Str s, Int k ->
     if k >= 0 && k < String.length s then int (Char.code s.[k])
     else trap "string index %d out of bounds (len %d)" k (String.length s)
+  | _ -> index_other va vi
+
+and index_other va vi =
+  match (va, vi) with
+  | Tainted (Str _ as s), _ -> Tainted (apply_index s (untaint vi))
+  | Tainted va, vi | va, Tainted vi -> apply_index va vi
   | _ -> trap "indexing non-array"
 
 (* Evaluate a pure expression against register slots, resolving names
@@ -174,7 +200,9 @@ let rec eval_reg (slot_of : (string, int) Hashtbl.t) (regs : t array)
    expression: operands evaluate left to right, a read of an unset slot
    traps as an undefined variable before the operator runs, and every
    result that is not an int fast path comes from [apply_binop],
-   [apply_unop], [apply_builtin] or [apply_index].  The fast paths
+   [apply_unop], [apply_builtin] (or the [builtin] given) or
+   [apply_index].
+   The fast paths
    ([+ - *] and the six comparisons on two ints, in-bounds indexing)
    return what those functions would, int results boxed through
    [Value.int] as [apply_binop] does.  A fast path may test a slot for
@@ -383,7 +411,9 @@ let binop_rc (names : string array) (op : Ast.binop) (i : int) (v : t) :
        | a -> slow a)
   | _ -> fun r -> slow (Array.unsafe_get r i)
 
-let rec compile_flat (names : string array) (e : t Flat.fexpr) : code =
+let rec compile_flat ?(builtin : (string -> t list -> t) option)
+    (names : string array) (e : t Flat.fexpr) : code =
+  let compile_flat = compile_flat ?builtin in
   match e with
   | Flat.Const v -> fun _ -> v
   | Flat.Reg i ->
@@ -425,15 +455,16 @@ let rec compile_flat (names : string array) (e : t Flat.fexpr) : code =
          if va == undef then trap "undefined variable %s" nx
          else if vi == undef then trap "undefined variable %s" ny
          else apply_index va vi)
-  | Flat.Builtin (name, [| a |]) ->
-    let ca = compile_flat names a in
-    fun r -> apply_builtin name [ ca r ]
-  | Flat.Builtin (name, [| a; b |]) ->
-    let ca = compile_flat names a and cb = compile_flat names b in
-    fun r ->
-      let va = ca r in
-      let vb = cb r in
-      apply_builtin name [ va; vb ]
-  | Flat.Builtin (name, args) ->
-    let cargs = Array.map (compile_flat names) args in
-    fun r -> apply_builtin name (eval_args cargs r)
+  | Flat.Builtin (name, args) -> (
+      let cargs = Array.map (compile_flat names) args in
+      (* the VM's builtins stay direct calls: through a closure they
+         cost concurrency-heavy runs about 1 % *)
+      match (builtin, cargs) with
+      | Some f, _ -> fun r -> f name (eval_args cargs r)
+      | None, [| ca |] -> fun r -> apply_builtin name [ ca r ]
+      | None, [| ca; cb |] ->
+        fun r ->
+          let va = ca r in
+          let vb = cb r in
+          apply_builtin name [ va; vb ]
+      | None, _ -> fun r -> apply_builtin name (eval_args cargs r))

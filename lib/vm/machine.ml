@@ -168,22 +168,22 @@ type event =
 
 let new_seg () = { cnt = 0; loops = [] }
 
-let lock_key = function
+let rec lock_key = function
   | Int n -> "i:" ^ string_of_int n
   | Str s -> "s:" ^ s
-  | Unit | Arr _ | Fptr _ -> trap "invalid lock id"
+  | v -> ( match v with Tainted v -> lock_key v | _ -> trap "invalid lock id")
 
 (* The VM's instantiation of the flat form: each literal is boxed once
    and each expression closed over the register file once, at compile
    time. *)
-let value_consts : (Value.t, Eval.code) Flat.consts =
-  { Flat.c_unit = Unit;
-    c_int = (fun n -> Int n);
-    c_str = (fun s -> Str s);
-    c_fun = (fun f -> Fptr f);
-    c_expr = Eval.compile_flat }
-
-let compile (prog : Ir.program) : compiled = Flat.compile value_consts prog
+let compile ?builtin (prog : Ir.program) : compiled =
+  Flat.compile
+    { Flat.c_unit = Unit;
+      c_int = (fun n -> Int n);
+      c_str = (fun s -> Str s);
+      c_fun = (fun f -> Fptr f);
+      c_expr = Eval.compile_flat ?builtin }
+    prog
 
 (* Fresh frame for [fl]; regs start as the undef sentinel. *)
 let new_frame (fl : Eval.code Flat.func) ~ret_dst ~fresh ~prof_base =
@@ -454,6 +454,30 @@ let func_by_name t name =
   | Some fi -> Some t.fprog.Flat.funcs.(fi)
   | None -> None
 
+(* An indirect call through the evaluated [vf].  The wrapper is matched
+   apart from [Fptr], as in [Eval], so that arm stays a tag compare. *)
+let rec call_indirect t (th : thread) (vf : Value.t) (vargs : Value.t list)
+    ~ret_dst =
+  match vf with
+  | Fptr name ->
+    (match func_by_name t name with
+     | Some fl -> push_call t th ~fl ~vargs ~ret_dst ~fresh:true
+     | None -> trap "indirect call to unknown function %s" name)
+  | v -> (
+      match v with
+      | Tainted vf -> call_indirect t th vf vargs ~ret_dst
+      | _ -> trap "indirect call through non-funptr %s" (to_string v))
+
+(* [a[i] = v] off the stepper's fast path: out of bounds, a wrapped
+   array or index (stored through), or no array at all. *)
+let rec store name (va : Value.t) (vi : Value.t) (ve : Value.t) =
+  match (va, vi) with
+  | Arr arr, Int k ->
+    if k >= 0 && k < Array.length arr then arr.(k) <- ve
+    else trap "store index %d out of bounds (len %d)" k (Array.length arr)
+  | Tainted va, vi | va, Tainted vi -> store name va vi ve
+  | _ -> trap "store into non-array %s" name
+
 (* Push handler frames for every pending signal (oldest runs first, so
    push in reverse order).  Unhandled signals are ignored (the default
    disposition). *)
@@ -695,11 +719,8 @@ let run_quantum_flat t (th : thread) ~lone (q0 : int) : event option =
         let vi = ins.Flat.e1 regs in
         let ve = ins.Flat.e2 regs in
         (match (va, vi) with
-         | Arr arr, Int k ->
-           if k >= 0 && k < Array.length arr then arr.(k) <- ve
-           else
-             trap "store index %d out of bounds (len %d)" k (Array.length arr)
-         | _ -> trap "store into non-array %s" ins.Flat.name);
+         | Arr arr, Int k when k >= 0 && k < Array.length arr -> arr.(k) <- ve
+         | _ -> store ins.Flat.name va vi ve);
         run frame code regs (q - 1)
       | 2 (* call: resolved callee, arity known-good — args evaluate
              straight into the callee's register file *) ->
@@ -723,13 +744,7 @@ let run_quantum_flat t (th : thread) ~lone (q0 : int) : event option =
         charge t frame Profile.op_call_indirect Cost.instr;
         let vf = ins.Flat.e1 regs in
         let vargs = Eval.eval_args ins.Flat.args regs in
-        (match vf with
-         | Fptr name ->
-           (match func_by_name t name with
-            | Some fl ->
-              push_call t th ~fl ~vargs ~ret_dst:ins.Flat.dst ~fresh:true
-            | None -> trap "indirect call to unknown function %s" name)
-         | v -> trap "indirect call through non-funptr %s" (to_string v));
+        call_indirect t th vf vargs ~ret_dst:ins.Flat.dst;
         enter (q - 1)
       | 4 (* syscall *) ->
         let vargs = Eval.eval_args ins.Flat.args regs in
@@ -1020,6 +1035,7 @@ let rec copy_value (memo : (Value.t array * Value.t array) list ref)
     (v : Value.t) : Value.t =
   match v with
   | Unit | Int _ | Str _ | Fptr _ -> v
+  | Tainted x -> Tainted (copy_value memo x)
   | Arr a ->
     if Array.length a = 0 then Arr [||]
     else begin

@@ -344,12 +344,15 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 (** Compile [prog] to the VM's execution form: the flat lowering, then
-    one closure per expression.  {!create} does this unless it is handed
-    a compiled program; call it directly to share one compilation among
-    machines over the same program, or for restore paths with no
-    machine to borrow a compiled program from (e.g. a snapshot arriving
-    from another process via [Ldx_snap]). *)
-val compile : Ir.program -> compiled
+    one closure per expression, with builtin calls going to [builtin]
+    (default {!Eval.apply_builtin}; the taint tracker passes its model's
+    rule).  {!create} does this unless it is handed a compiled program;
+    call it directly to share one compilation among machines over the
+    same program, or for restore paths with no machine to borrow a
+    compiled program from (e.g. a snapshot arriving from another process
+    via [Ldx_snap]). *)
+val compile :
+  ?builtin:(string -> Value.t list -> Value.t) -> Ir.program -> compiled
 
 (** Rebuild a machine from a snapshot over [os] (which must itself be a
     copy consistent with the capture point — see [Os.copy]).  [?prof]

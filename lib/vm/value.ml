@@ -8,6 +8,9 @@ type t =
   | Str of string
   | Arr of t array                      (* shared, mutable *)
   | Fptr of string
+  | Tainted of t
+  (* Last, so the other constructors keep their tags and snapshot
+     payloads their bytes.  Only the taint tracker creates it. *)
 
 exception Trap of string
 
@@ -29,6 +32,9 @@ let small_ints = Array.init 257 (fun i -> Int (i - 1))
 
 let[@inline] int n =
   if n >= -1 && n <= 255 then Array.unsafe_get small_ints (n + 1) else Int n
+
+let is_tainted = function Tainted _ -> true | _ -> false
+let untaint = function Tainted v -> v | v -> v
 
 (* Structural equality.  Arrays may be cyclic ([a[0] = a]) or refer to
    each other, so the walk keeps the pairs of arrays under comparison
@@ -52,24 +58,26 @@ let equal a b =
                i = Array.length x || (eq seen x.(i) y.(i) && elems (i + 1))
              in
              elems 0)
-    | (Unit | Int _ | Str _ | Arr _ | Fptr _), _ -> false
+    | _ -> (
+        match (a, b) with
+        | Tainted a, b | a, Tainted b -> eq seen a b
+        | _ -> false)
   in
   eq [] a b
 
+(* Every branch calls [truthy].  Matched [Int] and [Str] first, with
+   one default arm, it compiles to two tag compares; an exhaustive match
+   over all six constructors compiles to a jump table, which costs
+   every branch (DESIGN.md, "Taint baselines"). *)
+let[@inline never] truthy_rare v =
+  match untaint v with Int 0 | Unit | Str "" -> false | _ -> true
+
 let truthy = function
-  | Int 0 | Unit -> false
+  | Int 0 -> false
+  | Int _ -> true
   | Str "" -> false
-  | Int _ | Str _ | Arr _ | Fptr _ -> true
-
-let int_exn = function
-  | Int n -> n
-  | v -> trap "expected int, got %s" (match v with
-      | Str _ -> "string" | Arr _ -> "array" | Fptr _ -> "funptr"
-      | Unit -> "unit" | Int _ -> assert false)
-
-let str_exn = function
-  | Str s -> s
-  | Int _ | Arr _ | Fptr _ | Unit -> trap "expected string"
+  | Str _ -> true
+  | v -> truthy_rare v
 
 (* An array met again inside itself ([a[0] = a]) prints as [[...]]. *)
 let to_string v =
@@ -82,21 +90,24 @@ let to_string v =
     | Arr a ->
       let inside = a :: inside in
       "[" ^ String.concat "; " (Array.to_list (Array.map (go inside) a)) ^ "]"
+    | Tainted v -> go inside v
   in
   go [] v
 
 (* Conversion at the syscall boundary. *)
-let to_sval = function
+let rec to_sval = function
   | Int n -> Sval.I n
   | Str s -> Sval.S s
   | Unit -> Sval.I 0
   | Fptr f -> Sval.S ("@" ^ f)
   | Arr _ -> trap "array passed to syscall"
+  | Tainted v -> to_sval v
 
 let of_sval = function Sval.I n -> Int n | Sval.S s -> Str s
 
 (* Total conversion for tracing/comparison: arrays (which only thread ops
    like [spawn] may carry) map to an opaque length-tagged token. *)
-let to_sval_safe = function
+let rec to_sval_safe = function
   | Arr a -> Sval.S (Printf.sprintf "<arr:%d>" (Array.length a))
+  | Tainted v -> to_sval_safe v
   | (Int _ | Str _ | Unit | Fptr _) as v -> to_sval v

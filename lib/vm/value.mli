@@ -6,6 +6,13 @@ type t =
   | Str of string
   | Arr of t array        (** shared, mutable — arrays alias across calls *)
   | Fptr of string
+  | Tainted of t
+      (** A value derived from a taint source, never nested.  Only the
+          taint tracker ({!Ldx_taint.Tracker}) creates it; the VM
+          propagates it by data dependence: an operator's result is
+          wrapped iff an operand is, [s[i]] takes the string's wrapper,
+          [a[i]] yields the element as stored, branches and thread-op
+          control arguments read through it. *)
 
 (** Raised on dynamic type errors, out-of-bounds accesses, division by
     zero, arity mismatches and exhausted fuel. *)
@@ -24,16 +31,21 @@ val undef : t
     on the common range. *)
 val int : int -> t
 
-(** Deep structural equality (arrays by contents).  Terminates on
-    cyclic and mutually referencing arrays: a pair of arrays met again
-    while it is being compared counts as equal. *)
+val is_tainted : t -> bool
+
+(** [untaint v] is [v] without its {!Tainted} wrapper, if any. *)
+val untaint : t -> t
+
+(** Deep structural equality (arrays by contents), blind to {!Tainted}
+    at every depth.  Terminates on cyclic and mutually referencing
+    arrays: a pair of arrays met again while it is being compared
+    counts as equal. *)
 val equal : t -> t -> bool
 
 (** C-like truthiness: [0], [Unit] and [""] are false. *)
 val truthy : t -> bool
 
-val int_exn : t -> int
-val str_exn : t -> string
+(** Printed form, blind to {!Tainted}. *)
 val to_string : t -> string
 
 (** Conversion at the syscall boundary.

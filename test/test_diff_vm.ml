@@ -107,13 +107,14 @@ module Ir = Ldx_cfg.Ir
 (* The register file, in slot order: the compiled function's params.
    [u] holds [undef]; [w] is no param, so an expression that reads it
    gets a slot after them that is never written.  Both trap as
-   undefined variables. *)
+   undefined variables.  [p] and [q] carry the taint wrapper. *)
 let regfile =
   let arr () = Value.Arr [| Value.Int 1; Value.Str "z"; Value.Int 3 |] in
   [ ("a", Value.Int 7); ("b", Value.Int 0); ("c", Value.Int (-1));
     ("m", Value.Int max_int); ("n", Value.Int min_int);
     ("s", Value.Str "ab"); ("t", Value.Str "");
     ("x", arr ()); ("y", arr ()); ("f", Value.Fptr "g");
+    ("p", Value.Tainted (Value.Int 3)); ("q", Value.Tainted (Value.Str "ab"));
     ("u", Value.undef) ]
 
 let expr_names = List.map fst regfile @ [ "w" ]

@@ -31,4 +31,5 @@ let () =
       ("snapshot", Test_snapshot.tests);
       ("journals", Test_journals.tests);
       ("frontend", Test_frontend.tests);
-      ("vm-golden", Test_vm_golden.tests) ]
+      ("vm-golden", Test_vm_golden.tests);
+      ("taint", Test_taint.tests) ]

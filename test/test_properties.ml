@@ -146,22 +146,47 @@ let prop_concurrent_alignment (p, ms, ss) =
   && r.Engine.slave.Engine.trap = None
   && r.Engine.master.Engine.trap = None
 
-(* P12: the taint baselines' interpreter computes exactly what the VM
-   computes — same stdout, same syscall-visible behaviour — it only adds
-   shadow metadata.  Differential-tests the two interpreters on random
-   programs. *)
+(* P12: taint changes nothing but verdicts.  Under either model, with
+   the default recv sources, the tracker's run of a program has the
+   stdout, trap and step count of a plain native run: tainted values
+   compute, branch, index, lock and signal as their untainted selves.
+   [taint_runs] gives, per model, whether the run matched the native
+   one and whether it reached a tainted sink. *)
+module Tracker = Ldx_taint.Tracker
+
+let taint_runs prog world =
+  let vm = Driver.run prog world in
+  List.map
+    (fun model ->
+       let tt =
+         Tracker.run ~config:{ Tracker.default_config with Tracker.model }
+           prog world
+       in
+       ( tt.Tracker.trap = vm.Driver.trap
+         && String.equal tt.Tracker.stdout vm.Driver.stdout
+         && tt.Tracker.steps = vm.Driver.steps,
+         tt.Tracker.tainted_sinks > 0 ))
+    [ Tracker.Taintgrind; Tracker.Libdft ]
+
 let prop_taint_interpreter_equivalent (p : Ast.program) =
-  let prog = lower_gen p in
-  let vm = Driver.run prog test_world in
-  let tt =
-    Ldx_taint.Tracker.run
-      ~config:{ Ldx_taint.Tracker.default_config with
-                Ldx_taint.Tracker.sources = [] }
-      prog test_world
+  List.for_all fst (taint_runs (lower_gen p) test_world)
+
+(* The check above would hold vacuously if no run met taint.  Over a
+   fixed sample of [gen_program] (500 programs, both models), at least
+   10 % of the runs reach a tainted sink. *)
+let test_taint_reaches_sinks () =
+  let progs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:500
+      Gen_minic.gen_program
   in
-  vm.Driver.trap = None
-  && tt.Ldx_taint.Tracker.trap = None
-  && String.equal vm.Driver.stdout tt.Ldx_taint.Tracker.stdout
+  let runs =
+    List.concat_map (fun p -> taint_runs (lower_gen p) test_world) progs
+  in
+  let tainted = List.length (List.filter snd runs) in
+  Alcotest.(check bool) "every run as the VM's" true (List.for_all fst runs);
+  if 10 * tainted < List.length runs then
+    Alcotest.failf "%d of %d runs reach a tainted sink, below 10 %%" tainted
+      (List.length runs)
 
 (* P7: parser/printer round-trip on arbitrary single functions.  The
    printer is not injective on the AST (e.g. [Int (-1)] and
@@ -303,6 +328,12 @@ let tests =
       prop_vacuous_mutation_aligned;
     qtest "P12 taint interpreter equivalent" Gen_minic.gen_program
       prop_taint_interpreter_equivalent;
+    qtest "P12 taint equivalent on threaded programs"
+      Gen_minic.gen_conc_program prop_taint_interpreter_equivalent;
+    qtest "P12 taint equivalent on stress programs"
+      Gen_minic.gen_stress_program prop_taint_interpreter_equivalent;
+    Alcotest.test_case "P12 taint reaches sinks" `Quick
+      test_taint_reaches_sinks;
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"P13 concurrent alignment" ~count:100
          ~print:(fun (p, ms, ss) ->
