@@ -74,17 +74,13 @@ let rec service_thread_op (m : Machine.t) (th : Machine.thread)
     else Value.trap "longjmp: buffer was never set"
   | sys, args -> thread_op_other m th p sys args
 
-(* Control arguments read through the taint wrapper; spawn's argument
-   keeps it.  Apart from [service_thread_op]'s match, which it would
-   otherwise make larger on every path. *)
+(* Control arguments read through the taint wrapper (spawn's argument,
+   matched above, keeps it).  Apart from [service_thread_op]'s match,
+   which it would otherwise make larger on every path. *)
 and thread_op_other m th p sys args =
   if List.exists Value.is_tainted args then
-    let args =
-      match (sys, args) with
-      | "spawn", [ f; arg ] -> [ Value.untaint f; arg ]
-      | _ -> List.map Value.untaint args
-    in
-    service_thread_op m th { p with Machine.sysargs = args }
+    service_thread_op m th
+      { p with Machine.sysargs = List.map Value.untaint args }
   else
     Value.trap "thread op %s: bad arguments (%s)" sys
       (String.concat ", " (List.map Value.to_string args))

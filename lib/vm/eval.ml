@@ -144,7 +144,7 @@ let rec apply_unop (op : Ast.unop) (a : t) : t =
       | _ -> trap "negation of non-int")
 
 (* [a[i]] on evaluated operands.  [a[i]] is the element as stored, so a
-   wrapped array or index adds no taint; [s[i]] takes the string's. *)
+   wrapped index adds no taint; [s[i]] takes the string's. *)
 let rec apply_index (va : t) (vi : t) : t =
   match (va, vi) with
   | Arr arr, Int k ->
@@ -158,7 +158,7 @@ let rec apply_index (va : t) (vi : t) : t =
 and index_other va vi =
   match (va, vi) with
   | Tainted (Str _ as s), _ -> Tainted (apply_index s (untaint vi))
-  | Tainted va, vi | va, Tainted vi -> apply_index va vi
+  | _, Tainted vi -> apply_index va vi
   | _ -> trap "indexing non-array"
 
 (* Evaluate a pure expression against register slots, resolving names
@@ -200,14 +200,13 @@ let rec eval_reg (slot_of : (string, int) Hashtbl.t) (regs : t array)
    expression: operands evaluate left to right, a read of an unset slot
    traps as an undefined variable before the operator runs, and every
    result that is not an int fast path comes from [apply_binop],
-   [apply_unop], [apply_builtin] (or the [builtin] given) or
-   [apply_index].
-   The fast paths
-   ([+ - *] and the six comparisons on two ints, in-bounds indexing)
-   return what those functions would, int results boxed through
-   [Value.int] as [apply_binop] does.  A fast path may test a slot for
-   [Int] before testing it for [undef]: the sentinel is an [Arr] with
-   an empty payload, so it always falls through to the checked path.
+   [apply_unop], [builtin] (default [apply_builtin]) or [apply_index].
+   The fast paths ([+ - *] and the six comparisons on two ints,
+   in-bounds indexing) return what those functions would, int results
+   boxed through [Value.int] as [apply_binop] does.  A fast path may
+   test a slot for [Int] before testing it for [undef]: the sentinel is
+   an [Arr] with an empty payload, so it always falls through to the
+   checked path.
 
    Each operator's closures are written out per operand shape.  A
    shared template taking the int operation as a function argument is
@@ -411,9 +410,9 @@ let binop_rc (names : string array) (op : Ast.binop) (i : int) (v : t) :
        | a -> slow a)
   | _ -> fun r -> slow (Array.unsafe_get r i)
 
-let rec compile_flat ?(builtin : (string -> t list -> t) option)
-    (names : string array) (e : t Flat.fexpr) : code =
-  let compile_flat = compile_flat ?builtin in
+let rec compile_flat ?(builtin = apply_builtin) (names : string array)
+    (e : t Flat.fexpr) : code =
+  let compile_flat = compile_flat ~builtin in
   match e with
   | Flat.Const v -> fun _ -> v
   | Flat.Reg i ->
@@ -455,16 +454,15 @@ let rec compile_flat ?(builtin : (string -> t list -> t) option)
          if va == undef then trap "undefined variable %s" nx
          else if vi == undef then trap "undefined variable %s" ny
          else apply_index va vi)
-  | Flat.Builtin (name, args) -> (
-      let cargs = Array.map (compile_flat names) args in
-      (* the VM's builtins stay direct calls: through a closure they
-         cost concurrency-heavy runs about 1 % *)
-      match (builtin, cargs) with
-      | Some f, _ -> fun r -> f name (eval_args cargs r)
-      | None, [| ca |] -> fun r -> apply_builtin name [ ca r ]
-      | None, [| ca; cb |] ->
-        fun r ->
-          let va = ca r in
-          let vb = cb r in
-          apply_builtin name [ va; vb ]
-      | None, _ -> fun r -> apply_builtin name (eval_args cargs r))
+  | Flat.Builtin (name, [| a |]) ->
+    let ca = compile_flat names a in
+    fun r -> builtin name [ ca r ]
+  | Flat.Builtin (name, [| a; b |]) ->
+    let ca = compile_flat names a and cb = compile_flat names b in
+    fun r ->
+      let va = ca r in
+      let vb = cb r in
+      builtin name [ va; vb ]
+  | Flat.Builtin (name, args) ->
+    let cargs = Array.map (compile_flat names) args in
+    fun r -> builtin name (eval_args cargs r)

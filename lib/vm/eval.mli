@@ -32,7 +32,7 @@ type code = Value.t array -> Value.t
 (** Compile a flat expression ({!Ldx_cfg.Flat}) to a closure, once, at
     [Flat.compile] time.  [names] maps slots to source names for trap
     messages; builtin calls go to [builtin] (default {!apply_builtin}).
-    Without [builtin], the closure returns what {!eval_reg} returns on
+    With the default, the closure returns what {!eval_reg} returns on
     the source expression, or raises the same trap: operands evaluate
     left to right, and slots holding {!Value.undef} trap as undefined
     variables before the operator runs.  Two-int [+ - *] and

@@ -454,28 +454,14 @@ let func_by_name t name =
   | Some fi -> Some t.fprog.Flat.funcs.(fi)
   | None -> None
 
-(* An indirect call through the evaluated [vf].  The wrapper is matched
-   apart from [Fptr], as in [Eval], so that arm stays a tag compare. *)
-let rec call_indirect t (th : thread) (vf : Value.t) (vargs : Value.t list)
-    ~ret_dst =
-  match vf with
-  | Fptr name ->
-    (match func_by_name t name with
-     | Some fl -> push_call t th ~fl ~vargs ~ret_dst ~fresh:true
-     | None -> trap "indirect call to unknown function %s" name)
-  | v -> (
-      match v with
-      | Tainted vf -> call_indirect t th vf vargs ~ret_dst
-      | _ -> trap "indirect call through non-funptr %s" (to_string v))
-
 (* [a[i] = v] off the stepper's fast path: out of bounds, a wrapped
-   array or index (stored through), or no array at all. *)
+   index (stored through), or no array at all. *)
 let rec store name (va : Value.t) (vi : Value.t) (ve : Value.t) =
   match (va, vi) with
   | Arr arr, Int k ->
     if k >= 0 && k < Array.length arr then arr.(k) <- ve
     else trap "store index %d out of bounds (len %d)" k (Array.length arr)
-  | Tainted va, vi | va, Tainted vi -> store name va vi ve
+  | _, Tainted vi -> store name va vi ve
   | _ -> trap "store into non-array %s" name
 
 (* Push handler frames for every pending signal (oldest runs first, so
@@ -744,7 +730,13 @@ let run_quantum_flat t (th : thread) ~lone (q0 : int) : event option =
         charge t frame Profile.op_call_indirect Cost.instr;
         let vf = ins.Flat.e1 regs in
         let vargs = Eval.eval_args ins.Flat.args regs in
-        call_indirect t th vf vargs ~ret_dst:ins.Flat.dst;
+        (match vf with
+         | Fptr name ->
+           (match func_by_name t name with
+            | Some fl ->
+              push_call t th ~fl ~vargs ~ret_dst:ins.Flat.dst ~fresh:true
+            | None -> trap "indirect call to unknown function %s" name)
+         | v -> trap "indirect call through non-funptr %s" (to_string v));
         enter (q - 1)
       | 4 (* syscall *) ->
         let vargs = Eval.eval_args ins.Flat.args regs in
@@ -1034,8 +1026,7 @@ type snapshot = {
 let rec copy_value (memo : (Value.t array * Value.t array) list ref)
     (v : Value.t) : Value.t =
   match v with
-  | Unit | Int _ | Str _ | Fptr _ -> v
-  | Tainted x -> Tainted (copy_value memo x)
+  | Unit | Int _ | Str _ | Fptr _ | Tainted _ -> v
   | Arr a ->
     if Array.length a = 0 then Arr [||]
     else begin

@@ -7,8 +7,9 @@ type t =
   | Arr of t array        (** shared, mutable — arrays alias across calls *)
   | Fptr of string
   | Tainted of t
-      (** A value derived from a taint source, never nested.  Only the
-          taint tracker ({!Ldx_taint.Tracker}) creates it; the VM
+      (** A value derived from a taint source: an [Int] or a [Str],
+          never an array, a function pointer or another wrapper.  Only
+          the taint tracker ({!Ldx_taint.Tracker}) creates it; the VM
           propagates it by data dependence: an operator's result is
           wrapped iff an operand is, [s[i]] takes the string's wrapper,
           [a[i]] yields the element as stored, branches and thread-op
