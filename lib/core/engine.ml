@@ -22,7 +22,11 @@
    stamping each outcome with the master's cycle clock and fast-forwarding
    the slave's clock on copies, which is how Fig. 6's "concurrent on two
    CPUs" overhead is modelled.  See DESIGN.md for the argument that this
-   is observation-equivalent to the paper's spin-loop coupling. *)
+   is observation-equivalent to the paper's spin-loop coupling.
+
+   Every pass runs its machine through [Driver.drive], the one event loop
+   (thread ops, blocked retries, traps), and differs only in the OS-call
+   callback and hooks it hands that loop. *)
 
 module Machine = Ldx_vm.Machine
 module Profile = Ldx_vm.Profile
@@ -459,102 +463,6 @@ let queue_for queues idx =
     Hashtbl.replace queues idx q;
     q
 
-(* Run one execution, retrying thread ops that block.  [on_os_syscall]
-   services non-thread syscalls and returns the value the execution
-   observes.
-
-   [run_side_gen] is the resumable generalization behind decouple-point
-   snapshots: [blocked] is externalized (so a paused side's blocked set
-   can be captured and rebuilt), [?pause] is consulted for every
-   non-thread-op syscall BEFORE it is serviced (returning [`Paused th]
-   with the thread still [Awaiting] — the machine state at that moment
-   is exactly the pre-service state a snapshot must capture), and
-   [?first] services one already-pending thread before re-entering the
-   event loop — the resume hook, replaying the service step the pause
-   skipped.  With neither option this is bit-identical to the
-   historical [run_side]. *)
-let run_side_gen (m : Machine.t) ~(blocked : Machine.thread list ref)
-    ?(pause : (Machine.thread -> Machine.pending -> bool) option)
-    ?(first : Machine.thread option)
-    ~(on_os_syscall : Machine.thread -> Machine.pending -> Value.t)
-    ~(on_stuck : Machine.thread list -> bool) () :
-  [ `Done | `Paused of Machine.thread ] =
-  let paused = ref None in
-  let service th =
-    let p = Machine.pending_of th in
-    if Driver.is_thread_op p.Machine.sys then begin
-      match Driver.service_thread_op m th p with
-      | `Done v -> Machine.provide_result m th v
-      | `Block -> blocked := th :: !blocked
-    end
-    else if (match pause with Some f -> f th p | None -> false) then
-      paused := Some th
-    else begin
-      let v = on_os_syscall th p in
-      Machine.provide_result m th v
-    end
-  in
-  let retry_blocked () =
-    let bs = !blocked in
-    blocked := [];
-    let progress = ref false in
-    List.iter
-      (fun th ->
-         match th.Machine.status with
-         | Machine.Awaiting p ->
-           (match Driver.service_thread_op m th p with
-            | `Done v ->
-              progress := true;
-              Machine.provide_result m th v
-            | `Block -> blocked := th :: !blocked)
-         | _ -> ())
-      bs;
-    !progress
-  in
-  (* service one thread, then the blocked retries — the common step of
-     the event loop and the [?first] resume entry *)
-  let step th =
-    (try service th with Value.Trap msg ->
-       m.Machine.trap <- Some msg;
-       m.Machine.finished <- true);
-    if !paused = None then ignore (retry_blocked ())
-  in
-  let rec loop () =
-    match Machine.run_until_event m with
-    | Machine.Ev_syscall th ->
-      step th;
-      if !paused = None && not m.Machine.finished then loop ()
-    | Machine.Ev_idle ->
-      if retry_blocked () then loop ()
-      else if on_stuck !blocked then begin
-        if retry_blocked () then loop ()
-        else begin
-          m.Machine.trap <- Some "deadlock: all threads blocked";
-          m.Machine.finished <- true
-        end
-      end
-      else begin
-        m.Machine.trap <- Some "deadlock: all threads blocked";
-        m.Machine.finished <- true
-      end
-    | Machine.Ev_done -> ()
-    | Machine.Ev_trap _ -> ()
-  in
-  (match first with
-   | Some th ->
-     step th;
-     if !paused = None && not m.Machine.finished then loop ()
-   | None -> loop ());
-  match !paused with Some th -> `Paused th | None -> `Done
-
-let run_side (m : Machine.t)
-    ~(on_os_syscall : Machine.thread -> Machine.pending -> Value.t)
-    ~(on_stuck : Machine.thread list -> bool) : unit =
-  let blocked = ref [] in
-  match run_side_gen m ~blocked ~on_os_syscall ~on_stuck () with
-  | `Done -> ()
-  | `Paused _ -> assert false (* no pause predicate installed *)
-
 let master_pass ?obs ?prof (config : config) (prog : Ir.program)
     (world : World.t) : master_out =
   let os = Os.create ~pid:1000 world in
@@ -573,12 +481,8 @@ let master_pass ?obs ?prof (config : config) (prog : Ir.program)
   let is_sink = sink_pred config.sinks in
   let queues = Hashtbl.create 4 in
   let total_sinks = ref 0 in
-  let on_os_syscall th (p : Machine.pending) =
-    let sargs = List.map Value.to_sval p.Machine.sysargs in
-    let r =
-      try Os.exec ~site:p.Machine.site os p.Machine.sys sargs
-      with Os.Os_error msg -> raise (Value.Trap ("os-error: " ^ msg))
-    in
+  let on_os_call th (p : Machine.pending) sargs =
+    let r = Driver.os_exec os p sargs in
     let sink = is_sink p.Machine.sys p.Machine.site sargs in
     if sink then incr total_sinks;
     Queue.add
@@ -592,7 +496,7 @@ let master_pass ?obs ?prof (config : config) (prog : Ir.program)
       (queue_for queues th.Machine.spawn_index);
     Value.of_sval r
   in
-  run_side m ~on_os_syscall ~on_stuck:(fun _ -> false);
+  ignore (Driver.drive ~blocked:(ref []) ~on_os_call m);
   emit_summary obs Obs.Event.Master m;
   (* freeze the per-thread queues into an immutable, sorted log *)
   let mlog =
@@ -650,7 +554,7 @@ type slave_ctx = {
   mutable sc_diffs_before_first : int;          (* -1 until first report *)
   mutable sc_mutated : int;
   mutable sc_trace : trace_entry list;          (* reversed *)
-  sc_blocked : Machine.thread list ref;
+  sc_blocked : Machine.thread list ref;  (* [Driver.drive]'s blocked list *)
 }
 
 (* --- schedule replay gate over the master's lock-grant order --- *)
@@ -800,10 +704,10 @@ let cursor_for (ctx : slave_ctx) tid =
     c
 
 (* --- the slave syscall wrapper --- *)
-let slave_on_os_syscall (ctx : slave_ctx) th (p : Machine.pending) : Value.t =
+let slave_on_os_call (ctx : slave_ctx) th (p : Machine.pending) sargs :
+  Value.t =
   let os = ctx.sc_os and m = ctx.sc_m in
   let sys = p.Machine.sys and site = p.Machine.site in
-  let sargs = List.map Value.to_sval p.Machine.sysargs in
   let pos = Align.of_thread th in
   let resources = Os.resource_of_syscall os sys sargs in
   let sinkp = ctx.sc_is_sink sys site sargs in
@@ -957,20 +861,17 @@ let slave_finalize (ctx : slave_ctx) : slave_out =
 let slave_pass ?obs ?prof (config : config) (prog : Ir.program)
     (world : World.t) (mo : master_out) : slave_out =
   let ctx = fresh_slave_ctx ?obs ?prof config prog world mo in
-  (match
-     run_side_gen ctx.sc_m ~blocked:ctx.sc_blocked
-       ~on_os_syscall:(slave_on_os_syscall ctx)
-       ~on_stuck:(slave_on_stuck ctx) ()
-   with
-   | `Done -> ()
-   | `Paused _ -> assert false);
+  ignore
+    (Driver.drive ~on_stuck:(slave_on_stuck ctx) ~blocked:ctx.sc_blocked
+       ~on_os_call:(slave_on_os_call ctx) ctx.sc_m);
   slave_finalize ctx
 
 (* ------------------------------------------------------------------ *)
 (* Decouple-point snapshots: run the shared slave prefix once, pause at
    the first syscall ANY fan-out task's source spec base-matches —
-   BEFORE that syscall is serviced or mutated — capture the complete
-   slave state, then replay per-task suffixes from the capture.  The
+   BEFORE that syscall is serviced or mutated ([Driver.drive]'s [pause])
+   — capture the complete slave state, then replay per-task suffixes
+   from the capture ([first] services the paused call).  The
    pause fires before any [src_nth] occurrence counter has advanced, so
    each resume's fresh [source_matcher] sees exactly the dynamic stream
    a from-scratch run would: suffix replays are bit-identical to full
@@ -1063,21 +964,25 @@ let slave_prefix ?obs ?prof (config : config)
     ~(specs : source_spec list) (prog : Ir.program) (world : World.t)
     (mo : master_out) : prefix_out =
   let ctx = fresh_slave_ctx ?obs ?prof config prog world mo in
+  (* no source is a thread op, and [to_sval] traps on a thread op's
+     array argument *)
   let pause _th (p : Machine.pending) =
-    let sargs = List.map Value.to_sval p.Machine.sysargs in
-    let resources =
-      Os.resource_of_syscall ctx.sc_os p.Machine.sys sargs
-    in
-    List.exists
-      (fun spec ->
-         spec_base_match spec ~sys:p.Machine.sys ~site:p.Machine.site
-           ~args:sargs ~resources)
-      specs
+    (not (Driver.is_thread_op p.Machine.sys))
+    && begin
+      let sargs = List.map Value.to_sval p.Machine.sysargs in
+      let resources =
+        Os.resource_of_syscall ctx.sc_os p.Machine.sys sargs
+      in
+      List.exists
+        (fun spec ->
+           spec_base_match spec ~sys:p.Machine.sys ~site:p.Machine.site
+             ~args:sargs ~resources)
+        specs
+    end
   in
   match
-    run_side_gen ctx.sc_m ~blocked:ctx.sc_blocked ~pause
-      ~on_os_syscall:(slave_on_os_syscall ctx)
-      ~on_stuck:(slave_on_stuck ctx) ()
+    Driver.drive ~pause ~on_stuck:(slave_on_stuck ctx)
+      ~blocked:ctx.sc_blocked ~on_os_call:(slave_on_os_call ctx) ctx.sc_m
   with
   | `Done -> Prefix_done (slave_finalize ctx)
   | `Paused th ->
@@ -1165,13 +1070,9 @@ let slave_resume ?obs ?sched ?(label = "") (config : config)
     (ss : slave_snapshot) : slave_out =
   let ctx, paused = ctx_of_snapshot ?obs ?sched config prog world mo ss in
   let prefix_cycles = ctx.sc_m.Machine.cycles in
-  (match
-     run_side_gen ctx.sc_m ~blocked:ctx.sc_blocked ~first:paused
-       ~on_os_syscall:(slave_on_os_syscall ctx)
-       ~on_stuck:(slave_on_stuck ctx) ()
-   with
-   | `Done -> ()
-   | `Paused _ -> assert false);
+  ignore
+    (Driver.drive ~first:paused ~on_stuck:(slave_on_stuck ctx)
+       ~blocked:ctx.sc_blocked ~on_os_call:(slave_on_os_call ctx) ctx.sc_m);
   let out = slave_finalize ctx in
   (match obs with
    | None -> ()

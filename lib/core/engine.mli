@@ -226,16 +226,6 @@ val source_matcher :
   config ->
   sys:string -> site:int -> args:Sval.t list -> resources:string list -> bool
 
-(** Drive one execution to completion, servicing thread ops internally
-    and non-thread syscalls through [on_os_syscall]; [on_stuck] is asked
-    once when every thread is blocked (return [true] after unblocking
-    something, e.g. by tainting a gated lock). *)
-val run_side :
-  Machine.t ->
-  on_os_syscall:(Machine.thread -> Machine.pending -> Ldx_vm.Value.t) ->
-  on_stuck:(Machine.thread list -> bool) ->
-  unit
-
 (** Run the master: execute everything for real, record outcomes.
     [?obs] installs the observability hooks on the master machine and
     its OS and emits a run summary (see {!run}); [?prof] attaches a

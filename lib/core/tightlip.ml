@@ -7,6 +7,7 @@
    Table 2 contrasts with LDX, which keeps executing through nontrivial
    syscall differences and only reports real sink divergence. *)
 
+module Driver = Ldx_vm.Driver
 module Machine = Ldx_vm.Machine
 module Value = Ldx_vm.Value
 module Os = Ldx_osim.Os
@@ -52,8 +53,7 @@ let run ?(config = Engine.default_config) ?(window = 0) (prog : Ir.program)
       Hashtbl.replace cursors tid c;
       c
   in
-  let on_os_syscall th (p : Machine.pending) : Value.t =
-    let sargs = List.map Value.to_sval p.Machine.sysargs in
+  let on_os_call th (p : Machine.pending) sargs : Value.t =
     let recs = Engine.records_for mo th.Machine.spawn_index in
     let cur = cursor_for th.Machine.spawn_index in
     (* look for a match within the window *)
@@ -79,7 +79,8 @@ let run ?(config = Engine.default_config) ?(window = 0) (prog : Ir.program)
     in
     Value.of_sval v
   in
-  (try Engine.run_side m ~on_os_syscall ~on_stuck:(fun _ -> false)
+  (* the loop catches only [Value.Trap]: a mismatch ends the run *)
+  (try ignore (Driver.drive ~blocked:(ref []) ~on_os_call m)
    with Mismatch -> mismatch := true);
   let leftover = ref 0 in
   Array.iter

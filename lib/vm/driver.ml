@@ -1,9 +1,12 @@
-(* Single-execution driver ("native run").
+(* Single-execution driver ("native run") and the one event loop.
 
-   Services syscalls against the process's own OS and handles thread
-   operations with the VM primitives.  This is the baseline the overhead
-   experiments (Fig. 6) compare against, and the execution model the dual
-   engine in ldx.core extends. *)
+   [drive] is the only loop over [Machine.run_until_event]: it services
+   thread operations with the VM primitives, retries the ones that
+   block, and hands every other syscall to its caller's callback.  [run]
+   services those against the process's own OS; it is the baseline the
+   overhead experiments (Fig. 6) compare against, and the taint
+   tracker's run.  Every pass of the dual engine in ldx.core drives its
+   machine with [drive] too. *)
 
 module Os = Ldx_osim.Os
 module Sval = Ldx_osim.Sval
@@ -89,50 +92,41 @@ let os_exec os (p : Machine.pending) sargs =
   try Os.exec ~site:p.Machine.site os p.Machine.sys sargs
   with Os.Os_error msg -> raise (Value.Trap ("os-error: " ^ msg))
 
-let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
-    ?fprog ?on_os_call (prog : Ldx_cfg.Ir.program) (world : Ldx_osim.World.t)
-  : outcome =
-  let os = Os.create world in
-  let m = Machine.create ~seed ?sched ~max_steps ?fprog prog os in
-  let trace = ref [] in
-  let record th (p : Machine.pending) args result =
-    if record_trace then
-      trace :=
-        { sys = p.Machine.sys; args; result;
-          counter = Machine.counter_of th; site = p.Machine.site;
-          tid = th.Machine.tid }
-        :: !trace
+(* A trap raised while a syscall is serviced finishes the machine before
+   [provide_result], so the thread gets nothing: no [Cost.syscall], no
+   trace entry.  [pause] is asked under the same handler, before the
+   thread-op dispatch; [first] is serviced without asking it. *)
+let drive ?(pause = fun _ _ -> false) ?first ?(on_stuck = fun _ -> false)
+    ?trace ~(blocked : Machine.thread list ref) ~on_os_call (m : Machine.t) =
+  let record tr th (p : Machine.pending) args result =
+    tr :=
+      { sys = p.Machine.sys; args; result; counter = Machine.counter_of th;
+        site = p.Machine.site; tid = th.Machine.tid }
+      :: !tr
   in
-  let blocked : Machine.thread list ref = ref [] in
-  let service th =
-    let p = Machine.pending_of th in
+  let service th (p : Machine.pending) =
     if is_thread_op p.Machine.sys then begin
-      match
-        try service_thread_op m th p
-        with Value.Trap msg ->
-          m.Machine.trap <- Some msg;
-          m.Machine.finished <- true;
-          `Done Value.Unit
-      with
+      match service_thread_op m th p with
       | `Done v ->
-        record th p (List.map Value.to_sval_safe p.Machine.sysargs)
-          (Value.to_sval_safe v);
+        (match trace with
+         | Some tr ->
+           record tr th p (List.map Value.to_sval_safe p.Machine.sysargs)
+             (Value.to_sval_safe v)
+         | None -> ());
         Machine.provide_result m th v
       | `Block -> blocked := th :: !blocked
     end
     else begin
       let sargs = List.map Value.to_sval p.Machine.sysargs in
-      match on_os_call with
-      | None ->
-        let r = os_exec os p sargs in
-        record th p sargs r;
-        Machine.provide_result m th (Value.of_sval r)
-      | Some hook ->
-        let v = hook os p sargs (fun () -> os_exec os p sargs) in
-        record th p sargs (Value.to_sval v);
-        Machine.provide_result m th v
+      let v = on_os_call th p sargs in
+      (match trace with
+       | Some tr -> record tr th p sargs (Value.to_sval v)
+       | None -> ());
+      Machine.provide_result m th v
     end
   in
+  (* a blocked thread's status changes only here: each is still awaiting
+     its thread op, and a retry that completes it is not traced *)
   let retry_blocked () =
     let bs = !blocked in
     blocked := [];
@@ -140,7 +134,7 @@ let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
     List.iter
       (fun th ->
          match th.Machine.status with
-         | Machine.Awaiting p when is_thread_op p.Machine.sys ->
+         | Machine.Awaiting p ->
            (match service_thread_op m th p with
             | `Done v ->
               progress := true;
@@ -150,24 +144,54 @@ let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
       bs;
     !progress
   in
+  let paused = ref None in
+  let step ~ask th =
+    (try
+       let p = Machine.pending_of th in
+       if ask && pause th p then paused := Some th else service th p
+     with Value.Trap msg ->
+       m.Machine.trap <- Some msg;
+       m.Machine.finished <- true);
+    match !paused with None -> ignore (retry_blocked ()) | Some _ -> ()
+  in
   let rec loop () =
     match Machine.run_until_event m with
     | Machine.Ev_syscall th ->
-      (try service th with Value.Trap msg ->
-         m.Machine.trap <- Some msg;
-         m.Machine.finished <- true);
-      ignore (retry_blocked ());
-      if not m.Machine.finished then loop ()
+      step ~ask:true th;
+      next ()
     | Machine.Ev_idle ->
-      if retry_blocked () then loop ()
+      if retry_blocked () || (on_stuck !blocked && retry_blocked ()) then
+        loop ()
       else begin
         m.Machine.trap <- Some "deadlock: all threads blocked";
         m.Machine.finished <- true
       end
-    | Machine.Ev_done -> ()
-    | Machine.Ev_trap _ -> ()
+    | Machine.Ev_done | Machine.Ev_trap _ -> ()
+  and next () =
+    match !paused with
+    | None -> if not m.Machine.finished then loop ()
+    | Some _ -> ()
   in
-  loop ();
+  (match first with
+   | Some th ->
+     step ~ask:false th;
+     next ()
+   | None -> loop ());
+  match !paused with Some th -> `Paused th | None -> `Done
+
+let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
+    ?fprog ?on_os_call (prog : Ldx_cfg.Ir.program) (world : Ldx_osim.World.t)
+  : outcome =
+  let os = Os.create world in
+  let m = Machine.create ~seed ?sched ~max_steps ?fprog prog os in
+  let trace = if record_trace then Some (ref []) else None in
+  let on_os_call =
+    match on_os_call with
+    | None -> fun _ p sargs -> Value.of_sval (os_exec os p sargs)
+    | Some hook ->
+      fun _ p sargs -> hook os p sargs (fun () -> os_exec os p sargs)
+  in
+  ignore (drive ?trace ~blocked:(ref []) ~on_os_call m);
   { machine = m;
     trap = m.Machine.trap;
     cycles = m.Machine.cycles;
@@ -175,7 +199,7 @@ let run ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?(record_trace = false)
     syscalls = m.Machine.syscalls;
     stdout = Os.stdout_contents os;
     exit_code = os.Os.exit_code;
-    trace = List.rev !trace }
+    trace = (match trace with Some tr -> List.rev !tr | None -> []) }
 
 (* Convenience: parse, lower, optionally instrument, run. *)
 let run_source ?(instrument = false) ?seed ?sched ?max_steps ?record_trace src

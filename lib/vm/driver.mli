@@ -1,9 +1,12 @@
-(** Single-execution driver ("native run").
+(** Single-execution driver ("native run") and the one event loop.
 
-    Services syscalls against the process's own OS and handles thread
-    operations with the VM primitives.  The baseline the overhead
-    experiments compare against, and the loop the LDX engine's
-    master/slave passes extend. *)
+    {!drive} is the one event loop, the only caller of the machine's
+    [run_until_event]: it services thread operations with the VM
+    primitives and hands every other syscall to a callback.  {!run}
+    services those against the process's own OS: the baseline the
+    overhead experiments compare against.  The LDX engine's master,
+    slave, prefix and resume passes and TightLip are {!drive} with
+    their own callbacks. *)
 
 module Os = Ldx_osim.Os
 module Sval = Ldx_osim.Sval
@@ -31,12 +34,42 @@ type outcome = {
 (** Thread operations serviced by the VM, not the OS. *)
 val is_thread_op : string -> bool
 
-(** Service a thread-operation syscall; [`Block] leaves it pending for
-    retry (lock contention, unfinished join).
-    @raise Value.Trap on malformed requests. *)
-val service_thread_op :
-  Machine.t -> Machine.thread -> Machine.pending ->
-  [ `Done of Value.t | `Block ]
+(** [os_exec os p sargs] services [p] against [os].
+    @raise Value.Trap ["os-error: ..."] when the OS refuses the call. *)
+val os_exec : Os.t -> Machine.pending -> Sval.t list -> Sval.t
+
+(** [drive ~blocked ~on_os_call m] runs [m] until it finishes or
+    pauses.  Thread ops are serviced with the VM primitives; one that
+    blocks (lock contention, unfinished join) joins [blocked] and is
+    retried after every event.  Every other syscall goes to
+    [on_os_call th p sargs] (the arguments as the OS takes them), whose
+    result the thread receives.
+
+    A {!Value.Trap} raised while a call is serviced finishes the machine
+    with that trap, and the thread receives nothing: no result, no
+    [Cost.syscall], no trace entry.  Other exceptions leave [drive].
+
+    - [?pause th p] is asked at every syscall event, thread ops
+      included, before the call is serviced; [true] returns
+      [`Paused th] with [th] still awaiting.  It must answer [false] for
+      a call it cannot judge.
+    - [?first] services that awaiting thread (the one a pause returned)
+      before the loop resumes, without asking [pause].
+    - [?on_stuck] is asked when every thread is blocked; [true] after it
+      unblocked something (the slave taints a gated lock) retries once
+      more before the [deadlock] trap.
+    - [?trace] collects, newest first, each OS call and each thread op
+      whose first service completes it (a retry's completion is not
+      recorded). *)
+val drive :
+  ?pause:(Machine.thread -> Machine.pending -> bool) ->
+  ?first:Machine.thread ->
+  ?on_stuck:(Machine.thread list -> bool) ->
+  ?trace:trace_entry list ref ->
+  blocked:Machine.thread list ref ->
+  on_os_call:(Machine.thread -> Machine.pending -> Sval.t list -> Value.t) ->
+  Machine.t ->
+  [ `Done | `Paused of Machine.thread ]
 
 (** Run a program against a fresh instantiation of the world.
     [?sched] installs an instantiated scheduler state

@@ -251,8 +251,6 @@ let create ?(seed = 0) ?sched ?(max_steps = 30_000_000) ?prof ?fprog
     on_obs_sched = None;
     prof }
 
-let main_thread t = List.hd t.threads
-
 (* Flat-block base of [fname] in the attached profile (0 when off). *)
 let prof_base_of t fname =
   match t.prof with None -> 0 | Some p -> Profile.base_of p fname
@@ -506,11 +504,6 @@ let pop_frame t (th : thread) (retval : Value.t) =
 (* ------------------------------------------------------------------ *)
 (* Driver interface for pending events.                                 *)
 
-let provide_result_hook :
-  (t -> thread -> unit) ref = ref (fun _ _ -> ())
-
-let () = provide_result_hook := deliver_signals
-
 let provide_result t (th : thread) (v : Value.t) =
   match th.status with
   | Awaiting p ->
@@ -526,7 +519,7 @@ let provide_result t (th : thread) (v : Value.t) =
     (match t.on_obs_syscall with Some f -> f t th p | None -> ());
     th.status <- Runnable;
     (* signal delivery point: syscall return *)
-    !provide_result_hook t th
+    deliver_signals t th
   | Runnable | Finished _ ->
     invalid_arg "Machine.provide_result: thread not awaiting"
 
@@ -837,11 +830,6 @@ let run_quantum_flat t (th : thread) ~lone (q0 : int) : event option =
 (* ------------------------------------------------------------------ *)
 (* Scheduling.                                                         *)
 
-let runnable_threads t =
-  List.filter
-    (fun th -> match th.status with Runnable -> true | _ -> false)
-    t.threads
-
 let run_until_event (t : t) : event =
   let rec loop () =
     if Ldx_osim.Os.exited t.os then begin
@@ -902,22 +890,11 @@ let run_until_event (t : t) : event =
       t.finished <- true;
       Ev_trap msg
 
-(* All threads currently awaiting the driver. *)
-let awaiting_threads t =
-  List.filter
-    (fun th -> match th.status with Awaiting _ -> true | _ -> false)
-    t.threads
-
 let pending_of (th : thread) =
   match th.status with
   | Awaiting p -> p
   | Runnable | Finished _ ->
     invalid_arg "Machine.pending_of: thread not awaiting"
-
-let result_of_main t =
-  match (main_thread t).status with
-  | Finished v -> Some v
-  | Runnable | Awaiting _ -> None
 
 (* Average dynamic counter value (Table 1 "Dyn. Cnt"). *)
 let dyn_cnt_avg t =

@@ -175,7 +175,6 @@ val create :
   ?seed:int -> ?sched:Sched.state -> ?max_steps:int -> ?prof:Profile.t ->
   ?fprog:compiled -> Ir.program -> Ldx_osim.Os.t -> t
 
-val main_thread : t -> thread
 val cur_seg : thread -> seg
 val cur_frame : thread -> frame
 
@@ -239,13 +238,8 @@ val provide_result : t -> thread -> Value.t -> unit
     exception. *)
 val run_until_event : t -> event
 
-val runnable_threads : t -> thread list
-val awaiting_threads : t -> thread list
-
 (** @raise Invalid_argument if the thread is not [Awaiting]. *)
 val pending_of : thread -> pending
-
-val result_of_main : t -> Value.t option
 
 (** Average dynamic counter value over syscall events (Table 1). *)
 val dyn_cnt_avg : t -> float

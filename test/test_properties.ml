@@ -48,16 +48,25 @@ let prop_instrumentation_total (p : Ast.program) =
 
 (* P2: a native run of the instrumented program behaves exactly like the
    uninstrumented one (same stdout, same syscall count) — counter
-   maintenance is semantically transparent. *)
+   maintenance is semantically transparent — and the master pass, the
+   same loop with the engine's OS callback, is that native run (same
+   stdout, trap, steps, cycles and syscalls). *)
 let prop_instrumentation_transparent (p : Ast.program) =
   let plain = Driver.run (lower_gen p) test_world in
-  let instr =
-    Driver.run (fst (Counter.instrument (lower_gen p))) test_world
+  let prog = fst (Counter.instrument (lower_gen p)) in
+  let instr = Driver.run prog test_world in
+  let ms =
+    (Engine.master_pass Engine.default_config prog test_world).Engine.msummary
   in
   plain.Driver.trap = None
   && instr.Driver.trap = None
   && String.equal plain.Driver.stdout instr.Driver.stdout
   && plain.Driver.syscalls = instr.Driver.syscalls
+  && String.equal ms.Engine.stdout instr.Driver.stdout
+  && ms.Engine.trap = instr.Driver.trap
+  && ms.Engine.steps = instr.Driver.steps
+  && ms.Engine.cycles = instr.Driver.cycles
+  && ms.Engine.syscalls = instr.Driver.syscalls
 
 (* P3: alignment completeness — dual-executing any structured program
    with NO mutation yields zero syscall differences, no reports, and a

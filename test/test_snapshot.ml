@@ -19,7 +19,6 @@ module Campaign = Ldx_core.Campaign
 module Mutation = Ldx_core.Mutation
 module Os = Ldx_osim.Os
 module World = Ldx_osim.World
-module Sval = Ldx_osim.Sval
 module Store = Ldx_store.Store
 module Workload = Ldx_workloads.Workload
 module Registry = Ldx_workloads.Registry
@@ -36,119 +35,19 @@ let test_world =
     |> with_endpoint "in" [ "3"; "14"; "15"; "9"; "2"; "6"; "5"; "35"; "8" ])
 
 (* ------------------------------------------------------------------ *)
-(* A pausable native driver: [Driver.run]'s loop with a stop-at-the-
-   k-th-syscall-event hook (the thread left Awaiting, exactly what a
-   snapshot captures) and a [?first] re-entry hook that services the
-   thread a previous pause skipped.  The blocked list is derived from
-   thread statuses on entry, so it survives the capture/restore hop. *)
+(* The product loop, [Driver.drive], servicing OS calls natively.
+   [pause_at k] stops it at the k-th syscall event, thread ops included,
+   with the thread left Awaiting (exactly what a snapshot captures);
+   [~first] services that thread when the run goes on. *)
 
-type tr = (string * Sval.t list * Sval.t * int * int * int) list
-
-let drive ?(pause_at = max_int) ?first (m : Machine.t) :
-  [ `Done of tr | `Paused of tr * Machine.thread ] =
-  let os = m.Machine.os in
-  let trace : tr ref = ref [] in
-  let blocked =
-    ref
-      (List.filter
-         (fun th ->
-            (match first with Some f -> th != f | None -> true)
-            && (match th.Machine.status with
-                | Machine.Awaiting p -> Driver.is_thread_op p.Machine.sys
-                | _ -> false))
-         m.Machine.threads)
-  in
+let pause_at k =
   let seen = ref 0 in
-  let record sys args result th site =
-    trace :=
-      (sys, args, result, Machine.counter_of th, site, th.Machine.tid)
-      :: !trace
-  in
-  let service th =
-    let p = Machine.pending_of th in
-    if Driver.is_thread_op p.Machine.sys then begin
-      match
-        try Driver.service_thread_op m th p
-        with Value.Trap msg ->
-          m.Machine.trap <- Some msg;
-          m.Machine.finished <- true;
-          `Done Value.Unit
-      with
-      | `Done v ->
-        record p.Machine.sys
-          (List.map Value.to_sval_safe p.Machine.sysargs)
-          (Value.to_sval_safe v) th p.Machine.site;
-        Machine.provide_result m th v
-      | `Block -> blocked := th :: !blocked
-    end
-    else begin
-      let sargs = List.map Value.to_sval p.Machine.sysargs in
-      let r =
-        try Os.exec ~site:p.Machine.site os p.Machine.sys sargs
-        with Os.Os_error msg -> raise (Value.Trap ("os-error: " ^ msg))
-      in
-      record p.Machine.sys sargs r th p.Machine.site;
-      Machine.provide_result m th (Value.of_sval r)
-    end
-  in
-  (* Retry in tid order: the grant order then depends only on the SET
-     of blocked threads, which the post-restore reconstruction above
-     recovers exactly (the list order would be lost). *)
-  let retry_blocked () =
-    let bs =
-      List.sort
-        (fun a b -> compare a.Machine.tid b.Machine.tid)
-        !blocked
-    in
-    blocked := [];
-    let progress = ref false in
-    List.iter
-      (fun th ->
-         match th.Machine.status with
-         | Machine.Awaiting p when Driver.is_thread_op p.Machine.sys ->
-           (match Driver.service_thread_op m th p with
-            | `Done v ->
-              progress := true;
-              Machine.provide_result m th v
-            | `Block -> blocked := th :: !blocked)
-         | _ -> ())
-      bs;
-    !progress
-  in
-  let paused = ref None in
-  let step th =
-    (try service th
-     with Value.Trap msg ->
-       m.Machine.trap <- Some msg;
-       m.Machine.finished <- true);
-    ignore (retry_blocked ())
-  in
-  let rec loop () =
-    match Machine.run_until_event m with
-    | Machine.Ev_syscall th ->
-      if !seen >= pause_at then paused := Some th
-      else begin
-        incr seen;
-        step th;
-        if not m.Machine.finished then loop ()
-      end
-    | Machine.Ev_idle ->
-      if retry_blocked () then loop ()
-      else begin
-        m.Machine.trap <- Some "deadlock: all threads blocked";
-        m.Machine.finished <- true
-      end
-    | Machine.Ev_done -> ()
-    | Machine.Ev_trap _ -> ()
-  in
-  (match first with
-   | Some th ->
-     step th;
-     if not m.Machine.finished then loop ()
-   | None -> loop ());
-  match !paused with
-  | Some th -> `Paused (List.rev !trace, th)
-  | None -> `Done (List.rev !trace)
+  fun _ _ -> !seen >= k || (incr seen; false)
+
+let run_native ?pause ?first ~blocked ~trace (m : Machine.t) =
+  Driver.drive ?pause ?first ~trace ~blocked m
+    ~on_os_call:(fun _ p sargs ->
+        Value.of_sval (Driver.os_exec m.Machine.os p sargs))
 
 type sobs = {
   o_stdout : string;
@@ -156,7 +55,7 @@ type sobs = {
   o_steps : int;
   o_cycles : int;
   o_syscalls : int;
-  o_trace : tr;
+  o_trace : Driver.trace_entry list;
 }
 
 let obs_of (m : Machine.t) trace =
@@ -179,35 +78,35 @@ let prop_snapshot_roundtrip (p, seed, k) =
     fst (Ldx_instrument.Counter.instrument (Ldx_cfg.Lower.lower_program p))
   in
   let uninterrupted =
-    let m = fresh_machine ~seed prog in
-    match drive m with
-    | `Done t -> obs_of m t
-    | `Paused _ -> assert false
+    let m = fresh_machine ~seed prog and trace = ref [] in
+    ignore (run_native ~blocked:(ref []) ~trace m);
+    obs_of m !trace
   in
   let m1 = fresh_machine ~seed prog in
-  match drive ~pause_at:k m1 with
-  | `Done t ->
+  let blocked = ref [] and trace = ref [] in
+  match run_native ~pause:(pause_at k) ~blocked ~trace m1 with
+  | `Done ->
     (* fewer than k syscalls: nothing to pause, the run itself must
        already match *)
-    obs_of m1 t = uninterrupted
-  | `Paused (prefix, th) ->
+    obs_of m1 !trace = uninterrupted
+  | `Paused th ->
     let snap = Snap.capture m1 in
     let m2 = Snap.restore ~fprog:m1.Machine.fprog prog snap in
-    let th2 =
+    (* the blocked list crosses the hop by tid, as [Engine]'s snapshots
+       carry it by spawn index *)
+    let restored_thread th =
       match Machine.find_thread m2 th.Machine.tid with
       | Some t -> t
-      | None -> Alcotest.fail "restored machine lost the paused thread"
+      | None -> Alcotest.fail "restored machine lost a thread"
     in
-    let restored =
-      match drive ~first:th2 m2 with
-      | `Done suffix -> obs_of m2 (prefix @ suffix)
-      | `Paused _ -> assert false
-    in
-    let continued =
-      match drive ~first:th m1 with
-      | `Done suffix -> obs_of m1 (prefix @ suffix)
-      | `Paused _ -> assert false
-    in
+    let trace2 = ref !trace in
+    ignore
+      (run_native ~first:(restored_thread th)
+         ~blocked:(ref (List.map restored_thread !blocked))
+         ~trace:trace2 m2);
+    let restored = obs_of m2 !trace2 in
+    ignore (run_native ~first:th ~blocked ~trace m1);
+    let continued = obs_of m1 !trace in
     restored = uninterrupted && continued = uninterrupted
 
 let with_pause gen =
@@ -234,9 +133,9 @@ let paused_snapshot () =
              let b = recv(c); send(c, a); send(c, b); }"))
   in
   let m = fresh_machine ~seed:7 prog in
-  match drive ~pause_at:2 m with
-  | `Paused (_, _) -> (prog, m)
-  | `Done _ -> Alcotest.fail "expected a pause"
+  match run_native ~pause:(pause_at 2) ~blocked:(ref []) ~trace:(ref []) m with
+  | `Paused _ -> (prog, m)
+  | `Done -> Alcotest.fail "expected a pause"
 
 let test_capture_deterministic () =
   let _, m = paused_snapshot () in
@@ -353,6 +252,27 @@ let test_incremental_identity () =
          params
      in
      List.exists (fun o -> (Campaign.result_exn o).Engine.leak) outs)
+
+(* The loop asks the decouple point's predicate about thread ops too,
+   and it must answer false: a [spawn] handing its thread an array
+   before the first source would otherwise trap the prefix. *)
+let test_prefix_passes_thread_ops () =
+  let prog =
+    fst
+      (Ldx_instrument.Counter.instrument
+         (Ldx_cfg.Lower.lower_source
+            ("fn worker(a) { a[0] = 1; return 0; } fn main() { \
+              let a = mkarray(1, 0); let t = spawn(@worker, a); join(t); \
+              let fd = open(\"/etc/secret\"); let s = read(fd, 16); \
+              close(fd); let c = socket(\"cli\"); let m = recv(c); \
+              if (m == s) { send(c, \"yes\"); } else { send(c, \"no\"); } }")))
+  in
+  let table incremental =
+    Campaign.render
+      (Campaign.run ~incremental ~config:camp_config prog camp_world
+         (camp_params ()))
+  in
+  check string "incremental table" (table false) (table true)
 
 (* Journal written by a FULL campaign, truncated to two outcomes (a
    kill at a record boundary), resumed with incremental mode on: the
@@ -485,6 +405,8 @@ let tests =
       test_snapshot_through_store;
     Alcotest.test_case "incremental campaign tables byte-identical" `Quick
       test_incremental_identity;
+    Alcotest.test_case "prefix passes thread ops" `Quick
+      test_prefix_passes_thread_ops;
     Alcotest.test_case "full journal resumes incrementally" `Quick
       test_resume_incremental;
     Alcotest.test_case "foreign-config snapshot rejected" `Quick

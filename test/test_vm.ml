@@ -3,6 +3,7 @@
 module World = Ldx_osim.World
 module Driver = Ldx_vm.Driver
 module Value = Ldx_vm.Value
+module Engine = Ldx_core.Engine
 
 let check = Alcotest.check
 let string = Alcotest.string
@@ -231,6 +232,25 @@ let test_fuel () =
   in
   check Alcotest.bool "fuel trap" true (o.Driver.trap <> None)
 
+(* A thread op that traps hands its thread nothing, in a native run as
+   in the master pass: no result, no [Cost.syscall], no trace entry. *)
+let test_thread_op_trap () =
+  List.iter
+    (fun call ->
+       let src = Printf.sprintf {| fn main() { print("a"); %s; } |} call in
+       let o = run ~instrument:true src in
+       let ms = (Engine.run_source src World.empty).Engine.master in
+       check Alcotest.bool (call ^ " traps") true (o.Driver.trap <> None);
+       check (Alcotest.option string) (call ^ " trap") ms.Engine.trap
+         o.Driver.trap;
+       check int (call ^ " steps") ms.Engine.steps o.Driver.steps;
+       check int (call ^ " cycles") ms.Engine.cycles o.Driver.cycles;
+       check int (call ^ " syscalls") ms.Engine.syscalls o.Driver.syscalls;
+       check (Alcotest.list string) (call ^ " trace ends at the print")
+         [ "print" ]
+         (List.map (fun t -> t.Driver.sys) o.Driver.trace))
+    [ "spawn(3, 0)"; "alarm(\"x\")"; "longjmp(5)" ]
+
 let tests =
   [ Alcotest.test_case "hello" `Quick test_hello;
     Alcotest.test_case "arith" `Quick test_arith;
@@ -252,4 +272,6 @@ let tests =
     Alcotest.test_case "trace counters" `Quick
       test_trace_counters_monotone_without_loops;
     Alcotest.test_case "exit" `Quick test_exit;
-    Alcotest.test_case "fuel" `Quick test_fuel ]
+    Alcotest.test_case "fuel" `Quick test_fuel;
+    Alcotest.test_case "thread-op trap hands nothing" `Quick
+      test_thread_op_trap ]
