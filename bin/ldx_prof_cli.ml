@@ -1,30 +1,19 @@
-(* ldx_prof: render, diff and regression-gate LDX profiles and bench
-   results.
+(* ldx_prof: render and diff LDX profiles.
 
      ldx_prof render prof.json [--folded]
      ldx_prof diff base.json cur.json
-     ldx_prof bench-diff BENCH_baseline.json BENCH_results.json \
-       [--threshold R] [--cycles-only]          # exit 1 on regression
-     ldx_prof bench-diff BENCH_results.json --self-test
 
-   Profiles come from `ldx_run --profile-json`; bench results from the
-   bench runner's BENCH_results.json (schema ldx-bench/1). *)
+   Profiles come from `ldx_run --profile-json`. *)
 
 open Cmdliner
 module Report = Ldx_prof.Report
-module Bench_diff = Ldx_prof.Bench_diff
 module J = Ldx_obs.Json
 
-let read_json path =
-  match J.parse (In_channel.with_open_text path In_channel.input_all) with
-  | Ok j -> Ok j
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-
 let read_profile path =
-  Result.bind (read_json path) (fun j ->
-      match Report.of_json j with
-      | Ok d -> Ok d
-      | Error e -> Error (Printf.sprintf "%s: %s" path e))
+  Result.bind
+    (J.parse (In_channel.with_open_text path In_channel.input_all))
+    Report.of_json
+  |> Result.map_error (Printf.sprintf "%s: %s" path)
 
 let render_cmd =
   let file =
@@ -74,89 +63,6 @@ let diff_cmd =
        ~doc:"Per-opcode / per-block cycle deltas between two profile JSONs")
     Term.(ret (const run $ base $ cur))
 
-let bench_diff_cmd =
-  let base =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE.json")
-  in
-  let cur =
-    Arg.(value & pos 1 (some file) None & info [] ~docv:"CURRENT.json")
-  in
-  let threshold =
-    Arg.(value & opt float 0.3
-         & info [ "threshold" ] ~docv:"R"
-           ~doc:"Wall-time slack: flag a kernel only when current > \
-                 baseline * (1 + $(docv)).  Engine counters always use \
-                 zero tolerance — they are bit-deterministic.")
-  in
-  let cycles_only =
-    Arg.(value & flag
-         & info [ "cycles-only" ]
-           ~doc:"Compare only the deterministic engine counters and skip \
-                 host wall times — the CI mode, where shared runners make \
-                 wall time meaningless.")
-  in
-  let self_test =
-    Arg.(value & flag
-         & info [ "self-test" ]
-           ~doc:"Gate sanity check on BASELINE alone: assert that the file \
-                 passes against itself and that a synthetically slowed \
-                 copy (10x one wall time, +1 on one wall_cycles counter) \
-                 trips the gate.  Exits nonzero if either assertion \
-                 fails.")
-  in
-  let run base cur threshold cycles_only self_test =
-    let ( let* ) r f =
-      match r with Ok v -> f v | Error e -> `Error (false, e)
-    in
-    let* bj = read_json base in
-    if self_test then begin
-      let* same =
-        Bench_diff.compare ~threshold ~cycles_only:false ~baseline:bj
-          ~current:bj ()
-      in
-      let* doctored = Bench_diff.doctor bj in
-      let* tripped =
-        Bench_diff.compare ~threshold ~cycles_only:false ~baseline:bj
-          ~current:doctored ()
-      in
-      if same.Bench_diff.bd_regressions <> 0 then
-        `Error (false, "self-test: identical inputs flagged as regression")
-      else if tripped.Bench_diff.bd_regressions < 2 then
-        `Error
-          ( false,
-            Printf.sprintf
-              "self-test: doctored slowdown not caught (%d regressions)"
-              tripped.Bench_diff.bd_regressions )
-      else begin
-        Printf.printf
-          "self-test ok: identical inputs pass (%d checks), doctored run \
-           trips %d regressions\n"
-          same.Bench_diff.bd_checks tripped.Bench_diff.bd_regressions;
-        `Ok ()
-      end
-    end
-    else
-      match cur with
-      | None -> `Error (true, "CURRENT.json is required unless --self-test")
-      | Some cur ->
-        let* cj = read_json cur in
-        let* out =
-          Bench_diff.compare ~threshold ~cycles_only ~baseline:bj
-            ~current:cj ()
-        in
-        print_string out.Bench_diff.bd_report;
-        if out.Bench_diff.bd_regressions > 0 then exit 1 else `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:"Regression gate over two BENCH_results.json runs: exact \
-             equality on deterministic engine counters, threshold ratio \
-             on host wall times; exits 1 on any regression")
-    Term.(ret (const run $ base $ cur $ threshold $ cycles_only $ self_test))
-
 let () =
-  let info =
-    Cmd.info "ldx_prof"
-      ~doc:"Render, diff and regression-gate LDX profiles and bench results"
-  in
-  exit (Cmd.eval (Cmd.group info [ render_cmd; diff_cmd; bench_diff_cmd ]))
+  let info = Cmd.info "ldx_prof" ~doc:"Render and diff LDX profiles" in
+  exit (Cmd.eval (Cmd.group info [ render_cmd; diff_cmd ]))

@@ -789,8 +789,8 @@ module Service = struct
         let tasks = Array.of_list params in
         (* each worker records its own master pass — deterministic, so
            every worker's copy is byte-identical — but lazily: a worker
-           joining a drained queue pays nothing.  [?master] lets
-           in-process callers (bench, tests) share one recording. *)
+           joining a drained queue pays nothing.  [?master] lets an
+           in-process caller (perfbench) share one recording. *)
         let mo =
           lazy
             (match master with

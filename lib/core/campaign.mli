@@ -211,7 +211,7 @@ val fan_out :
 
     [?sync] (default off) makes the journal [fsync] on checkpoint and
     every append — power-loss durability at one disk round-trip per
-    task (overhead measured in bench, "durable" entry).
+    task.
 
     [?incremental] (default off) executes the shared slave prefix ONCE
     — pausing at the first syscall any task's source spec base-matches
@@ -326,7 +326,7 @@ module Service : sig
       ([`Complete]) or [stop] turns true ([`Drained] — the in-flight
       task finishes first; see [Ldx_queue.Queue.Worker.run] for
       [ttl_us]/[heartbeat_us]/[poll_us]).  [?master] shares a
-      pre-recorded master pass (in-process callers: bench, tests);
+      pre-recorded master pass (the in-process caller: perfbench);
       without it the worker records its own, lazily, so joining a
       drained queue costs nothing. *)
   val worker :

@@ -256,9 +256,4 @@ let to_int = function
   | Float f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
-let to_float = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None
-
 let to_str = function Str s -> Some s | _ -> None

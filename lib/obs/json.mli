@@ -35,7 +35,4 @@ val member : string -> t -> t option
 (** [Int], or an integral [Float]. *)
 val to_int : t -> int option
 
-(** Any number, as float. *)
-val to_float : t -> float option
-
 val to_str : t -> string option

@@ -143,7 +143,7 @@ type t
     checkpoint and after {e every} append: the flush-per-record
     default survives process crashes (the OS holds the data), [sync]
     survives power loss, at the cost of one disk round-trip per
-    record (measured in bench, "durable" entry).
+    record.
     @raise Sys_error on I/O failure. *)
 val checkpoint : path:string -> ?sync:bool -> manifest -> (int * string) list -> t
 

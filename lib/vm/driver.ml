@@ -126,23 +126,27 @@ let drive ?(pause = fun _ _ -> false) ?first ?(on_stuck = fun _ -> false)
     end
   in
   (* a blocked thread's status changes only here: each is still awaiting
-     its thread op, and a retry that completes it is not traced *)
+     its thread op, and a retry that completes it is not traced.  It runs
+     after every syscall event, so with nothing blocked it allocates
+     nothing *)
   let retry_blocked () =
-    let bs = !blocked in
-    blocked := [];
-    let progress = ref false in
-    List.iter
-      (fun th ->
-         match th.Machine.status with
-         | Machine.Awaiting p ->
-           (match service_thread_op m th p with
-            | `Done v ->
-              progress := true;
-              Machine.provide_result m th v
-            | `Block -> blocked := th :: !blocked)
-         | _ -> ())
-      bs;
-    !progress
+    match !blocked with
+    | [] -> false
+    | bs ->
+      blocked := [];
+      let progress = ref false in
+      List.iter
+        (fun th ->
+           match th.Machine.status with
+           | Machine.Awaiting p ->
+             (match service_thread_op m th p with
+              | `Done v ->
+                progress := true;
+                Machine.provide_result m th v
+              | `Block -> blocked := th :: !blocked)
+           | _ -> ())
+        bs;
+      !progress
   in
   let paused = ref None in
   let step ~ask th =

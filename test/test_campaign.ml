@@ -783,28 +783,41 @@ let write_file path text =
   Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 (* Resuming a complete journal replays every outcome verbatim (no
-   master pass, no task re-runs) and renders byte-identically. *)
+   master pass, no task re-runs) and renders byte-identically.  Cut to
+   its first k of n outcome records (a kill at a record boundary), it
+   replays those k and runs only the other n - k. *)
 let test_campaign_resume_complete () =
   let prog = instrumented attribution_src in
   let config = attribution_config in
   let params = campaign_params config in
+  let n = List.length params in
   with_journal @@ fun path ->
   let outs = Campaign.run ~journal:path ~config prog attribution_world params in
   let reference = Campaign.render outs in
-  let resumed = ref None in
-  let obs =
-    Obs.Sink.of_fn (function
-      | Obs.Event.Resume { replayed; rerun; torn; _ } ->
-        resumed := Some (replayed, rerun, torn)
-      | _ -> ())
+  let resume_leg what ((_, rerun, _) as expected) =
+    let resumed = ref None and begun = ref 0 in
+    let obs =
+      Obs.Sink.of_fn (function
+        | Obs.Event.Resume { replayed; rerun; torn; _ } ->
+          resumed := Some (replayed, rerun, torn)
+        | Obs.Event.Task_begin _ -> incr begun
+        | _ -> ())
+    in
+    match
+      Campaign.resume ~obs ~journal:path ~config prog attribution_world params
+    with
+    | Error e -> Alcotest.fail e
+    | Ok outs' ->
+      Alcotest.(check string) (what ^ ": resume renders byte-identically")
+        reference (Campaign.render outs');
+      Alcotest.(check (option (triple int int int)))
+        (what ^ ": replayed, re-run, torn") (Some expected) !resumed;
+      check int (what ^ ": tasks run") rerun !begun
   in
-  match Campaign.resume ~obs ~journal:path ~config prog attribution_world params with
-  | Error e -> Alcotest.fail e
-  | Ok outs' ->
-    Alcotest.(check string) "resume renders byte-identically" reference
-      (Campaign.render outs');
-    check bool "all replayed, none re-run, nothing torn" true
-      (!resumed = Some (List.length params, 0, 0))
+  resume_leg "complete" (n, 0, 0);
+  let k = n / 2 in
+  Test_snapshot.truncate_journal path k;
+  resume_leg "cut" (k, n - k, 0)
 
 (* A journal written under one configuration refuses to resume another:
    different tasks, a different deadline, or different retry controls

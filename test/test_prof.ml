@@ -1,15 +1,14 @@
 (* Profiler tests: the no-perturbation invariant (verdicts and engine
    counters bit-identical with profiling on or off), cost-accounting
    exactness (profile totals equal the machine clocks, the report wall
-   equals the engine's wall_cycles), report format round-trips, the
-   bench-diff regression gate, and the campaign trace lanes at jobs>1. *)
+   equals the engine's wall_cycles), report format round-trips, and the
+   campaign trace lanes at jobs>1. *)
 
 module Engine = Ldx_core.Engine
 module Campaign = Ldx_core.Campaign
 module Mutation = Ldx_core.Mutation
 module Profile = Ldx_vm.Profile
 module Report = Ldx_prof.Report
-module Bench_diff = Ldx_prof.Bench_diff
 module Workload = Ldx_workloads.Workload
 module Registry = Ldx_workloads.Registry
 module Obs = Ldx_obs
@@ -178,130 +177,6 @@ let test_render_shape () =
                    r.Engine.wall_cycles))
 
 (* ------------------------------------------------------------------ *)
-(* bench-diff regression gate.                                         *)
-
-let bench_fixture =
-  J.Obj
-    [ ("schema", J.Str "ldx-bench/1");
-      ( "wall_times",
-        J.Obj
-          [ ("ldx kernel_a", J.Float 1000.);
-            ("ldx kernel_b", J.Float 250.);
-            ("ldx kernel_c", J.Null) ] );
-      ( "engine_counters",
-        J.Obj
-          [ ( "w1",
-              J.Obj
-                [ ("leak", J.Bool true);
-                  ("copies", J.Int 7);
-                  ("wall_cycles", J.Int 500) ] );
-            ( "w2",
-              J.Obj [ ("leak", J.Bool false); ("wall_cycles", J.Int 42) ] )
-          ] ) ]
-
-let diff_exn ?threshold ?cycles_only baseline current =
-  match Bench_diff.compare ?threshold ?cycles_only ~baseline ~current () with
-  | Ok o -> o
-  | Error e -> Alcotest.failf "bench-diff failed: %s" e
-
-let test_bench_diff_identical () =
-  let o = diff_exn bench_fixture bench_fixture in
-  check int "no regressions on identical runs" 0 o.Bench_diff.bd_regressions;
-  check bool "counters were actually compared" true
-    (o.Bench_diff.bd_checks >= 5)
-
-let test_bench_diff_doctored () =
-  let doctored =
-    match Bench_diff.doctor bench_fixture with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "doctor failed: %s" e
-  in
-  let o = diff_exn bench_fixture doctored in
-  check bool "doctored slowdown trips the gate" true
-    (o.Bench_diff.bd_regressions >= 2);
-  check bool "wall regression reported" true
-    (contains o.Bench_diff.bd_report "wall");
-  check bool "counter regression reported" true
-    (contains o.Bench_diff.bd_report "wall_cycles");
-  (* cycles-only mode ignores the wall slowdown but still catches the
-     counter change *)
-  let oc = diff_exn ~cycles_only:true bench_fixture doctored in
-  check int "cycles-only catches exactly the counter" 1
-    oc.Bench_diff.bd_regressions
-
-let test_bench_diff_threshold () =
-  let bump =
-    J.Obj
-      [ ("schema", J.Str "ldx-bench/1");
-        ( "wall_times",
-          J.Obj
-            [ ("ldx kernel_a", J.Float 1200.);
-              ("ldx kernel_b", J.Float 250.);
-              ("ldx kernel_c", J.Null) ] );
-        (match bench_fixture with
-         | J.Obj l -> List.nth l 2
-         | _ -> assert false) ]
-  in
-  (* +20% passes at the default 30% slack, fails at 10% *)
-  check int "within threshold" 0
-    (diff_exn bench_fixture bump).Bench_diff.bd_regressions;
-  check int "beyond tighter threshold" 1
-    (diff_exn ~threshold:0.1 bench_fixture bump).Bench_diff.bd_regressions
-
-let test_bench_diff_missing_workload () =
-  let pruned =
-    J.Obj
-      [ ("schema", J.Str "ldx-bench/1");
-        ( "wall_times",
-          match J.member "wall_times" bench_fixture with
-          | Some w -> w
-          | None -> assert false );
-        ( "engine_counters",
-          J.Obj
-            [ ( "w1",
-                J.Obj
-                  [ ("leak", J.Bool true);
-                    ("copies", J.Int 7);
-                    ("wall_cycles", J.Int 500) ] ) ] ) ]
-  in
-  check bool "dropped workload is a regression" true
-    ((diff_exn bench_fixture pruned).Bench_diff.bd_regressions >= 1)
-
-(* The durable entry's resume counters are exact, and stay gated when
-   wall times are skipped. *)
-let test_bench_diff_durable_exact () =
-  let with_durable ~replayed ~rerun ~resume_s =
-    match bench_fixture with
-    | J.Obj l ->
-      J.Obj
-        (l
-         @ [ ( "durable",
-               J.Obj
-                 [ ("resume_replayed", J.Int replayed);
-                   ("resume_rerun", J.Int rerun);
-                   ("resume_s", J.Float resume_s) ] ) ])
-    | _ -> assert false
-  in
-  let base = with_durable ~replayed:10 ~rerun:10 ~resume_s:0.1 in
-  List.iter
-    (fun cycles_only ->
-       check int "timing alone never trips it" 0
-         (diff_exn ~cycles_only base
-            (with_durable ~replayed:10 ~rerun:10 ~resume_s:9.))
-           .Bench_diff.bd_regressions;
-       check int "one extra re-run trips it" 1
-         (diff_exn ~cycles_only base
-            (with_durable ~replayed:10 ~rerun:11 ~resume_s:0.1))
-           .Bench_diff.bd_regressions;
-       check int "a lost replay trips it" 1
-         (diff_exn ~cycles_only base
-            (with_durable ~replayed:9 ~rerun:10 ~resume_s:0.1))
-           .Bench_diff.bd_regressions;
-       check int "a missing entry trips it" 1
-         (diff_exn ~cycles_only base bench_fixture).Bench_diff.bd_regressions)
-    [ true; false ]
-
-(* ------------------------------------------------------------------ *)
 (* Campaign trace lanes.                                               *)
 
 (* Synthetic golden mimicking the collected (jobs>1) event stream: the
@@ -434,15 +309,6 @@ let tests =
     Alcotest.test_case "profile json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "folded stacks sum to clocks" `Quick test_folded_sums;
     Alcotest.test_case "render shape" `Quick test_render_shape;
-    Alcotest.test_case "bench-diff identical" `Quick
-      test_bench_diff_identical;
-    Alcotest.test_case "bench-diff doctored" `Quick test_bench_diff_doctored;
-    Alcotest.test_case "bench-diff threshold" `Quick
-      test_bench_diff_threshold;
-    Alcotest.test_case "bench-diff missing workload" `Quick
-      test_bench_diff_missing_workload;
-    Alcotest.test_case "bench-diff durable resume counters exact" `Quick
-      test_bench_diff_durable_exact;
     Alcotest.test_case "campaign trace golden" `Quick
       test_campaign_trace_golden;
     Alcotest.test_case "campaign trace at jobs>1" `Quick

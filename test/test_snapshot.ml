@@ -228,30 +228,83 @@ let camp_prog =
 
 let camp_params () = Campaign.of_strategies camp_config Mutation.all_strategies
 
+(* A campaign the incremental tests run both ways.  Where the shared
+   prefix's cycles are pinned, incremental mode must also execute at
+   least 1.5x fewer slave cycles than full mode. *)
+type camp = {
+  c_label : string;
+  c_prog : Ldx_cfg.Ir.program Lazy.t;
+  c_world : World.t;
+  c_config : Engine.config;
+  c_params : Campaign.slave_params list;
+  c_prefix_cycles : int option;
+}
+
+let short_prefix =
+  { c_label = "short prefix"; c_prog = camp_prog; c_world = camp_world;
+    c_config = camp_config; c_params = camp_params (); c_prefix_cycles = None }
+
+(* A 60,000-iteration loop runs before the one [recv] source, so the 24
+   [Random_replace] variants share nearly all of their slave pass: full
+   mode runs that prefix once per task, incremental mode once. *)
+let long_prefix_config =
+  { Engine.default_config with
+    Engine.sources = [ Engine.source ~sys:"recv" () ];
+    sinks = Engine.Network_outputs }
+
+let long_prefix =
+  { c_label = "long prefix";
+    c_prog =
+      lazy
+        (fst
+           (Ldx_instrument.Counter.instrument
+              (Ldx_cfg.Lower.lower_source
+                 "fn main() {\n\
+                 \  let acc = 0;\n\
+                 \  for (let i = 0; i < 60000; i = i + 1) {\n\
+                 \    acc = (acc * 31 + i) % 65521;\n\
+                 \  }\n\
+                 \  let c = socket(\"input\");\n\
+                 \  let m = recv(c);\n\
+                 \  if (atoi(m) + (acc % 7) > 40) { send(c, \"hot\"); }\n\
+                 \  else { send(c, \"cold\"); }\n\
+                 }\n")));
+    c_world = World.(empty |> with_endpoint "input" [ "57" ]);
+    c_config = long_prefix_config;
+    c_params =
+      List.init 24 (fun i ->
+          { (Campaign.params_of_config long_prefix_config) with
+            Campaign.label = Printf.sprintf "rr%02d" i;
+            strategy = Mutation.Random_replace i });
+    c_prefix_cycles = Some 300_048 }
+
+let run_camp ?obs ?(jobs = 1) ?mode ~incremental c =
+  Campaign.run ~jobs ?mode ?obs ~incremental ~config:c.c_config
+    (Lazy.force c.c_prog) c.c_world c.c_params
+
 let test_incremental_identity () =
-  let prog = Lazy.force camp_prog in
-  let params = camp_params () in
-  let table ?obs ?mode incremental jobs =
-    Campaign.render
-      (Campaign.run ~jobs ?mode ?obs ~incremental ~config:camp_config prog
-         camp_world params)
-  in
-  let full = table false 1 in
-  check string "incremental table at jobs=1" full (table true 1);
-  (* [`Parallel]: this master pass is far below the campaign's
-     break-even, so [`Auto] would run every task on the calling domain *)
-  let rc = Ldx_obs.Recorder.create () in
-  check string "incremental table at jobs=4" full
-    (table ~obs:(Ldx_obs.Recorder.sink rc) ~mode:`Parallel true 4);
-  check int "jobs=4 ran on the domain pool" 1
-    (Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
-       "campaign.mode.parallel");
-  check bool "the campaign actually leaks" true
-    (let outs =
-       Campaign.run ~incremental:true ~config:camp_config prog camp_world
-         params
-     in
-     List.exists (fun o -> (Campaign.result_exn o).Engine.leak) outs)
+  List.iter
+    (fun c ->
+       let table ?obs ?mode incremental jobs =
+         Campaign.render (run_camp ?obs ~jobs ?mode ~incremental c)
+       in
+       let full = table false 1 in
+       check string (c.c_label ^ ": incremental table at jobs=1") full
+         (table true 1);
+       (* [`Parallel]: the short prefix's master pass is far below the
+          campaign's break-even, so [`Auto] would run every task on the
+          calling domain *)
+       let rc = Ldx_obs.Recorder.create () in
+       check string (c.c_label ^ ": incremental table at jobs=4") full
+         (table ~obs:(Ldx_obs.Recorder.sink rc) ~mode:`Parallel true 4);
+       check int (c.c_label ^ ": jobs=4 ran on the domain pool") 1
+         (Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
+            "campaign.mode.parallel");
+       check bool (c.c_label ^ ": the campaign actually leaks") true
+         (List.exists
+            (fun o -> (Campaign.result_exn o).Engine.leak)
+            (run_camp ~incremental:true c)))
+    [ short_prefix; long_prefix ]
 
 (* The loop asks the decouple point's predicate about thread ops too,
    and it must answer false: a [spawn] handing its thread an array
@@ -344,27 +397,53 @@ let test_fingerprint_rejection () =
 
 (* No-perturbation: a campaign without --incremental never touches the
    snapshot layer (snap.* metrics silent), and an incremental campaign
-   reports exactly one capture. *)
+   reports exactly one capture.  A pinned prefix holds its cycles, and
+   the prefix once plus every suffix is at most 1/1.5 of what full mode
+   executes. *)
 let test_no_perturbation () =
-  let prog = Lazy.force camp_prog in
-  let params = camp_params () in
-  let metrics incremental =
-    let rc = Ldx_obs.Recorder.create () in
-    ignore
-      (Campaign.run ~obs:(Ldx_obs.Recorder.sink rc) ~incremental
-         ~config:camp_config prog camp_world params);
-    Ldx_obs.Recorder.snapshot rc
-  in
-  let off = metrics false in
-  check int "no captures without --incremental" 0
-    (Ldx_obs.Metrics.counter off "snap.captured");
-  check int "no restores without --incremental" 0
-    (Ldx_obs.Metrics.counter off "snap.restored");
-  let on = metrics true in
-  check int "one capture with --incremental" 1
-    (Ldx_obs.Metrics.counter on "snap.captured");
-  check int "one restore per task" (List.length params)
-    (Ldx_obs.Metrics.counter on "snap.restored")
+  List.iter
+    (fun c ->
+       let metrics incremental =
+         let rc = Ldx_obs.Recorder.create () in
+         let outs =
+           run_camp ~obs:(Ldx_obs.Recorder.sink rc) ~incremental c
+         in
+         (outs, Ldx_obs.Recorder.snapshot rc)
+       in
+       let full, off = metrics false in
+       check int (c.c_label ^ ": no captures without --incremental") 0
+         (Ldx_obs.Metrics.counter off "snap.captured");
+       check int (c.c_label ^ ": no restores without --incremental") 0
+         (Ldx_obs.Metrics.counter off "snap.restored");
+       let _, on = metrics true in
+       check int (c.c_label ^ ": one capture with --incremental") 1
+         (Ldx_obs.Metrics.counter on "snap.captured");
+       check int (c.c_label ^ ": one restore per task")
+         (List.length c.c_params)
+         (Ldx_obs.Metrics.counter on "snap.restored");
+       Option.iter
+         (fun prefix_cycles ->
+            let hist name = List.assoc name on.Ldx_obs.Metrics.hists in
+            let prefix = hist "snap.prefix_cycles" in
+            check int (c.c_label ^ ": shared prefix cycles") prefix_cycles
+              prefix.Ldx_obs.Metrics.h_max;
+            let full_cycles =
+              List.fold_left
+                (fun acc o ->
+                   acc + (Campaign.result_exn o).Engine.slave.Engine.cycles)
+                0 full
+            in
+            let executed =
+              prefix.Ldx_obs.Metrics.h_sum
+              + (hist "snap.suffix_cycles").Ldx_obs.Metrics.h_sum
+            in
+            if float_of_int full_cycles < 1.5 *. float_of_int executed then
+              Alcotest.failf
+                "%s: full mode ran %d slave cycles, incremental %d: under \
+                 1.5x"
+                c.c_label full_cycles executed)
+         c.c_prefix_cycles)
+    [ short_prefix; long_prefix ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine-counter pin: the flat VM's per-block cnt/loop batching (and
