@@ -8,8 +8,6 @@
 module StrSet = Set.Make (String)
 
 type t = {
-  callees : (string, StrSet.t) Hashtbl.t;       (* direct-call edges *)
-  sccs : string list list;                      (* reverse topological order *)
   recursive : StrSet.t;                         (* funcs in cycles *)
   order : string list;                          (* callees-before-callers *)
 }
@@ -106,9 +104,6 @@ let compute (p : Ir.program) : t =
       StrSet.empty sccs
   in
   let order = List.concat sccs in
-  { callees; sccs; recursive; order }
+  { recursive; order }
 
 let is_recursive t name = StrSet.mem name t.recursive
-
-let callees_of t name =
-  try Hashtbl.find t.callees name with Not_found -> StrSet.empty

@@ -7,10 +7,8 @@
 module StrSet : Set.S with type elt = string
 
 type t = {
-  callees : (string, StrSet.t) Hashtbl.t;  (** direct-call edges *)
-  sccs : string list list;                 (** callees before callers *)
   recursive : StrSet.t;                    (** functions on cycles *)
-  order : string list;                     (** flattened SCC order *)
+  order : string list;                     (** flattened SCCs, callees first *)
 }
 
 (** Direct callees of a function that are user functions (builtins and
@@ -19,4 +17,3 @@ val direct_callees : Ir.func -> StrSet.t
 
 val compute : Ir.program -> t
 val is_recursive : t -> string -> bool
-val callees_of : t -> string -> StrSet.t

@@ -52,5 +52,3 @@ let dominates (d : t) a b =
   let ra = d.rpo_index.(a) in
   let rec up x = x = a || (d.rpo_index.(x) > ra && up d.idom.(x)) in
   d.idom.(b) <> -1 && ra <> -1 && up b
-
-let immediate_dominator d b = d.idom.(b)

@@ -18,5 +18,3 @@ val compute_with_preds : Ir.func -> int list array -> t
 (** [dominates d a b] — does [a] dominate [b]?  Reflexive; [false] when
     [b] is unreachable. *)
 val dominates : t -> int -> int -> bool
-
-val immediate_dominator : t -> int -> int

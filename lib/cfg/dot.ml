@@ -1,7 +1,6 @@
-(* Graphviz export of function CFGs, with loop nesting and (optionally)
-   static counter values — handy for debugging instrumentation and for
-   papers/teaching.  `dune exec bin/ldx_run.exe` consumers can pipe the
-   output to `dot -Tsvg`. *)
+(* Graphviz export of function CFGs, with loop nesting — handy for
+   debugging instrumentation and for papers/teaching.  `dune exec
+   bin/ldx_run.exe` consumers can pipe the output to `dot -Tsvg`. *)
 
 let escape s =
   let buf = Buffer.create (String.length s) in
@@ -16,9 +15,8 @@ let escape s =
   Buffer.contents buf
 
 (* One function as a digraph body (no wrapper), with blocks as record
-   nodes.  [counters] maps bid -> (cnt_in, cnt_out) labels. *)
-let func_body ?(counters = fun _ -> None) (f : Ir.func) (buf : Buffer.t) :
-  unit =
+   nodes. *)
+let func_body (f : Ir.func) (buf : Buffer.t) : unit =
   let ld = Loops.detect f in
   let node_name b = Printf.sprintf "%s_b%d" f.Ir.fname b in
   Array.iter
@@ -26,13 +24,8 @@ let func_body ?(counters = fun _ -> None) (f : Ir.func) (buf : Buffer.t) :
        let instrs =
          Array.to_list (Array.map Ir.instr_to_string b.Ir.instrs)
        in
-       let cnt_label =
-         match counters b.Ir.bid with
-         | Some (cin, cout) -> Printf.sprintf " [cnt %d->%d]" cin cout
-         | None -> ""
-       in
        let header =
-         Printf.sprintf "b%d%s%s" b.Ir.bid cnt_label
+         Printf.sprintf "b%d%s" b.Ir.bid
            (if Hashtbl.mem ld.Loops.loop_of_header b.Ir.bid then " (loop head)"
             else "")
        in
@@ -61,12 +54,12 @@ let func_body ?(counters = fun _ -> None) (f : Ir.func) (buf : Buffer.t) :
     f.Ir.blocks
 
 (* A whole function as a standalone digraph. *)
-let func_to_dot ?counters (f : Ir.func) : string =
+let func_to_dot (f : Ir.func) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" f.Ir.fname);
   Buffer.add_string buf "  graph [fontname=monospace];\n";
   Buffer.add_string buf "  node [fontname=monospace, fontsize=9];\n";
-  func_body ?counters f buf;
+  func_body f buf;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 

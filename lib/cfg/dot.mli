@@ -1,10 +1,8 @@
-(** Graphviz export of function CFGs with loop annotations and optional
-    static counter values — for debugging instrumentation. *)
+(** Graphviz export of function CFGs with loop annotations — for
+    debugging instrumentation. *)
 
-(** One function as a standalone digraph.  [counters bid] may supply
-    [(cnt_in, cnt_out)] labels (e.g. from
-    {!Ldx_instrument.Counter.static_counters}). *)
-val func_to_dot : ?counters:(int -> (int * int) option) -> Ir.func -> string
+(** One function as a standalone digraph. *)
+val func_to_dot : Ir.func -> string
 
 (** The whole program, one cluster per function. *)
 val program_to_dot : Ir.program -> string

@@ -70,10 +70,6 @@ let detect (f : Ir.func) : t =
   List.iter (fun l -> Hashtbl.replace loop_of_header l.header l) loops;
   { loops; loop_of_header }
 
-(* Loops containing block b, innermost determined by body size. *)
-let loops_containing (t : t) b =
-  List.filter (fun l -> IntSet.mem b l.body) t.loops
-
 (* Is the CFG reducible?  With our structured lowering it always is; the
    instrumenter asserts this.  A CFG is irreducible iff some cycle has no
    back edge to a dominating header, i.e. removing all back edges leaves a

@@ -23,9 +23,6 @@ type t = {
 
 val detect : Ir.func -> t
 
-(** All loops whose body contains the block. *)
-val loops_containing : t -> int -> loop list
-
 (** Structured lowering always yields reducible CFGs; the instrumenter
     asserts this before trusting the loop decomposition. *)
 val is_reducible : Ir.func -> t -> bool

@@ -60,8 +60,6 @@ let rec compare (a : t) (b : t) : int =
     let c = compare_seg sa sb in
     if c <> 0 then c else compare ra rb
 
-let equal a b = compare a b = 0
-
 let seg_to_string (s : seg) =
   let loops =
     String.concat ""

@@ -38,8 +38,6 @@ val compare_seg : seg -> seg -> int
     reflexive and antisymmetric everywhere (see the property suite). *)
 val compare : t -> t -> int
 
-val equal : t -> t -> bool
-
 val seg_to_string : seg -> string
 
 (** E.g. ["<15|L1#2.4>"] — counter 15 in the outer segment, then a fresh

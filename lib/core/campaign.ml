@@ -43,8 +43,8 @@ type slave_params = {
   sched : Engine.Sched.spec option;
 }
 
-let params_of_config ?(label = "base") (c : Engine.config) : slave_params =
-  { label;
+let params_of_config (c : Engine.config) : slave_params =
+  { label = "base";
     sources = c.Engine.sources;
     strategy = c.Engine.strategy;
     slave_seed = c.Engine.slave_seed;
@@ -225,17 +225,19 @@ let decode_outcome = decode_status
 
 (* The configuration fingerprint a journal stores and [resume] checks.
    Slave params, faults and scheduler specs are plain data (audited, as
-   for outcomes) and are hashed via [Marshal]; the one config field
-   that can hold a closure — [Custom_sinks] — contributes only its
-   constructor tag, so two campaigns differing solely in a custom sink
-   predicate fingerprint alike (documented in DESIGN.md: don't resume
-   across predicate changes). *)
+   for outcomes) and are hashed via [Marshal].  The one config field
+   that can hold a closure, [Custom_sinks], has no digest that tells
+   two predicates apart, so it is refused: a journal of such a campaign
+   could replay into one with a different predicate. *)
 let sinks_tag : Engine.sink_config -> string = function
   | Engine.Output_syscalls -> "output"
   | Engine.Network_outputs -> "network"
   | Engine.File_outputs -> "file"
   | Engine.Attack_sinks -> "attack"
-  | Engine.Custom_sinks _ -> "custom"
+  | Engine.Custom_sinks _ ->
+    invalid_arg
+      "Campaign.fingerprint: a Custom_sinks predicate cannot be \
+       fingerprinted, so its campaign cannot be journaled"
 
 let fingerprint ?(retry = no_retries) ?deadline ~(config : Engine.config)
     (prog : Ir.program) (world : World.t) (params : slave_params list) : string =

@@ -40,8 +40,8 @@ type slave_params = {
       (** slave scheduler spec; [None] = legacy from [slave_seed] *)
 }
 
-(** The slave-side projection of a config. *)
-val params_of_config : ?label:string -> Engine.config -> slave_params
+(** The slave-side projection of a config, labelled ["base"]. *)
+val params_of_config : Engine.config -> slave_params
 
 (** Overlay a task's slave-side parameters on a base config. *)
 val apply : Engine.config -> slave_params -> Engine.config
@@ -187,7 +187,9 @@ val fan_out :
     list) is checkpointed via atomic rename before any task runs, and
     each task's outcome is appended — checksummed and flushed — by the
     domain that ran the task, as soon as it finishes.  A campaign
-    killed at any point resumes via {!resume}.
+    killed at any point resumes via {!resume}.  A [Custom_sinks]
+    campaign has no {!fingerprint}, so [?journal] raises
+    [Invalid_argument] for it before the manifest is written.
 
     [?obs] observes the master pass (bracketed in [Master_run] phase
     events) and every slave pass.  The sink is never called
@@ -271,7 +273,10 @@ val resume :
     a digest over the program, the world, the master-side config
     fields, every task's slave parameters, and the retry/deadline
     controls.  Exposed for tools that want to check resumability
-    without loading the engine. *)
+    without loading the engine.
+    @raise Invalid_argument when [config.sinks] is [Custom_sinks]: a
+    closure has no digest, so {!run} with [?journal], {!resume} and
+    {!Service} refuse such a campaign before they write anything. *)
 val fingerprint :
   ?retry:retry_policy -> ?deadline:int ->
   config:Engine.config ->

@@ -15,9 +15,6 @@
 module Cost = Ldx_vm.Cost
 
 type estimate = {
-  native_cycles : int;
-  ldx_wall : int;
-  dualex_wall : int;
   ldx_overhead : float;          (* fraction over native *)
   dualex_overhead : float;
 }
@@ -29,8 +26,5 @@ let of_result ~(native_cycles : int) (r : Engine.result) : estimate =
     + (steps * Cost.index_monitor)
   in
   let pct base v = float_of_int (v - base) /. float_of_int (max 1 base) in
-  { native_cycles;
-    ldx_wall = r.Engine.wall_cycles;
-    dualex_wall;
-    ldx_overhead = pct native_cycles r.Engine.wall_cycles;
+  { ldx_overhead = pct native_cycles r.Engine.wall_cycles;
     dualex_overhead = pct native_cycles dualex_wall }

@@ -7,9 +7,6 @@
     an LDX {!Engine.result} into the modelled DualEx wall clock. *)
 
 type estimate = {
-  native_cycles : int;
-  ldx_wall : int;
-  dualex_wall : int;
   ldx_overhead : float;       (** fraction over native *)
   dualex_overhead : float;
 }

@@ -960,10 +960,10 @@ type prefix_out =
 (* Run the shared slave prefix under [config] (whose own sources must be
    a subset of [specs]) and pause at the first base match of any spec in
    [specs] — the union of every fan-out task's sources. *)
-let slave_prefix ?obs ?prof (config : config)
+let slave_prefix ?obs (config : config)
     ~(specs : source_spec list) (prog : Ir.program) (world : World.t)
     (mo : master_out) : prefix_out =
-  let ctx = fresh_slave_ctx ?obs ?prof config prog world mo in
+  let ctx = fresh_slave_ctx ?obs config prog world mo in
   (* no source is a thread op, and [to_sval] traps on a thread op's
      array argument *)
   let pause _th (p : Machine.pending) =
@@ -997,7 +997,7 @@ let slave_prefix ?obs ?prof (config : config)
               prefix_syscalls = m.Machine.syscalls }));
     Prefix_paused (snapshot_of_ctx ctx prog world th)
 
-let ctx_of_snapshot ?obs ?sched (config : config) (prog : Ir.program)
+let ctx_of_snapshot ?obs (config : config) (prog : Ir.program)
     (world : World.t) (mo : master_out) (ss : slave_snapshot) :
   slave_ctx * Machine.thread =
   if not
@@ -1007,7 +1007,7 @@ let ctx_of_snapshot ?obs ?sched (config : config) (prog : Ir.program)
       "Engine.slave_resume: snapshot does not match this \
        program/world/config";
   let m =
-    Snap.restore ?sched ~fprog:mo.mmachine.Machine.fprog prog ss.ss_snap
+    Snap.restore ~fprog:mo.mmachine.Machine.fprog prog ss.ss_snap
   in
   let os = m.Machine.os in
   (match obs with
@@ -1065,10 +1065,10 @@ let ctx_of_snapshot ?obs ?sched (config : config) (prog : Ir.program)
    — including concurrent ones from different domains — share one
    capture.  Raises [Invalid_argument] if the snapshot was taken against
    a different program, world, or shared slave config. *)
-let slave_resume ?obs ?sched ?(label = "") (config : config)
+let slave_resume ?obs (config : config)
     (prog : Ir.program) (world : World.t) (mo : master_out)
     (ss : slave_snapshot) : slave_out =
-  let ctx, paused = ctx_of_snapshot ?obs ?sched config prog world mo ss in
+  let ctx, paused = ctx_of_snapshot ?obs config prog world mo ss in
   let prefix_cycles = ctx.sc_m.Machine.cycles in
   ignore
     (Driver.drive ~first:paused ~on_stuck:(slave_on_stuck ctx)
@@ -1079,8 +1079,7 @@ let slave_resume ?obs ?sched ?(label = "") (config : config)
    | Some s ->
      Obs.Sink.emit s
        (Obs.Event.Snapshot_restored
-          { label;
-            prefix_cycles;
+          { prefix_cycles;
             suffix_cycles = ctx.sc_m.Machine.cycles - prefix_cycles }));
   out
 
@@ -1213,7 +1212,7 @@ let run ?(config = default_config) ?obs ?prof (prog : Ir.program)
   run_with_master ?obs ?prof:ps config prog world mo
 
 (* Parse, check, lower, instrument, dual-execute. *)
-let run_source ?config ?instrument_config ?obs ?prof (src : string)
+let run_source ?config ?obs ?prof (src : string)
     (world : World.t) : result =
   let ast =
     with_phase obs Obs.Event.Parse (fun () -> Ldx_lang.Parser.parse_exn src)
@@ -1224,14 +1223,13 @@ let run_source ?config ?instrument_config ?obs ?prof (src : string)
   in
   let prog, _ =
     with_phase obs Obs.Event.Instrument (fun () ->
-        Ldx_instrument.Counter.instrument ?config:instrument_config prog)
+        Ldx_instrument.Counter.instrument prog)
   in
   run ?config ?obs ?prof prog world
 
 (* Native (uninstrumented, single-execution) cycles for overhead
    computations (Fig. 6 baseline). *)
-let native_cycles ?(seed = 0) ?(max_steps = 30_000_000) (src : string)
-    (world : World.t) : int =
+let native_cycles (src : string) (world : World.t) : int =
   let prog = Ldx_cfg.Lower.lower_source src in
-  let o = Driver.run ~seed ~max_steps prog world in
+  let o = Driver.run prog world in
   o.Driver.cycles

@@ -295,23 +295,20 @@ type prefix_out =
     sources — and pause at the first base match of any spec.  Emits
     [Snapshot_captured] on pause. *)
 val slave_prefix :
-  ?obs:Ldx_obs.Sink.t -> ?prof:Ldx_vm.Profile.t -> config ->
-  specs:source_spec list -> Ir.program -> World.t -> master_out ->
-  prefix_out
+  ?obs:Ldx_obs.Sink.t -> config -> specs:source_spec list -> Ir.program ->
+  World.t -> master_out -> prefix_out
 
 (** Resume one task's suffix from a prefix snapshot; emits
-    [Snapshot_restored] (tagged [?label]) when the suffix completes.
-    The snapshot's profile counters are rebuilt into a private profile,
-    so per-resume profiles stay exact.  [?sched] replaces the restored
-    machine's scheduler state — the suffix-replay exploration hook
-    ({!Sched_sweep.explore_suffix} perturbs only the interleaving after
-    the decouple point); omitted, the suffix continues the snapshot's
-    recorded schedule exactly.  Raises [Invalid_argument] if the
-    snapshot's fingerprint does not match (program, world, shared slave
-    config). *)
+    [Snapshot_restored] when the suffix completes (a campaign's task
+    names it by the [Task_begin]/[Task_timing] pair around it).  The
+    snapshot's profile counters are rebuilt into a private profile, so
+    per-resume profiles stay exact, and the suffix continues the
+    snapshot's recorded schedule exactly.  Raises [Invalid_argument] if
+    the snapshot's fingerprint does not match (program, world, shared
+    slave config). *)
 val slave_resume :
-  ?obs:Ldx_obs.Sink.t -> ?sched:Sched.state -> ?label:string -> config ->
-  Ir.program -> World.t -> master_out -> slave_snapshot -> slave_out
+  ?obs:Ldx_obs.Sink.t -> config -> Ir.program -> World.t -> master_out ->
+  slave_snapshot -> slave_out
 
 (** Fold one slave outcome against its master recording into a
     {!result} — the tail of {!run_with_master}, exposed so incremental
@@ -367,9 +364,8 @@ val run_with_master :
 
 (** Parse, check, lower, instrument, dual-execute. *)
 val run_source :
-  ?config:config -> ?instrument_config:Ldx_instrument.Counter.config ->
-  ?obs:Ldx_obs.Sink.t -> ?prof:profiles -> string -> World.t -> result
+  ?config:config -> ?obs:Ldx_obs.Sink.t -> ?prof:profiles -> string ->
+  World.t -> result
 
 (** Uninstrumented single-execution cycles — the Fig. 6 baseline. *)
-val native_cycles :
-  ?seed:int -> ?max_steps:int -> string -> World.t -> int
+val native_cycles : string -> World.t -> int

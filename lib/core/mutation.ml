@@ -91,7 +91,3 @@ let mutate (strategy : strategy) (v : Sval.t) : Sval.t =
        Sval.S
          (String.sub s 0 i ^ new_s
           ^ String.sub s (i + on) (sn - i - on)))
-
-(* A mutation is vacuous if it maps the value to itself (e.g. Zero on 0);
-   the engine skips counting those as mutated inputs. *)
-let changes strategy v = not (Sval.equal (mutate strategy v) v)

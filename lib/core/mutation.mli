@@ -28,7 +28,3 @@ val bump_alnum : char -> char
     is never touched: fabricating bytes there would turn input loops into
     infinite streams in the slave. *)
 val mutate : strategy -> Ldx_osim.Sval.t -> Ldx_osim.Sval.t
-
-(** Does the strategy actually change this value?  (Used to count
-    "mutated inputs" without vacuous mutations.) *)
-val changes : strategy -> Ldx_osim.Sval.t -> bool

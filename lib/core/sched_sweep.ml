@@ -21,7 +21,6 @@ module Explore = Ldx_sched.Explore
 module Machine = Ldx_vm.Machine
 module World = Ldx_osim.World
 module Ir = Ldx_cfg.Ir
-module Snap = Ldx_snap.Snap
 
 type verdict = {
   v_forced : (int * int) list;
@@ -76,150 +75,11 @@ let explore ?bound ?max_schedules ?(config = Engine.default_config)
     leaks;
     stable = leaks = 0 || leaks = List.length verdicts }
 
-let explore_source ?bound ?max_schedules ?config ?instrument_config src world =
-  let ast = Ldx_lang.Parser.parse_exn src in
-  let prog = Ldx_cfg.Lower.lower_program ast in
-  let prog, _ = Ldx_instrument.Counter.instrument ?config:instrument_config prog in
-  explore ?bound ?max_schedules ?config prog world
-
 let classification t =
   if t.schedules = 0 then "empty"
   else if not t.stable then "schedule-sensitive"
   else if t.leaks > 0 then "schedule-stable leak"
   else "schedule-stable clean"
-
-(* ------------------------------------------------------------------ *)
-(* Suffix replay: exploration after the decouple point only.           *)
-(*                                                                     *)
-(* [explore] above re-runs BOTH passes under every forced schedule —   *)
-(* sound but quadratic in prefix length.  When the interesting         *)
-(* nondeterminism lives after the first divergence-relevant source,    *)
-(* the prefix is schedule-invariant bookkeeping: run master + slave    *)
-(* prefix ONCE, snapshot at the decouple point, and fan the suffix     *)
-(* out under alternative scheduler states.  Each alternative forces a  *)
-(* single (decision, thread) override at a suffix-relative decision    *)
-(* index; Forced falls back to round-robin when the pick is not        *)
-(* runnable, so every point in the window is safe to probe.            *)
-
-type suffix_verdict = {
-  sv_label : string;
-  sv_result : Engine.result;
-}
-
-type suffix_t = {
-  sv_decoupled : bool;
-  sv_prefix_cycles : int;
-  sv_verdicts : suffix_verdict list;
-  sv_schedules : int;
-  sv_distinct : int;
-  sv_leaks : int;
-  sv_stable : bool;
-}
-
-(* Deterministic outcome signature used to dedup suffix verdicts: two
-   forced overrides that round-robin back to the same interleaving
-   produce byte-identical results, and this collapses them. *)
-let result_signature (r : Engine.result) : string =
-  Printf.sprintf "%d/%d/%d/%b/%d/%d/%d"
-    r.Engine.slave.Engine.cycles r.Engine.slave.Engine.steps
-    r.Engine.slave.Engine.syscalls r.Engine.leak
-    (List.length r.Engine.reports) r.Engine.syscall_diffs
-    r.Engine.mutated_inputs
-
-let suffix_aggregate ~decoupled ~prefix_cycles ~schedules verdicts =
-  let distinct = List.length verdicts in
-  let leaks =
-    List.length
-      (List.filter (fun v -> v.sv_result.Engine.leak) verdicts)
-  in
-  { sv_decoupled = decoupled;
-    sv_prefix_cycles = prefix_cycles;
-    sv_verdicts = verdicts;
-    sv_schedules = schedules;
-    sv_distinct = distinct;
-    sv_leaks = leaks;
-    sv_stable = leaks = 0 || leaks = distinct }
-
-let explore_suffix ?(window = 4) ?threads
-    ?(config = Engine.default_config) (prog : Ir.program)
-    (world : World.t) : suffix_t =
-  let mo = Engine.master_pass config prog world in
-  let threads =
-    match threads with
-    | Some n -> max 1 n
-    | None -> max 1 mo.Engine.mmachine.Machine.spawn_count
-  in
-  match
-    Engine.slave_prefix config ~specs:config.Engine.sources prog world mo
-  with
-  | Engine.Prefix_done so ->
-    (* No decouple point: the whole run is prefix and there is no
-       suffix to perturb.  Report the single (base) verdict. *)
-    let r = Engine.finalize_result config mo so in
-    suffix_aggregate ~decoupled:false
-      ~prefix_cycles:r.Engine.slave.Engine.cycles ~schedules:1
-      [ { sv_label = "base"; sv_result = r } ]
-  | Engine.Prefix_paused ss ->
-    let prefix_cycles =
-      ss.Engine.ss_snap.Snap.sp_machine.Machine.sn_cycles
-    in
-    let base =
-      Engine.finalize_result config mo
-        (Engine.slave_resume ~label:"base" config prog world mo ss)
-    in
-    let seen = Hashtbl.create 16 in
-    Hashtbl.replace seen (result_signature base) ();
-    let schedules = ref 1 in
-    let alternatives = ref [] in
-    for k = 0 to window - 1 do
-      for th = 0 to threads - 1 do
-        let label = Printf.sprintf "%d:t%d" k th in
-        let sched =
-          Sched.instantiate ~record:false
-            (Sched.spec ~seed:config.Engine.slave_seed
-               (Sched.Forced [ (k, th) ]))
-        in
-        let r =
-          Engine.finalize_result config mo
-            (Engine.slave_resume ~sched ~label config prog world mo ss)
-        in
-        incr schedules;
-        let sig_ = result_signature r in
-        if not (Hashtbl.mem seen sig_) then begin
-          Hashtbl.replace seen sig_ ();
-          alternatives := { sv_label = label; sv_result = r } :: !alternatives
-        end
-      done
-    done;
-    suffix_aggregate ~decoupled:true ~prefix_cycles ~schedules:!schedules
-      ({ sv_label = "base"; sv_result = base } :: List.rev !alternatives)
-
-let suffix_classification (t : suffix_t) =
-  if not t.sv_decoupled then "no decouple point"
-  else if not t.sv_stable then "suffix-sensitive"
-  else if t.sv_leaks > 0 then "suffix-stable leak"
-  else "suffix-stable clean"
-
-let render_suffix (t : suffix_t) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-10s %8s %8s %8s %8s %6s\n" "suffix" "cycles"
-       "steps" "reports" "diffs" "leak");
-  List.iter
-    (fun v ->
-       Buffer.add_string buf
-         (Printf.sprintf "%-10s %8d %8d %8d %8d %6b\n" v.sv_label
-            v.sv_result.Engine.slave.Engine.cycles
-            v.sv_result.Engine.slave.Engine.steps
-            (List.length v.sv_result.Engine.reports)
-            v.sv_result.Engine.syscall_diffs v.sv_result.Engine.leak))
-    t.sv_verdicts;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "%d suffix schedules (%d distinct), prefix %d cycles, %d leaking: %s\n"
-       t.sv_schedules t.sv_distinct t.sv_prefix_cycles t.sv_leaks
-       (suffix_classification t));
-  Buffer.contents buf
 
 let render (t : t) : string =
   let buf = Buffer.create 256 in

@@ -45,69 +45,9 @@ val explore :
   ?bound:int -> ?max_schedules:int -> ?config:Engine.config ->
   Ldx_cfg.Ir.program -> Ldx_osim.World.t -> t
 
-(** [explore_source] parses, lowers and instruments [src] first. *)
-val explore_source :
-  ?bound:int -> ?max_schedules:int -> ?config:Engine.config ->
-  ?instrument_config:Ldx_instrument.Counter.config ->
-  string -> Ldx_osim.World.t -> t
-
 (** ["schedule-stable clean" | "schedule-stable leak" |
     "schedule-sensitive" | "empty"]. *)
 val classification : t -> string
 
 (** Fixed-width per-schedule table plus the classification line. *)
 val render : t -> string
-
-(** {1 Suffix replay}
-
-    [explore] re-runs both passes under every forced schedule — sound
-    but quadratic in prefix length.  [explore_suffix] instead runs the
-    master pass and the slave {e prefix} once, snapshots at the first
-    divergence-relevant decouple point ({!Engine.slave_prefix}), and
-    fans the {e suffix} out from that snapshot under alternative
-    scheduler states ({!Engine.slave_resume} with [?sched]).  Each
-    alternative forces a single [(decision, thread)] override at a
-    suffix-relative decision index (decision 0 = the first scheduling
-    decision after the decouple point); the [Forced] policy falls back
-    to round-robin when the pick is not runnable, so the whole
-    [window × threads] grid is safe to probe. *)
-
-(** One suffix interleaving's outcome.  [sv_label] is ["base"] for the
-    unperturbed suffix or ["k:tN"] for the override forcing thread [N]
-    at suffix decision [k]. *)
-type suffix_verdict = {
-  sv_label : string;
-  sv_result : Engine.result;
-}
-
-type suffix_t = {
-  sv_decoupled : bool;
-      (** a decouple point was reached; [false] means the program had
-          no divergence-relevant source and only the base verdict is
-          reported *)
-  sv_prefix_cycles : int;   (** slave cycles shared by every suffix *)
-  sv_verdicts : suffix_verdict list;
-      (** base first, then distinct alternatives in grid order;
-          verdicts with identical outcomes are collapsed *)
-  sv_schedules : int;       (** suffix executions performed *)
-  sv_distinct : int;        (** distinct outcomes among them *)
-  sv_leaks : int;           (** distinct outcomes that leaked *)
-  sv_stable : bool;         (** all distinct outcomes agree on leak *)
-}
-
-(** [explore_suffix ?window ?threads ?config prog world] probes
-    [window] (default 4) suffix decision indices × [threads] (default:
-    the master pass's spawn count) forced picks each, plus the base
-    suffix.  Fully deterministic.  [config]'s sources choose the
-    decouple point; its [slave_seed] seeds the forced schedules'
-    round-robin fallback. *)
-val explore_suffix :
-  ?window:int -> ?threads:int -> ?config:Engine.config ->
-  Ldx_cfg.Ir.program -> Ldx_osim.World.t -> suffix_t
-
-(** ["no decouple point" | "suffix-stable clean" |
-    "suffix-stable leak" | "suffix-sensitive"]. *)
-val suffix_classification : suffix_t -> string
-
-(** Fixed-width per-suffix table plus the classification line. *)
-val render_suffix : suffix_t -> string

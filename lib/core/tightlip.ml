@@ -20,7 +20,6 @@ type result = {
   terminated_early : bool;
   syscalls_before_mismatch : int;
   total_master_syscalls : int;
-  slave_trap : string option;
 }
 
 exception Mismatch
@@ -95,5 +94,4 @@ let run ?(config = Engine.default_config) ?(window = 0) (prog : Ir.program)
   { leak_reported = leak;
     terminated_early = !mismatch;
     syscalls_before_mismatch = !matched;
-    total_master_syscalls = mo.Engine.msummary.Engine.syscalls;
-    slave_trap = m.Machine.trap }
+    total_master_syscalls = mo.Engine.msummary.Engine.syscalls }

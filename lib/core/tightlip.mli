@@ -11,7 +11,6 @@ type result = {
   terminated_early : bool;          (** stopped at a mismatch *)
   syscalls_before_mismatch : int;
   total_master_syscalls : int;
-  slave_trap : string option;
 }
 
 (** [run ?config ?window prog world] — [window] is the FIFO look-ahead

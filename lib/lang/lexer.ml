@@ -13,9 +13,6 @@ type t = { tok : token; line : int; col : int }
 
 exception Error of string * int * int  (* message, line, col *)
 
-let keywords = [ "fn"; "let"; "if"; "else"; "while"; "for";
-                 "break"; "continue"; "return"; "true"; "false" ]
-
 let token_to_string = function
   | INT n -> string_of_int n
   | STRING s -> Printf.sprintf "%S" s
@@ -25,13 +22,9 @@ let token_to_string = function
   | OP s -> s
   | EOF -> "<eof>"
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_digit c = c >= '0' && c <= '9'
-let is_ident_char c = is_ident_start c || is_digit c
-
-(* Must list exactly [keywords]: a [match] on string constants compiles to
-   word comparisons, where [List.mem] costs one polymorphic compare per
-   keyword for every identifier. *)
+(* The MiniC keywords.  A [match] on string constants compiles to word
+   comparisons, where [List.mem] over a list would cost one polymorphic
+   compare per keyword for every identifier. *)
 let keyword_or_ident s =
   match s with
   | "fn" | "let" | "if" | "else" | "while" | "for" | "break" | "continue"

@@ -15,11 +15,7 @@ type t = { tok : token; line : int; col : int }
 (** Raised on malformed input: [(message, line, col)]. *)
 exception Error of string * int * int
 
-val keywords : string list
 val token_to_string : token -> string
-val is_ident_start : char -> bool
-val is_digit : char -> bool
-val is_ident_char : char -> bool
 
 (** Tokenize a whole source string; the result always ends with [EOF].
     Comments are [//] to end of line and [/* ... */] (non-nested).

@@ -96,29 +96,15 @@ let table =
 
 let kind name = Tbl.find_opt table name
 
-let is_builtin name =
-  match kind name with Some (Builtin _) -> true | _ -> false
-
-let is_syscall name =
-  match kind name with Some (Syscall _) -> true | _ -> false
-
 let arity_matches arity n =
   match arity with Exact k -> n = k | At_least k -> n >= k
 
-let builtin_arity name =
-  match kind name with Some (Builtin a) -> Some a | _ -> None
-
-let syscall_arity name =
-  match kind name with Some (Syscall a) -> Some a | _ -> None
-
 (* Syscalls that the paper's default configuration treats as potential
-   sinks (output-related) vs. sources (input-related). *)
+   sinks (output-related). *)
 let output_syscalls = [ "write"; "send"; "print"; "malloc"; "retaddr" ]
-let input_syscalls = [ "read"; "recv"; "rand"; "time"; "stat"; "readdir" ]
 
 (* String.equal, not the polymorphic [List.mem]: the engine tests every
    syscall of both runs against the sink list. *)
 let is_output_syscall name = List.exists (String.equal name) output_syscalls
-let is_input_syscall name = List.exists (String.equal name) input_syscalls
 
 let reserved name = Tbl.mem table name

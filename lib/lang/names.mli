@@ -24,23 +24,12 @@ type kind = Builtin of arity | Syscall of arity
 
 val kind : string -> kind option
 
-val is_builtin : string -> bool
-val is_syscall : string -> bool
-
 (** [arity_matches a n] holds when [n] arguments satisfy constraint [a]. *)
 val arity_matches : arity -> int -> bool
 
-val builtin_arity : string -> arity option
-val syscall_arity : string -> arity option
-
-(** Output-related syscalls — the default sink candidates. *)
-val output_syscalls : string list
-
-(** Input-related syscalls — the default source candidates. *)
-val input_syscalls : string list
-
+(** Is this an output-related syscall ([write], [send], [print],
+    [malloc], [retaddr])?  The default sink candidates. *)
 val is_output_syscall : string -> bool
-val is_input_syscall : string -> bool
 
 (** A name is reserved when it is a builtin or a syscall; user functions
     and variables may not shadow it. *)

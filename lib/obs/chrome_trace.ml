@@ -287,11 +287,11 @@ let of_events (events : Event.t list) : Json.t =
                     [ ("prefix_cycles", Json.Int prefix_cycles);
                       ("prefix_steps", Json.Int prefix_steps);
                       ("prefix_syscalls", Json.Int prefix_syscalls) ]))
-       | Event.Snapshot_restored { label; prefix_cycles; suffix_cycles } ->
+       | Event.Snapshot_restored { prefix_cycles; suffix_cycles } ->
          tick (prefix_cycles + suffix_cycles);
          lane pid_engine tid_snap;
          emit
-           (obj ~name:("resume " ^ label) ~cat:"snap" ~ph:"X" ~ts:prefix_cycles
+           (obj ~name:"resume" ~cat:"snap" ~ph:"X" ~ts:prefix_cycles
               ~pid:pid_engine ~tid:tid_snap
               (("dur", Json.Int suffix_cycles)
                :: args

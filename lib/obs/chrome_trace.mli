@@ -21,9 +21,9 @@
     — the schedule timeline the exploration mode perturbs.
 
     Incremental campaigns add a "snapshot" lane (tid 997): a capture
-    instant at the decouple point and one slice per restored suffix
-    whose duration is the suffix's cycle cost — the prefix/suffix
-    split, visually.
+    instant at the decouple point and one ["resume"] slice per restored
+    suffix whose duration is the suffix's cycle cost — the
+    prefix/suffix split, visually.
 
     Campaign runs add a "journal" lane (tid 998) with
     checkpoint/resume/quarantine instants, and one lane per task

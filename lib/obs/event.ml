@@ -150,77 +150,6 @@ type t =
       prefix_syscalls : int;   (* syscalls serviced in the shared prefix *)
     }
   | Snapshot_restored of {
-      label : string;          (* task whose suffix ran from the snapshot *)
       prefix_cycles : int;     (* inherited from the snapshot *)
       suffix_cycles : int;     (* cycles the suffix added after restore *)
     }
-
-let to_string = function
-  | Phase_begin p -> Printf.sprintf "phase-begin %s" (phase_to_string p)
-  | Phase_end p -> Printf.sprintf "phase-end %s" (phase_to_string p)
-  | Syscall { side; tid; sys; site; pos; ts; dur } ->
-    Printf.sprintf "syscall %s t%d %s@%d pos=%s ts=%d dur=%d"
-      (side_to_string side) tid sys site pos ts dur
-  | Os_call { side; pid; sys; clock } ->
-    Printf.sprintf "os-call %s pid=%d %s clock=%d" (side_to_string side) pid
-      sys clock
-  | Couple { tid; pos; decision; sink; master_sys; slave_sys; master_ts; slave_ts } ->
-    Printf.sprintf "couple t%d %s pos=%s%s master=%s@%d slave=%s@%d" tid
-      (decision_to_string decision) pos
-      (if sink then " sink" else "")
-      (Option.value master_sys ~default:"-") master_ts
-      (Option.value slave_sys ~default:"-") slave_ts
-  | Divergence { case; kind; sys; site; pos } ->
-    Printf.sprintf "divergence case%d %s %s@%d pos=%s" case kind sys site pos
-  | Mutation { sys; site; pos; before; after } ->
-    Printf.sprintf "mutation %s@%d pos=%s %s -> %s" sys site pos before after
-  | Barrier_wait { side; tid; loop; ts; dur } ->
-    Printf.sprintf "barrier %s t%d L%d ts=%d dur=%d" (side_to_string side) tid
-      loop ts dur
-  | Cnt_sample { side; value } ->
-    Printf.sprintf "cnt-sample %s %d" (side_to_string side) value
-  | Run_summary { side; cycles; steps; syscalls; cnt_instrs; trap } ->
-    Printf.sprintf "run-summary %s cycles=%d steps=%d syscalls=%d cnt=%d%s"
-      (side_to_string side) cycles steps syscalls cnt_instrs
-      (match trap with None -> "" | Some m -> " trap=" ^ m)
-  | Fault_injected { side; sys; site; action } ->
-    Printf.sprintf "fault %s %s@%d %s" (side_to_string side) sys site action
-  | Task_done { label; status; attempts; exn } ->
-    Printf.sprintf "task-done %s %s attempts=%d%s" label status attempts
-      (match exn with None -> "" | Some e -> " exn=" ^ e)
-  | Schedule_decision { side; index; chosen; runnable; quantum; ts } ->
-    Printf.sprintf "sched %s #%d t%d of %d q=%d ts=%d" (side_to_string side)
-      index chosen runnable quantum ts
-  | Preemption { side; index; chosen; ts } ->
-    Printf.sprintf "preempt %s #%d -> t%d ts=%d" (side_to_string side) index
-      chosen ts
-  | Campaign_plan { mode; jobs; tasks; est_steps } ->
-    Printf.sprintf "campaign-plan %s jobs=%d tasks=%d est=%d" mode jobs tasks
-      est_steps
-  | Checkpoint { path; tasks; journaled } ->
-    Printf.sprintf "checkpoint %s tasks=%d journaled=%d" path tasks journaled
-  | Resume { path; tasks; replayed; rerun; torn } ->
-    Printf.sprintf "resume %s tasks=%d replayed=%d rerun=%d torn=%d" path
-      tasks replayed rerun torn
-  | Quarantine { label; attempts; exn } ->
-    Printf.sprintf "quarantine %s attempts=%d exn=%s" label attempts exn
-  | Task_begin { label; index } ->
-    Printf.sprintf "task-begin #%d %s" index label
-  | Task_timing { label; index; queue_us; run_us; wall_cycles } ->
-    Printf.sprintf "task-timing #%d %s queue_us=%d run_us=%d wall_cycles=%d"
-      index label queue_us run_us wall_cycles
-  | Campaign_progress { completed; total; cycles_done; eta_cycles } ->
-    Printf.sprintf "progress %d/%d cycles=%d eta=%d" completed total
-      cycles_done eta_cycles
-  | Lease_claim { index; owner; epoch; reclaimed } ->
-    Printf.sprintf "lease #%d %s e%d%s" index owner epoch
-      (if reclaimed then " reclaimed" else "")
-  | Lease_expired { index; owner; epoch } ->
-    Printf.sprintf "lease-expired #%d %s e%d" index owner epoch
-  | Worker_event { owner; kind } -> Printf.sprintf "worker %s %s" owner kind
-  | Snapshot_captured { prefix_cycles; prefix_steps; prefix_syscalls } ->
-    Printf.sprintf "snapshot-captured prefix_cycles=%d steps=%d syscalls=%d"
-      prefix_cycles prefix_steps prefix_syscalls
-  | Snapshot_restored { label; prefix_cycles; suffix_cycles } ->
-    Printf.sprintf "snapshot-restored %s prefix=%d suffix=%d" label
-      prefix_cycles suffix_cycles

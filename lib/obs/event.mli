@@ -217,10 +217,6 @@ type t =
       prefix_syscalls : int;   (** syscalls serviced in the shared prefix *)
     }
   | Snapshot_restored of {
-      label : string;          (** task whose suffix ran from the snapshot *)
       prefix_cycles : int;     (** inherited from the snapshot *)
       suffix_cycles : int;     (** cycles the suffix added after restore *)
     }
-
-(** Short human-readable rendering (debug sinks, logs). *)
-val to_string : t -> string

@@ -58,11 +58,6 @@ let to_string v =
   to_buffer b v;
   Buffer.contents b
 
-let quote s =
-  let b = Buffer.create (String.length s + 2) in
-  add_escaped b s;
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* Parsing (recursive descent; RFC 8259 subset matching what
    [to_string] emits, plus exponents and unicode escapes). *)

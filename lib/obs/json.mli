@@ -19,9 +19,6 @@ val to_string : t -> string
 (** [to_buffer b v] appends the serialization of [v] to [b]. *)
 val to_buffer : Buffer.t -> t -> unit
 
-(** Escape and quote a string literal. *)
-val quote : string -> string
-
 (** Parse a JSON document (RFC 8259 subset: everything [to_string]
     emits, plus exponents and [\u] escapes decoded as UTF-8).  Numbers
     without fraction/exponent parse as [Int], others as [Float]. *)

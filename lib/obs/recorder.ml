@@ -3,11 +3,10 @@
 
 type t = {
   mutable rev_events : Event.t list;
-  mutable count : int;
   m : Metrics.t;
 }
 
-let create () = { rev_events = []; count = 0; m = Metrics.create () }
+let create () = { rev_events = []; m = Metrics.create () }
 
 let side_key prefix side = prefix ^ "." ^ Event.side_to_string side
 
@@ -110,10 +109,7 @@ let sink t =
   Sink.of_fn
     (fun ev ->
        t.rev_events <- ev :: t.rev_events;
-       t.count <- t.count + 1;
        absorb t ev)
 
 let events t = List.rev t.rev_events
-let event_count t = t.count
-let metrics t = t.m
 let snapshot t = Metrics.snapshot t.m

@@ -65,8 +65,4 @@ val sink : t -> Sink.t
 (** Events in emission order. *)
 val events : t -> Event.t list
 
-val event_count : t -> int
-
-val metrics : t -> Metrics.t
-
 val snapshot : t -> Metrics.snapshot

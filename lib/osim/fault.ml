@@ -40,7 +40,6 @@ type t = {
 }
 
 let plan ?(seed = 0) rules = { rules; seed }
-let empty = { rules = []; seed = 0 }
 let is_empty p = p.rules = []
 
 (* ------------------------------------------------------------------ *)
@@ -55,10 +54,9 @@ type state = {
 let instantiate (p : t) : state =
   { splan = p; counts = Array.make (List.length p.rules) 0; injected = 0 }
 
-let plan_of (st : state) : t = st.splan
-
-(* Mid-execution copy: same plan, same occurrence counters — a cloned
-   process continues the fault schedule exactly where the original was. *)
+(* Mid-execution copy: same plan, same occurrence counters — an OS
+   rebuilt from a snapshot continues the fault schedule exactly where
+   the original was. *)
 let copy_state (st : state) : state =
   { splan = st.splan; counts = Array.copy st.counts; injected = st.injected }
 

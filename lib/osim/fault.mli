@@ -42,7 +42,6 @@ type t = {
 }
 
 val plan : ?seed:int -> rule list -> t
-val empty : t
 val is_empty : t -> bool
 
 (** Per-execution dynamic state: the plan plus its occurrence counters. *)
@@ -52,11 +51,9 @@ type state
     from-scratch slave replay get, so their fault schedules agree. *)
 val instantiate : t -> state
 
-(** The plan this state was instantiated from. *)
-val plan_of : state -> t
-
-(** Mid-execution copy (counters preserved): a cloned process continues
-    the fault schedule exactly where the original was. *)
+(** Mid-execution copy (counters preserved): an OS rebuilt from a
+    snapshot ([Ldx_snap]) continues the fault schedule exactly where the
+    original was. *)
 val copy_state : state -> state
 
 (** Number of faults injected so far in this execution. *)

@@ -40,16 +40,3 @@ let send (e : endpoint) msg =
   String.length msg
 
 let outbox (e : endpoint) = List.rev e.outbox
-
-let clone (t : t) : t =
-  let endpoints = Hashtbl.create (Hashtbl.length t.endpoints) in
-  Hashtbl.iter
-    (fun n e ->
-       Hashtbl.replace endpoints n
-         { name = e.name; inbox = e.inbox; outbox = e.outbox })
-    t.endpoints;
-  { endpoints }
-
-let dump_outboxes (t : t) : (string * string list) list =
-  Hashtbl.fold (fun n e acc -> (n, outbox e) :: acc) t.endpoints []
-  |> List.sort compare

@@ -29,6 +29,3 @@ val send : endpoint -> string -> int
 
 (** Outbound messages in send order. *)
 val outbox : endpoint -> string list
-
-val clone : t -> t
-val dump_outboxes : t -> (string * string list) list

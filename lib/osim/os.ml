@@ -26,15 +26,15 @@ type t = {
   mutable faults : Fault.state option;
   (* fault-injection state: the plan's per-execution occurrence
      counters.  None (the default) costs one pointer comparison at
-     dispatch.  Cloned (counters preserved) so a forked process
-     continues the fault schedule where the original was. *)
+     dispatch.  Snapshots copy it with the counters where they stood
+     (Fault.copy_state). *)
   mutable on_exec : (t -> string -> Sval.t list -> Sval.t -> unit) option;
   (* observability hook: fires after every successfully serviced
      syscall with its result; None (the default) costs one pointer
-     comparison.  Installed per-process by the engine — never cloned. *)
+     comparison.  Installed per-process by the engine — never copied. *)
   mutable on_fault : (t -> string -> int -> Fault.action -> unit) option;
   (* fires when a fault is injected: process, syscall, site, action.
-     Like on_exec, installed by the engine and never cloned. *)
+     Like on_exec, installed by the engine and never copied. *)
 }
 
 let create ?(pid = 1000) (w : World.t) : t =
@@ -54,67 +54,6 @@ let create ?(pid = 1000) (w : World.t) : t =
     on_exec = None;
     on_fault = None }
 
-let clone ?(pid = 1001) (t : t) : t =
-  let fds = Hashtbl.create (Hashtbl.length t.fds) in
-  Hashtbl.iter
-    (fun fd e ->
-       let e' =
-         match e with
-         | Fd_file { path; pos } -> Fd_file { path; pos }
-         | Fd_sock name -> Fd_sock name
-       in
-       Hashtbl.replace fds fd e')
-    t.fds;
-  { vfs = Vfs.clone t.vfs;
-    net = Net.clone t.net;
-    pid;
-    fds;
-    next_fd = t.next_fd;
-    clock = t.clock;
-    rng = t.rng;
-    stdout = Buffer.create 64;
-    next_addr = t.next_addr;
-    malloc_log = t.malloc_log;
-    retaddr_log = t.retaddr_log;
-    exit_code = None;
-    faults = Option.map Fault.copy_state t.faults;
-    on_exec = None;
-    on_fault = None }
-
-(* Exact deep copy for snapshotting: unlike [clone] (which models a
-   freshly forked slave process — new pid, empty stdout, no exit code),
-   [copy] preserves every observable field so a restored execution
-   continues exactly where the original stood.  Hooks are process-local
-   wiring and are never copied; consumers reinstall them. *)
-let copy (t : t) : t =
-  let fds = Hashtbl.create (max 8 (Hashtbl.length t.fds)) in
-  Hashtbl.iter
-    (fun fd e ->
-       let e' =
-         match e with
-         | Fd_file { path; pos } -> Fd_file { path; pos }
-         | Fd_sock name -> Fd_sock name
-       in
-       Hashtbl.replace fds fd e')
-    t.fds;
-  let stdout = Buffer.create (max 64 (Buffer.length t.stdout)) in
-  Buffer.add_buffer stdout t.stdout;
-  { vfs = Vfs.clone t.vfs;
-    net = Net.clone t.net;
-    pid = t.pid;
-    fds;
-    next_fd = t.next_fd;
-    clock = t.clock;
-    rng = t.rng;
-    stdout;
-    next_addr = t.next_addr;
-    malloc_log = t.malloc_log;
-    retaddr_log = t.retaddr_log;
-    exit_code = t.exit_code;
-    faults = Option.map Fault.copy_state t.faults;
-    on_exec = None;
-    on_fault = None }
-
 exception Os_error of string
 
 let alloc_fd t e =
@@ -130,15 +69,6 @@ let bad_args sys args =
 let next_rand t =
   t.rng <- (t.rng * 1103515245 + 12345) land 0x3FFFFFFF;
   t.rng
-
-(* Syscalls handled by the OS layer.  Thread operations (lock, unlock,
-   spawn, join, yield) are scheduler concerns and are handled by the VM. *)
-let handles = function
-  | "open" | "creat" | "read" | "write" | "close" | "seek" | "socket"
-  | "recv" | "send" | "mkdir" | "unlink" | "rename" | "stat" | "readdir"
-  | "time" | "rand" | "getpid" | "print" | "exit" | "malloc" | "free"
-  | "retaddr" -> true
-  | _ -> false
 
 let exec_raw (t : t) (sys : string) (args : Sval.t list) : Sval.t =
   match (sys, args) with

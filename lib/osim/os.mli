@@ -25,38 +25,24 @@ type t = {
   mutable faults : Fault.state option;
       (** fault-injection state (per-execution occurrence counters);
           [None], the default, costs one pointer comparison at dispatch.
-          Propagated by {!clone} with counters preserved. *)
+          Snapshots copy it with the counters where they stood
+          ([Fault.copy_state]). *)
   mutable on_exec : (t -> string -> Sval.t list -> Sval.t -> unit) option;
       (** observability hook: fires after every successfully serviced
           syscall with its result ([None], the default, costs one
           pointer comparison); installed per-process by the engine and
-          never propagated by {!clone} *)
+          never copied *)
   mutable on_fault : (t -> string -> int -> Fault.action -> unit) option;
       (** fires when a fault is injected (process, syscall, site,
-          action); installed by the engine, never propagated by
-          {!clone} *)
+          action); installed by the engine, never copied *)
 }
 
 (** Instantiate a world.  [pid] defaults to 1000 (the engine uses 1001
     for the slave, 2000 for taint baselines). *)
 val create : ?pid:int -> World.t -> t
 
-(** Deep copy (fds, filesystem, network, clock, rng); stdout starts
-    empty.  Used to give the slave a private OS. *)
-val clone : ?pid:int -> t -> t
-
-(** Exact deep copy for snapshotting: unlike {!clone}, preserves pid,
-    stdout contents and exit code, so a restored execution continues
-    exactly where the original stood.  Hooks are never copied;
-    consumers reinstall them after restore. *)
-val copy : t -> t
-
 (** Raised on malformed syscall invocations (wrong arity/types). *)
 exception Os_error of string
-
-(** Does this module service the syscall?  Thread operations (lock,
-    unlock, spawn, join, yield, setjmp, longjmp) are the VM's business. *)
-val handles : string -> bool
 
 (** Execute a syscall against this process's state.  [site] is the
     static call-site id used by fault rules with a [#SITE] key

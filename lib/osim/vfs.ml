@@ -1,10 +1,11 @@
 (* An in-memory virtual filesystem.
 
    Paths are flat strings with '/' separators; directories must be created
-   explicitly except for the root.  Supports deep cloning, which the LDX
-   engine uses for decoupled (tainted-resource) execution: the slave gets
-   a private copy of a resource the first time a misaligned operation
-   touches it (Sec. 7, "light-weight resource tainting"). *)
+   explicitly except for the root.  The LDX engine builds the slave its
+   own filesystem from the world, which decoupled (tainted-resource)
+   execution relies on: a resource a misaligned operation touches is
+   already private to the slave (Sec. 7, "light-weight resource
+   tainting"). *)
 
 type entry =
   | File of { mutable data : string; mutable mtime : int }
@@ -135,23 +136,3 @@ let readdir t path =
     in
     Ok (List.sort String.compare children)
   end
-
-let clone (t : t) : t =
-  let entries = Hashtbl.create (Hashtbl.length t.entries) in
-  Hashtbl.iter
-    (fun p e ->
-       let e' =
-         match e with
-         | Dir -> Dir
-         | File f -> File { data = f.data; mtime = f.mtime }
-       in
-       Hashtbl.replace entries p e')
-    t.entries;
-  { entries; clock = t.clock }
-
-(* Snapshot of all file contents (for output comparison in tests). *)
-let dump (t : t) : (string * string) list =
-  Hashtbl.fold
-    (fun p e acc -> match e with File f -> (p, f.data) :: acc | Dir -> acc)
-    t.entries []
-  |> List.sort compare

@@ -1,9 +1,9 @@
 (** An in-memory virtual filesystem.
 
     Paths are '/'-separated strings; directories must exist before files
-    are created under them (the root always exists).  Supports deep
-    cloning — the LDX engine gives the slave a private copy of a resource
-    the first time a misaligned operation touches it (Sec. 7). *)
+    are created under them (the root always exists).  The LDX engine
+    builds the slave its own filesystem from the world, so a resource a
+    misaligned operation touches is already private to it (Sec. 7). *)
 
 type entry =
   | File of { mutable data : string; mutable mtime : int }
@@ -44,9 +44,3 @@ val rename : t -> string -> string -> (unit, string) result
 
 (** Immediate children, sorted (deterministic). *)
 val readdir : t -> string -> (string list, string) result
-
-(** Deep copy: mutations to the clone never affect the original. *)
-val clone : t -> t
-
-(** All file contents, sorted by path (for output comparison in tests). *)
-val dump : t -> (string * string) list

@@ -19,17 +19,6 @@ let with_dir path w = { w with dirs = path :: w.dirs }
 let with_endpoint name script w =
   { w with net_scripts = (name, script) :: w.net_scripts }
 let with_seed seed w = { w with rng_seed = seed }
-let with_clock origin w = { w with clock_origin = origin }
-
-(* Replace the contents of a file (used to build paired inputs for the
-   Table 2 experiments); adds the file if absent. *)
-let set_file path contents w =
-  { w with
-    files = (path, contents) :: List.remove_assoc path w.files }
-
-let set_endpoint name script w =
-  { w with
-    net_scripts = (name, script) :: List.remove_assoc name w.net_scripts }
 
 let instantiate_vfs (w : t) : Vfs.t =
   let vfs = Vfs.create () in

@@ -17,13 +17,6 @@ val with_file : string -> string -> t -> t
 val with_dir : string -> t -> t
 val with_endpoint : string -> string list -> t -> t
 val with_seed : int -> t -> t
-val with_clock : int -> t -> t
-
-(** Replace a file's contents (add when absent) — for building paired
-    inputs in experiments. *)
-val set_file : string -> string -> t -> t
-
-val set_endpoint : string -> string list -> t -> t
 
 (** Builds the filesystem, creating parent directories implicitly.
     @raise Failure on inconsistent descriptions. *)

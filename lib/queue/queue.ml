@@ -257,7 +257,6 @@ module Worker = struct
   type outcome = Complete | Drained
 
   let run ?obs ?(stop = fun () -> false) ?now_us:(clock = now_us)
-      ?(sleep_us = fun us -> Unix.sleepf (float_of_int us /. 1e6))
       ?(sync = false) ~journal ~owner ~ttl_us ~heartbeat_us ~poll_us task =
     let path = journal.path in
     let emit ev = Obs.Sink.emit_opt obs ev in
@@ -321,7 +320,7 @@ module Worker = struct
         match claim_with journal ~owner ~now_us:(clock ()) ~ttl_us ~sync () with
         | Error e -> failwith e
         | Ok Wait ->
-          sleep_us poll_us;
+          Unix.sleepf (float_of_int poll_us /. 1e6);
           loop ()
         | Ok (Claimed { index; epoch; reclaimed_from }) ->
           emit

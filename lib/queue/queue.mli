@@ -203,12 +203,11 @@ module Worker : sig
       (disabled when [heartbeat_us <= 0]; the heartbeat domain always
       uses the real clock).  [Wait] sleeps [poll_us] between polls.
 
-      [now_us]/[sleep_us] exist for deterministic tests; production
-      callers take the defaults (real clock / [Unix.sleepf]).  The
-      loop claims through [journal] for its whole run; the caller
-      opens and closes it, so a caller that has caught it up already
-      (to check the manifest) does not read the journal twice.  Every
-      append goes to [journal]'s path.
+      [now_us] exists for deterministic tests; production callers take
+      the default (the real clock).  The loop claims through [journal]
+      for its whole run; the caller opens and closes it, so a caller
+      that has caught it up already (to check the manifest) does not
+      read the journal twice.  Every append goes to [journal]'s path.
 
       If [task] raises, the lease is released (so a peer can take
       over) and the exception propagates — but note the campaign
@@ -218,7 +217,6 @@ module Worker : sig
     ?obs:Ldx_obs.Sink.t ->
     ?stop:(unit -> bool) ->
     ?now_us:(unit -> int) ->
-    ?sleep_us:(int -> unit) ->
     ?sync:bool ->
     journal:follower ->
     owner:string ->

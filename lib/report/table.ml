@@ -63,7 +63,7 @@ let render (t : t) : string =
   end;
   Buffer.contents buf
 
-let pct ?(digits = 2) x = Printf.sprintf "%.*f%%" digits (100.0 *. x)
+let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 let f2 x = Printf.sprintf "%.2f" x
 
 (* Simple statistics used by Table 4 and the means of Fig. 6. *)

@@ -18,7 +18,7 @@ val make :
 val render : t -> string
 
 (** [pct 0.0608 = "6.08%"]. *)
-val pct : ?digits:int -> float -> string
+val pct : float -> string
 
 val f2 : float -> string
 

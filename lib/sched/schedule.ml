@@ -4,9 +4,9 @@
    Each entry is (chosen spawn index, quantum in VM steps) — exactly the
    information the VM's pick point consumes, and nothing else.  The log
    is immutable once built; executions that replay it read through a
-   [cursor], a mutable position that can be copied mid-run so a cloned
-   execution (the slave decoupling, a forked process) continues the
-   schedule exactly where the original was — the same discipline as
+   [cursor], a mutable position that can be copied mid-run so a copied
+   execution (a restored snapshot) continues the schedule exactly where
+   the original was — the same discipline as
    [Ldx_osim.Fault]'s plan/state split. *)
 
 type entry = {
@@ -19,7 +19,6 @@ type t = entry array
 let length (s : t) = Array.length s
 
 let of_list = Array.of_list
-let to_list = Array.to_list
 
 let entry (s : t) i = s.(i)
 

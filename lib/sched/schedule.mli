@@ -18,7 +18,6 @@ type t = entry array
 
 val length : t -> int
 val of_list : entry list -> t
-val to_list : t -> entry list
 
 (** [entry s i] is the [i]-th decision.
     @raise Invalid_argument when out of bounds. *)

@@ -97,16 +97,9 @@ let instantiate ?(record = false) (s : spec) : state =
 
 let spec_of (st : state) : spec = st.sspec
 
-(* Mid-execution copy: same spec, same cursors — a cloned execution
-   continues the schedule exactly where the original was.  The decision
-   log is NOT shared (the clone starts its own), mirroring how
-   [Fault.copy_state] copies counters but not observers. *)
-let copy (st : state) : state =
-  { st with
-    replay_cursor = Option.map Schedule.copy_cursor st.replay_cursor;
-    rev_log = [] }
-
-(* Snapshot copy: like [copy] but the decision log survives (the log
+(* Snapshot copy: same spec, same cursors — a restored execution
+   continues the schedule exactly where the original was
+   ([Fault.copy_state] discipline).  The decision log survives (the log
    list is immutable, so sharing its cells is safe), so a restored
    execution's recorded trace covers the pre-snapshot prefix too. *)
 let copy_full (st : state) : state =

@@ -72,15 +72,11 @@ val instantiate : ?record:bool -> spec -> state
 
 val spec_of : state -> spec
 
-(** Mid-execution copy: same spec, same cursors — a cloned execution
-    continues the schedule exactly where the original was
-    ([Fault.copy_state] discipline).  The clone starts an empty
-    decision log. *)
-val copy : state -> state
-
-(** Like {!copy} but the recorded decision log survives — the snapshot
-    variant ([Machine.snapshot]): a restored execution's trace covers
-    the pre-snapshot prefix. *)
+(** Mid-execution copy for snapshots ([Machine.snapshot]/[restore]):
+    same spec, same cursors, so the copy continues the schedule exactly
+    where the original was ([Fault.copy_state] discipline), and the
+    recorded decision log survives, so a restored execution's trace
+    covers the pre-snapshot prefix. *)
 val copy_full : state -> state
 
 (** Decisions made so far. *)

@@ -16,7 +16,6 @@
 
 module Machine = Ldx_vm.Machine
 module Profile = Ldx_vm.Profile
-module Sched = Ldx_sched.Scheduler
 module Ir = Ldx_cfg.Ir
 module Flat = Ldx_cfg.Flat
 module Os = Ldx_osim.Os
@@ -160,17 +159,10 @@ let capture (m : Machine.t) : t =
     sp_os = sos_of_os m.Machine.os;
     sp_prof = Option.map Profile.snapshot m.Machine.prof }
 
-let restore ?prof ?sched ?fprog (prog : Ir.program) (snap : t) : Machine.t =
+let restore ~fprog (prog : Ir.program) (snap : t) : Machine.t =
   let os = os_of_sos snap.sp_os in
-  let prof =
-    match prof with
-    | Some _ as p -> p
-    | None -> Option.map (Profile.of_snapshot prog) snap.sp_prof
-  in
-  let fprog =
-    match fprog with Some f -> f | None -> Machine.compile prog
-  in
-  Machine.restore ?prof ?sched ~prog ~fprog os snap.sp_machine
+  let prof = Option.map (Profile.of_snapshot prog) snap.sp_prof in
+  Machine.restore ?prof ~prog ~fprog os snap.sp_machine
 
 (* ------------------------------------------------------------------ *)
 (* Identity.                                                           *)
@@ -214,28 +206,3 @@ let of_string (s : string) : (t, string) result =
             else Ok t
           | exception _ -> Error "ldx-snap: corrupt payload"))
   | _ -> Error "ldx-snap: bad header"
-
-let save ~path (t : t) : (unit, string) result =
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-         output_string oc (to_string t);
-         output_char oc '\n');
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error m -> Error m
-
-let load ~path : (t, string) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> input_line ic)
-  with
-  | line -> of_string line
-  | exception Sys_error m -> Error m
-  | exception End_of_file -> Error "ldx-snap: empty file"

@@ -22,7 +22,6 @@
 
 module Machine = Ldx_vm.Machine
 module Profile = Ldx_vm.Profile
-module Sched = Ldx_sched.Scheduler
 module Ir = Ldx_cfg.Ir
 
 (** {1 The osim world, canonically} *)
@@ -84,15 +83,12 @@ val os_of_sos : sos -> Ldx_osim.Os.t
     [prog] must be the program the snapshot was captured from (cheap
     shape validation raises [Invalid_argument] on mismatch — callers
     wanting a proper verdict should check {!fingerprint} first).
-    [?fprog] reuses an existing compilation instead of recompiling;
-    [?prof] overrides the snapshot's own profile counters; [?sched]
-    overrides the scheduler state — the suffix-replay hook: restoring
-    under an alternative schedule explores interleavings from the
-    decouple point on.  Obs hooks and the lock gate start unset. *)
-val restore :
-  ?prof:Profile.t -> ?sched:Sched.state ->
-  ?fprog:Machine.compiled -> Ir.program -> t ->
-  Machine.t
+    [fprog] is [prog]'s compilation: the capturing machine's, or one
+    {!Machine.compile} shared by every restore.  The snapshot's profile
+    counters, if any, are rebuilt into a private profile, and the
+    scheduler resumes from its recorded state.  Obs hooks and the lock
+    gate start unset. *)
+val restore : fprog:Machine.compiled -> Ir.program -> t -> Machine.t
 
 (** {1 Identity} *)
 
@@ -118,10 +114,3 @@ val to_string : t -> string
 (** Parse and verify: header, version, digest (torn or corrupt payloads
     are rejected, never half-decoded). *)
 val of_string : string -> (t, string) result
-
-(** {!to_string} to a file (plus trailing newline), atomically
-    (temp sibling + rename). *)
-val save : path:string -> t -> (unit, string) result
-
-(** Load a snapshot saved by {!save}. *)
-val load : path:string -> (t, string) result

@@ -282,8 +282,6 @@ let append_entry (t : t) (e : entry) : unit =
        invalid_arg "Store.append_entry: lease records need a v2 store");
   write_line t (entry_line e)
 
-let path_of t = t.path
-
 let close (t : t) : unit =
   match t.oc with
   | None -> ()

@@ -161,8 +161,6 @@ val append : t -> int -> string -> unit
     @raise Invalid_argument on a lease record in a v1 store. *)
 val append_entry : t -> entry -> unit
 
-val path_of : t -> string
-
 val close : t -> unit
 
 (** {1 Reading} *)

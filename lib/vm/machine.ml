@@ -919,8 +919,8 @@ let dyn_cnt_avg t =
    NOT captured: the program ([prog]/[fprog] are immutable and shared —
    [restore] takes them as inputs), the profile (pass [?prof] to
    [restore]), the obs hooks and lock gate (consumers reinstall after
-   restore), the OS world (the caller's business: [Os.copy] here, a
-   canonical projection in [Ldx_snap]), and the scratch buffers
+   restore), the OS world (the caller's business: a canonical
+   projection in [Ldx_snap]), and the scratch buffers
    (rebuilt on demand).  Capture is a pull operation — a machine that
    is never snapshotted pays nothing. *)
 
@@ -1116,7 +1116,7 @@ let snapshot (t : t) : snapshot =
     sn_cnt_samples = t.cnt_samples;
     sn_max_seg_depth = t.max_seg_depth }
 
-let restore ?prof ?sched ~(prog : Ir.program)
+let restore ?prof ~(prog : Ir.program)
     ~(fprog : compiled) (os : Ldx_osim.Os.t)
     (snap : snapshot) : t =
   (match prof with Some p -> Profile.attach p prog | None -> ());
@@ -1197,10 +1197,7 @@ let restore ?prof ?sched ~(prog : Ir.program)
       sig_handlers;
       lock_trace = snap.sn_lock_trace;
       lock_gate = None;
-      sched =
-        (match sched with
-         | Some s -> s
-         | None -> Sched.copy_full snap.sn_sched);
+      sched = Sched.copy_full snap.sn_sched;
       steps = snap.sn_steps;
       cycles = snap.sn_cycles;
       syscalls = snap.sn_syscalls;

@@ -256,8 +256,8 @@ val dyn_cnt_avg : t -> float
 
     Not captured: the program (immutable, passed back to {!restore}),
     the profile ([?prof]), the obs hooks and lock gate (reinstall after
-    restore), the OS world (snapshot it alongside — [Os.copy] or
-    [Ldx_snap]'s canonical projection), and the scratch buffers.
+    restore), the OS world (snapshot it alongside with [Ldx_snap]'s
+    canonical projection), and the scratch buffers.
     Capture is a pull operation: a machine that is never snapshotted
     pays nothing. *)
 
@@ -348,15 +348,14 @@ val snapshot : t -> snapshot
 val compile :
   ?builtin:(string -> Value.t list -> Value.t) -> Ir.program -> compiled
 
-(** Rebuild a machine from a snapshot over [os] (which must itself be a
-    copy consistent with the capture point — see [Os.copy]).  [?prof]
-    attaches a profile ({!create} discipline); [?sched] overrides the
-    snapshot's scheduler state — the suffix-replay hook: restoring with
-    an alternative schedule explores interleavings from the decouple
-    point on.  Obs hooks and the lock gate start unset.
+(** Rebuild a machine from a snapshot over [os] (which must itself be
+    consistent with the capture point, e.g. rebuilt by [Ldx_snap] from
+    its projection).  [?prof] attaches a profile ({!create}
+    discipline); the scheduler resumes from a private copy of the
+    snapshot's state.  Obs hooks and the lock gate start unset.
     @raise Invalid_argument when the snapshot does not fit [prog]
     (unknown function, register-file shape mismatch) — the cheap guard
     behind [Ldx_snap]'s fingerprint validation. *)
 val restore :
-  ?prof:Profile.t -> ?sched:Sched.state -> prog:Ir.program ->
+  ?prof:Profile.t -> prog:Ir.program ->
   fprog:compiled -> Ldx_osim.Os.t -> snapshot -> t

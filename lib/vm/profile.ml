@@ -108,25 +108,6 @@ let attach (p : t) (prog : Ir.program) : unit =
     p.blk_steps <- Array.make (max 1 !total) 0;
     p.blk_cycles <- Array.make (max 1 !total) 0
 
-(* Deep copy for snapshotting: counter arrays and syscall tables are
-   duplicated so charges to the copy never touch the original.  The
-   layout (immutable once attached) is shared. *)
-let copy (p : t) : t =
-  let tbl src =
-    let dst = Hashtbl.create (max 8 (Hashtbl.length src)) in
-    Hashtbl.iter (fun k r -> Hashtbl.replace dst k (ref !r)) src;
-    dst
-  in
-  { op_steps = Array.copy p.op_steps;
-    op_cycles = Array.copy p.op_cycles;
-    eng_counts = Array.copy p.eng_counts;
-    eng_cycles = Array.copy p.eng_cycles;
-    sys_counts = tbl p.sys_counts;
-    sys_cycles = tbl p.sys_cycles;
-    layout = p.layout;
-    blk_steps = Array.copy p.blk_steps;
-    blk_cycles = Array.copy p.blk_cycles }
-
 let base_of (p : t) (fname : string) : int =
   match p.layout with
   | None -> 0

@@ -58,10 +58,6 @@ val attach : t -> Ldx_cfg.Ir.program -> unit
     block's flat index is [base_of p fname + bid]. *)
 val base_of : t -> string -> int
 
-(** Deep copy for snapshotting: the copy's counters are independent of
-    the original's (the immutable layout is shared). *)
-val copy : t -> t
-
 (** {1 Charging} — called from the machine/engine hot paths. *)
 
 (** One dispatch: a step and [cost] cycles against opcode [op] and flat

@@ -15,9 +15,6 @@ let find_exn name =
   | Some w -> w
   | None -> invalid_arg ("Registry.find_exn: unknown workload " ^ name)
 
-let by_category c =
-  List.filter (fun (w : Workload.t) -> w.Workload.category = c) all
-
 (* The Fig. 6 performance subset: non-interactive programs, as in the
    paper (firefox and lynx are interactive; sysstat and mp3info are
    excluded there for trivial runtime — we keep them since all our

@@ -19,7 +19,5 @@ val find : string -> Workload.t option
 (** @raise Invalid_argument on unknown names. *)
 val find_exn : string -> Workload.t
 
-val by_category : Workload.category -> Workload.t list
-
 (** The Fig. 6 performance subset (non-interactive programs). *)
 val performance_set : Workload.t list

@@ -848,6 +848,60 @@ let test_campaign_resume_fingerprint_mismatch () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "matching config rejected: %s" e
 
+(* A [Custom_sinks] predicate is a closure with no digest, so every
+   path that would journal such a campaign refuses it before writing:
+   [run ?journal] leaves no file behind, and [resume], [Service.init]
+   and [Service.worker] leave an existing journal byte-unchanged. *)
+let custom_sink_config =
+  { attribution_config with
+    Engine.sinks =
+      Engine.Custom_sinks (fun sys _ _ -> String.equal sys "send") }
+
+let test_custom_sinks_not_journaled () =
+  let prog = instrumented attribution_src in
+  let params = campaign_params custom_sink_config in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted a Custom_sinks campaign" what
+  in
+  with_journal @@ fun path ->
+  Sys.remove path;
+  refused "run ?journal" (fun () ->
+      Campaign.run ~journal:path ~config:custom_sink_config prog
+        attribution_world params);
+  check bool "run ?journal wrote no file" false (Sys.file_exists path);
+  refused "Service.init" (fun () ->
+      Campaign.Service.init ~path ~config:custom_sink_config prog
+        attribution_world params);
+  check bool "Service.init wrote no file" false (Sys.file_exists path);
+  (* a journal of the same campaign under a data sink, for the paths
+     that read one first *)
+  ignore
+    (Campaign.run ~journal:path ~config:attribution_config prog
+       attribution_world (campaign_params attribution_config));
+  let before = read_file path in
+  refused "resume" (fun () ->
+      Campaign.resume ~journal:path ~config:custom_sink_config prog
+        attribution_world params);
+  refused "Service.worker" (fun () ->
+      Campaign.Service.worker ~path ~owner:"w-custom" ~ttl_us:1_000_000
+        ~heartbeat_us:0 ~poll_us:1_000 ~config:custom_sink_config prog
+        attribution_world params);
+  check bool "the journal is byte-unchanged" true
+    (String.equal before (read_file path))
+
+(* Without a journal nothing is fingerprinted, and the predicate (here
+   the one [Network_outputs] names) renders that campaign's table. *)
+let test_custom_sinks_run_unjournaled () =
+  let prog = instrumented attribution_src in
+  let table config =
+    Campaign.render
+      (Campaign.run ~config prog attribution_world (campaign_params config))
+  in
+  Alcotest.(check string) "custom predicate = Network_outputs"
+    (table attribution_config) (table custom_sink_config)
+
 (* Graceful drain: a [stop] that turns true mid-campaign finishes the
    in-flight task, journals it, marks the unclaimed rest as drained
    placeholders, and a later resume re-runs exactly those — rendering
@@ -1124,6 +1178,10 @@ let tests =
       `Quick test_campaign_parallel_obs_order;
     Alcotest.test_case "resume of a complete journal replays verbatim"
       `Quick test_campaign_resume_complete;
+    Alcotest.test_case "Custom_sinks campaigns are never journaled" `Quick
+      test_custom_sinks_not_journaled;
+    Alcotest.test_case "Custom_sinks campaigns run without a journal" `Quick
+      test_custom_sinks_run_unjournaled;
     Alcotest.test_case "resume rejects a fingerprint mismatch" `Quick
       test_campaign_resume_fingerprint_mismatch;
     Alcotest.test_case "drain finishes in-flight, resume completes" `Quick

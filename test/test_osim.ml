@@ -1,4 +1,4 @@
-(* Simulated OS tests: VFS, network, process view, cloning. *)
+(* Simulated OS tests: VFS, network, process view. *)
 
 open Ldx_osim
 
@@ -34,14 +34,6 @@ let test_vfs_rename_unlink () =
   check string "b has data" "data" (ok (Vfs.read_file v "/b"));
   ok (Vfs.unlink v "/b");
   check bool "b gone" false (Vfs.exists v "/b")
-
-let test_vfs_clone_isolation () =
-  let v = Vfs.create () in
-  ok (Vfs.write_file v "/f" "orig");
-  let c = Vfs.clone v in
-  ok (Vfs.write_file c "/f" "clone");
-  check string "original untouched" "orig" (ok (Vfs.read_file v "/f"));
-  check string "clone updated" "clone" (ok (Vfs.read_file c "/f"))
 
 let test_net_script_and_outbox () =
   let n = Net.create () in
@@ -92,13 +84,6 @@ let test_os_deterministic_rand_time () =
   let t2 = Sval.int_exn (Os.exec os "time" []) in
   check bool "time advances" true (t2 > t1)
 
-let test_os_clone_independent () =
-  let os = Os.create World.(empty |> with_file "/f" "base") in
-  let c = Os.clone os in
-  ignore (Os.exec c "creat" [ Sval.S "/slaveonly" ]);
-  check int "master lacks clone's file" (-1)
-    (Sval.int_exn (Os.exec os "open" [ Sval.S "/slaveonly" ]))
-
 let test_os_malloc_retaddr_logs () =
   let os = Os.create World.empty in
   let a1 = Sval.int_exn (Os.exec os "malloc" [ Sval.I 64 ]) in
@@ -118,13 +103,11 @@ let tests =
   [ Alcotest.test_case "vfs create/read/write" `Quick test_vfs_create_read_write;
     Alcotest.test_case "vfs dirs" `Quick test_vfs_dirs;
     Alcotest.test_case "vfs rename/unlink" `Quick test_vfs_rename_unlink;
-    Alcotest.test_case "vfs clone isolation" `Quick test_vfs_clone_isolation;
     Alcotest.test_case "net script/outbox" `Quick test_net_script_and_outbox;
     Alcotest.test_case "world instantiation" `Quick test_world_instantiation;
     Alcotest.test_case "os fd lifecycle" `Quick test_os_fd_lifecycle;
     Alcotest.test_case "os open missing" `Quick test_os_open_missing;
     Alcotest.test_case "os deterministic rand/time" `Quick
       test_os_deterministic_rand_time;
-    Alcotest.test_case "os clone independent" `Quick test_os_clone_independent;
     Alcotest.test_case "os malloc/retaddr logs" `Quick test_os_malloc_retaddr_logs;
     Alcotest.test_case "os stdout" `Quick test_os_stdout ]

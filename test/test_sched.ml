@@ -147,7 +147,7 @@ let test_state_copy_mid_stream () =
   let spec = Sched.spec ~seed:3 Sched.Random in
   let st = Sched.instantiate spec in
   ignore (picks st [| 0; 1; 2 |] 10);
-  let st' = Sched.copy st in
+  let st' = Sched.copy_full st in
   check bool "clone continues the decision stream exactly" true
     (picks st [| 0; 1; 2 |] 20 = picks st' [| 0; 1; 2 |] 20)
 

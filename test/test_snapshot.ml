@@ -282,6 +282,31 @@ let run_camp ?obs ?(jobs = 1) ?mode ~incremental c =
   Campaign.run ~jobs ?mode ?obs ~incremental ~config:c.c_config
     (Lazy.force c.c_prog) c.c_world c.c_params
 
+(* Every task resumes from the snapshot exactly once, between its own
+   [Task_begin] and [Task_timing]: that bracket names the task a
+   [Snapshot_restored] belongs to. *)
+let check_restores_bracketed label ntasks events =
+  let restored = Array.make ntasks 0 in
+  let last =
+    List.fold_left
+      (fun cur (ev : Ldx_obs.Event.t) ->
+         match (ev, cur) with
+         | Task_begin { index; _ }, None -> Some index
+         | Task_timing { index; _ }, Some i when i = index -> None
+         | (Task_begin _ | Task_timing _), _ ->
+           Alcotest.failf "%s: task brackets interleave" label
+         | Snapshot_restored _, Some i ->
+           restored.(i) <- restored.(i) + 1;
+           cur
+         | Snapshot_restored _, None ->
+           Alcotest.failf "%s: a restore outside every task" label
+         | _ -> cur)
+      None events
+  in
+  check bool (label ^ ": the last task bracket closes") true (last = None);
+  check (Alcotest.array int) (label ^ ": one restore inside each task")
+    (Array.make ntasks 1) restored
+
 let test_incremental_identity () =
   List.iter
     (fun c ->
@@ -289,8 +314,11 @@ let test_incremental_identity () =
          Campaign.render (run_camp ?obs ~jobs ?mode ~incremental c)
        in
        let full = table false 1 in
+       let rc1 = Ldx_obs.Recorder.create () in
        check string (c.c_label ^ ": incremental table at jobs=1") full
-         (table true 1);
+         (table ~obs:(Ldx_obs.Recorder.sink rc1) true 1);
+       check_restores_bracketed (c.c_label ^ " at jobs=1")
+         (List.length c.c_params) (Ldx_obs.Recorder.events rc1);
        (* [`Parallel]: the short prefix's master pass is far below the
           campaign's break-even, so [`Auto] would run every task on the
           calling domain *)
@@ -300,6 +328,8 @@ let test_incremental_identity () =
        check int (c.c_label ^ ": jobs=4 ran on the domain pool") 1
          (Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
             "campaign.mode.parallel");
+       check_restores_bracketed (c.c_label ^ " at jobs=4")
+         (List.length c.c_params) (Ldx_obs.Recorder.events rc);
        check bool (c.c_label ^ ": the campaign actually leaks") true
          (List.exists
             (fun o -> (Campaign.result_exn o).Engine.leak)
@@ -441,7 +471,23 @@ let test_no_perturbation () =
               Alcotest.failf
                 "%s: full mode ran %d slave cycles, incremental %d: under \
                  1.5x"
-                c.c_label full_cycles executed)
+                c.c_label full_cycles executed;
+            (* the cycles above are the capture's clock, which a runner
+               that re-ran the prefix inside every task (without a
+               capture event) would report just the same; the host
+               allocation of the two campaigns tells them apart *)
+            let words incremental =
+              let before = Gc.minor_words () in
+              ignore (Sys.opaque_identity (run_camp ~incremental c));
+              Gc.minor_words () -. before
+            in
+            let full_words = words false in
+            let incr_words = words true in
+            if incr_words > full_words /. 4. then
+              Alcotest.failf
+                "%s: the incremental campaign allocated %.0f words, the \
+                 full one %.0f: more than 1/4"
+                c.c_label incr_words full_words)
          c.c_prefix_cycles)
     [ short_prefix; long_prefix ]
 
