@@ -258,13 +258,16 @@ let sync_flag =
 let incremental_flag =
   Arg.(value & flag
        & info [ "incremental" ]
-         ~doc:"Campaign modes: execute the shared slave prefix once, \
-               snapshot at the first divergence-relevant decouple point \
-               and replay only each task's suffix from the snapshot.  \
-               The rendered table is byte-identical to a full campaign \
-               at any --jobs; tasks whose effective config diverges \
-               from the shared prefix (retry jitter, deadlines, custom \
-               schedules) fall back to full slave passes automatically.")
+         ~doc:"Campaign modes: snapshot the shared slave prefix once, \
+               at the first divergence-relevant decouple point, and \
+               replay only each task's suffix from the snapshot; when \
+               the slave shares the master's schedule the snapshot is \
+               forked from the master pass.  The rendered table is \
+               byte-identical to a full campaign at any --jobs; tasks \
+               whose effective config diverges from the shared prefix \
+               (retry jitter, deadlines, custom schedules) fall back to \
+               full slave passes automatically, each fallback counted \
+               as snap.fallback under --metrics.")
 
 let build_world files endpoints =
   let w = ref World.empty in

@@ -449,40 +449,52 @@ let fan_out ~jobs ~stop ~run ~record (idxs : int array) : unit =
 
 (* ---------- the campaign ---------- *)
 
-(* Is an incremental prefix sound for this fan-out?  Every task must
-   share the prefix-relevant slave fields (seed, scheduler, trace
-   recording); [sources], [strategy] and [check_final_state] are free to
-   vary — they only act at or after the decouple point.  A caller's
-   custom runner can't be short-circuited, and a [?deadline] lowers
-   per-task fuel (changing the prefix machine), so both force the full
-   path. *)
-let incremental_eligible ~user_runner ~deadline (params : slave_params list) :
-  bool =
-  Option.is_none user_runner && deadline = None
-  && (match params with
-      | [] -> false
-      | p0 :: rest ->
-        List.for_all
-          (fun p ->
-             p.slave_seed = p0.slave_seed
-             && p.record_trace = p0.record_trace
-             && p.sched = p0.sched)
-          rest)
+(* Why an incremental prefix would be unsound for this fan-out, if it
+   would be.  Every task must share the prefix-relevant slave fields
+   (seed, scheduler, trace recording); [sources], [strategy] and
+   [check_final_state] are free to vary — they only act at or after the
+   decouple point.  A caller's custom runner can't be short-circuited,
+   and a [?deadline] lowers per-task fuel (changing the prefix machine),
+   so both force the full path. *)
+let incremental_refusal ~user_runner ~deadline (params : slave_params list) :
+  string option =
+  let shared p q =
+    p.slave_seed = q.slave_seed && p.record_trace = q.record_trace
+    && p.sched = q.sched
+  in
+  if Option.is_some user_runner then Some "a custom runner"
+  else if Option.is_some deadline then Some "a deadline"
+  else
+    match params with
+    | p0 :: rest when not (List.for_all (shared p0) rest) ->
+      Some "tasks differ in slave seed, trace recording or schedule"
+    | _ -> None
 
-(* Build the incremental runner: one shared slave prefix (executed here,
-   on the calling domain, before any fan-out), then per-task suffix
-   resumes.  Attempt-0 task configs match the snapshot's fingerprint by
-   construction; retries jitter the slave seed, which changes the
-   fingerprint and falls back to a full pass automatically.  Any
-   surprise during the prefix falls back to the full path — incremental
-   mode is an optimization, never a behavior change. *)
+let fallback obs reason =
+  Obs.Sink.emit_opt obs (Obs.Event.Snapshot_fallback { reason })
+
+(* Build the incremental runner: one shared slave prefix over [specs]
+   (the tasks' sources, which [mo] was recorded with), forked from the
+   master's capture or executed here on the calling domain, before any
+   fan-out; then per-task suffix resumes.  Attempt-0 task configs match
+   the snapshot's fingerprint by construction; retries jitter the slave
+   seed, which changes the fingerprint and runs that attempt in full.
+   A prefix that raises runs every task in full.  Each fallback emits
+   [Snapshot_fallback]: incremental mode is an optimization, never a
+   behavior change, and a broken prefix must still show. *)
 let incremental_runner ?obs (config : Engine.config) (prog : Ir.program)
-    (world : World.t) (mo : Engine.master_out)
+    (world : World.t) (mo : Engine.master_out) ~specs
     (params : slave_params list) : runner =
-  let p0 = List.hd params in
-  let specs = List.concat_map (fun p -> p.sources) params in
-  let prefix_cfg = apply config { p0 with sources = [] } in
-  match Engine.slave_prefix ?obs prefix_cfg ~specs prog world mo with
+  let prefix_cfg = apply config { (List.hd params) with sources = [] } in
+  let mismatch ?obs cfg prog world mo =
+    fallback obs "task config does not match the snapshot's fingerprint";
+    default_runner ?obs cfg prog world mo
+  in
+  match
+    match Engine.fork_prefix ?obs prefix_cfg prog world mo with
+    | Some ss -> Engine.Prefix_paused ss
+    | None -> Engine.slave_prefix ?obs prefix_cfg ~specs prog world mo
+  with
   | Engine.Prefix_done so ->
     (* no syscall base-matches any task's sources: the whole slave run
        is shared, and each first attempt finalizes the one outcome under
@@ -491,17 +503,15 @@ let incremental_runner ?obs (config : Engine.config) (prog : Ir.program)
     fun ?obs cfg prog world mo ->
       if String.equal fp0 (Engine.slave_fingerprint cfg prog world) then
         Engine.finalize_result ?obs cfg mo so
-      else default_runner ?obs cfg prog world mo
+      else mismatch ?obs cfg prog world mo
   | Engine.Prefix_paused ss ->
     fun ?obs cfg prog world mo ->
-      if
-        String.equal ss.Engine.ss_fingerprint
-          (Engine.slave_fingerprint cfg prog world)
-      then
-        Engine.finalize_result ?obs cfg mo
-          (Engine.slave_resume ?obs cfg prog world mo ss)
-      else default_runner ?obs cfg prog world mo
-  | exception _ -> default_runner
+      (match Engine.slave_resume_opt ?obs cfg prog world mo ss with
+       | Some so -> Engine.finalize_result ?obs cfg mo so
+       | None -> mismatch ?obs cfg prog world mo)
+  | exception e ->
+    fallback obs ("the shared prefix raised " ^ Printexc.to_string e);
+    default_runner
 
 let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
     ~incremental
@@ -539,6 +549,17 @@ let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
   in
   Fun.protect ~finally:(fun () -> Option.iter Store.close store) @@ fun () ->
   (if missing <> [] then begin
+     (* an incremental fan-out's decouple specs: the master pass
+        captures its own state where they first match *)
+     let specs =
+       if not incremental then None
+       else
+         match incremental_refusal ~user_runner ~deadline params with
+         | None -> Some (List.concat_map (fun p -> p.sources) params)
+         | Some reason ->
+           fallback obs ("ineligible: " ^ reason);
+           None
+     in
      (* ONE master pass, shared by every slave task still to run; when
         everything replays from the journal even this is skipped *)
      let mo =
@@ -546,15 +567,16 @@ let run_impl ~jobs ~mode ~obs ~retry ~deadline ~runner ~journal ~stop ~sync
        Fun.protect
          ~finally:(fun () ->
            Obs.Sink.emit_opt obs (Obs.Event.Phase_end Obs.Event.Master_run))
-         (fun () -> Engine.master_pass ?obs config prog world)
+         (fun () -> Engine.master_pass ?obs ?specs config prog world)
      in
      (* incremental fan-out: one shared slave prefix now, per-task
         suffix resumes below (threaded through the runner seam, so
         retry containment and telemetry are untouched) *)
      let runner =
-       if incremental && incremental_eligible ~user_runner ~deadline params
-       then incremental_runner ?obs config prog world mo params
-       else runner
+       match specs with
+       | Some specs ->
+         incremental_runner ?obs config prog world mo ~specs params
+       | None -> runner
      in
      let nmiss = List.length missing in
      (* mode resolution.  [`Auto] goes parallel only when it can

@@ -215,20 +215,26 @@ val fan_out :
     every append — power-loss durability at one disk round-trip per
     task.
 
-    [?incremental] (default off) executes the shared slave prefix ONCE
-    — pausing at the first syscall any task's source spec base-matches
-    and capturing a decouple-point snapshot ({!Engine.slave_prefix}) —
-    then replays only each task's suffix from the snapshot
-    ({!Engine.slave_resume}).  Outcomes, and therefore {!render}ed
-    tables, are byte-identical to the full path at any [jobs] (pinned
-    by the test suite); only wall-clock time and the event stream
-    (which gains [Snapshot_captured]/[Snapshot_restored] and loses
-    per-task prefix events) change.  The mode silently falls back to
-    full passes when it cannot be sound or cannot win: a custom
+    [?incremental] (default off) captures the shared slave prefix ONCE
+    — at the first syscall any task's source spec base-matches, as a
+    decouple-point snapshot — then replays only each task's suffix from
+    the snapshot ({!Engine.slave_resume_opt}).  The master pass is given
+    the tasks' sources and captures its own state there; when the
+    tasks' slave schedule is the master's, the snapshot is forked from
+    that capture ({!Engine.fork_prefix}) and no prefix instruction runs
+    twice, otherwise the prefix is executed ({!Engine.slave_prefix}).
+    Outcomes, and therefore {!render}ed tables, are byte-identical to
+    the full path at any [jobs] (pinned by the test suite); only
+    wall-clock time and the event stream change: it gains
+    [Snapshot_captured]/[Snapshot_restored], loses per-task prefix
+    events, and a forked prefix emits no slave events at all.  The mode
+    falls back to full passes when it cannot be sound: a custom
     [?runner], a [?deadline], tasks that disagree on a prefix-relevant
-    slave field ([slave_seed], [sched], [record_trace]), retry attempts
-    (jittered seeds change the snapshot fingerprint), or a prefix that
-    fails to reach a decouple point. *)
+    slave field ([slave_seed], [sched], [record_trace]) or a shared
+    prefix that raises run every task in full, and a task whose config
+    does not match the snapshot's fingerprint (a retry attempt, whose
+    jittered seed changes it) runs in full.  Each fallback emits
+    [Snapshot_fallback] with its reason. *)
 val run :
   ?jobs:int -> ?mode:[ `Auto | `Sequential | `Parallel ] ->
   ?obs:Ldx_obs.Sink.t -> ?retry:retry_policy -> ?deadline:int ->

@@ -109,12 +109,14 @@ let default_config =
     slave_sched = None;
     record_sched = false }
 
-(* The scheduler state of one side: the configured spec, or the legacy
+(* The scheduler spec of one side: the configured one, or the legacy
    round-robin seeded like the historical hard-wired scheduler. *)
+let resolve_sched (spec : Sched.spec option) ~(seed : int) : Sched.spec =
+  match spec with Some s -> s | None -> Sched.legacy ~seed
+
 let sched_state_of ~(record : bool) (spec : Sched.spec option) ~(seed : int) :
   Sched.state =
-  Sched.instantiate ~record
-    (match spec with Some s -> s | None -> Sched.legacy ~seed)
+  Sched.instantiate ~record (resolve_sched spec ~seed)
 
 let sink_pred = function
   | Output_syscalls ->
@@ -185,6 +187,26 @@ let source_matcher (config : config) =
          if this then hit := true)
       specs;
     !hit
+
+(* The decouple point of a fan-out over [specs] (the union of its tasks'
+   sources): the first syscall that base-matches any spec, asked before
+   it is serviced or mutated.  The master pass and the executed slave
+   prefix both pause on it, each reading its own OS; a slave coupled to
+   the master under the same schedule therefore pauses at the very
+   syscall the master does.  No source is a thread op, and [to_sval]
+   traps on a thread op's array argument. *)
+let decouple_point (os : Os.t) (specs : source_spec list) _th
+    (p : Machine.pending) : bool =
+  (not (Driver.is_thread_op p.Machine.sys))
+  && begin
+    let sargs = List.map Value.to_sval p.Machine.sysargs in
+    let resources = Os.resource_of_syscall os p.Machine.sys sargs in
+    List.exists
+      (fun spec ->
+         spec_base_match spec ~sys:p.Machine.sys ~site:p.Machine.site
+           ~args:sargs ~resources)
+      specs
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reports.                                                            *)
@@ -413,6 +435,21 @@ type record = {
   rsink : bool;
 }
 
+module Snap = Ldx_snap.Snap
+
+(* The master's own state at the decouple point of the specs
+   [master_pass] was given; {!fork_prefix} turns it into the coupled
+   slave's snapshot. *)
+type decouple_capture = {
+  dc_snap : Snap.t;               (* master machine + OS at the pause *)
+  dc_records : (int * int) list;
+      (* spawn index -> records logged before the pause, ascending;
+         threads without one are absent *)
+  dc_grants : int;                (* lock grants made before the pause *)
+  dc_blocked : int list;   (* blocked threads' spawn indices, list order *)
+  dc_paused : int;         (* spawn index of the thread paused at the point *)
+}
+
 (* The master's outcome log is frozen after the pass: per-thread record
    arrays sorted by spawn index.  Consumers (slave passes, baselines)
    keep their own integer cursors, so one recorded master can be
@@ -425,6 +462,8 @@ type master_out = {
   mtotal_sinks : int;
   mmachine : Machine.t;
   msched : Schedule.t option;                  (* when config.record_sched *)
+  mdecouple : decouple_capture option;
+      (* when [master_pass ~specs] reached their decouple point *)
 }
 
 (* The master's compiled program, when it was compiled from [prog]
@@ -463,9 +502,12 @@ let queue_for queues idx =
     Hashtbl.replace queues idx q;
     q
 
-let master_pass ?obs ?prof (config : config) (prog : Ir.program)
-    (world : World.t) : master_out =
-  let os = Os.create ~pid:1000 world in
+let master_pid = 1000
+let slave_pid = 1001
+
+let master_pass ?obs ?prof ?(specs = []) (config : config)
+    (prog : Ir.program) (world : World.t) : master_out =
+  let os = Os.create ~pid:master_pid world in
   Os.set_faults os config.faults;
   let sched =
     sched_state_of ~record:config.record_sched config.master_sched
@@ -496,7 +538,27 @@ let master_pass ?obs ?prof (config : config) (prog : Ir.program)
       (queue_for queues th.Machine.spawn_index);
     Value.of_sval r
   in
-  ignore (Driver.drive ~blocked:(ref []) ~on_os_call m);
+  let blocked = ref [] in
+  let pause = if specs = [] then None else Some (decouple_point os specs) in
+  let decouple =
+    match Driver.drive ?pause ~blocked ~on_os_call m with
+    | `Done -> None
+    | `Paused th ->
+      (* capture and run on: the pause leaves the run as it would have
+         been ([Driver.drive]'s [first]) *)
+      let dc =
+        { dc_snap = Snap.capture m;
+          dc_records =
+            Hashtbl.fold (fun tid q acc -> (tid, Queue.length q) :: acc)
+              queues []
+            |> List.sort compare;
+          dc_grants = List.length m.Machine.lock_trace;
+          dc_blocked = List.map (fun th -> th.Machine.spawn_index) !blocked;
+          dc_paused = th.Machine.spawn_index }
+      in
+      ignore (Driver.drive ~first:th ~blocked ~on_os_call m);
+      Some dc
+  in
   emit_summary obs Obs.Event.Master m;
   (* freeze the per-thread queues into an immutable, sorted log *)
   let mlog =
@@ -512,7 +574,8 @@ let master_pass ?obs ?prof (config : config) (prog : Ir.program)
     mtotal_sinks = !total_sinks;
     mmachine = m;
     msched =
-      (if config.record_sched then Some (Sched.to_schedule sched) else None) }
+      (if config.record_sched then Some (Sched.to_schedule sched) else None);
+    mdecouple = decouple }
 
 (* ------------------------------------------------------------------ *)
 (* Slave pass.                                                         *)
@@ -583,7 +646,7 @@ let install_slave_gate (ctx : slave_ctx) : unit =
 
 let fresh_slave_ctx ?obs ?prof (config : config) (prog : Ir.program)
     (world : World.t) (mo : master_out) : slave_ctx =
-  let os = Os.create ~pid:1001 world in
+  let os = Os.create ~pid:slave_pid world in
   (* the slave's OS instantiates the SAME immutable plan with fresh
      occurrence counters: replaying from scratch, its fault schedule
      tracks the master's while coupled, and stays deterministic after
@@ -867,17 +930,16 @@ let slave_pass ?obs ?prof (config : config) (prog : Ir.program)
   slave_finalize ctx
 
 (* ------------------------------------------------------------------ *)
-(* Decouple-point snapshots: run the shared slave prefix once, pause at
+(* Decouple-point snapshots: capture the shared slave prefix once at
    the first syscall ANY fan-out task's source spec base-matches —
    BEFORE that syscall is serviced or mutated ([Driver.drive]'s [pause])
-   — capture the complete slave state, then replay per-task suffixes
-   from the capture ([first] services the paused call).  The
-   pause fires before any [src_nth] occurrence counter has advanced, so
-   each resume's fresh [source_matcher] sees exactly the dynamic stream
-   a from-scratch run would: suffix replays are bit-identical to full
-   slave passes. *)
-
-module Snap = Ldx_snap.Snap
+   — then replay per-task suffixes from the capture ([first] services
+   the paused call).  The pause fires before any [src_nth] occurrence
+   counter has advanced, so each resume's fresh [source_matcher] sees
+   exactly the dynamic stream a from-scratch run would: suffix replays
+   are bit-identical to full slave passes.  The capture is forked from
+   the master's own ({!fork_prefix}) when the slave shares its schedule,
+   and executed ({!slave_prefix}) otherwise. *)
 
 type slave_snapshot = {
   ss_snap : Snap.t;                (* machine + OS + profile counters *)
@@ -925,17 +987,27 @@ let slave_fingerprint (config : config) (prog : Ir.program)
        | None -> "-"
        | Some s -> Sched.spec_to_string s) ]
 
+(* Remaining lock grants, key-sorted; a key whose grants are all
+   consumed stays, with none left. *)
+let grants_list (grants : (string, int Queue.t) Hashtbl.t) =
+  Hashtbl.fold (fun k q acc -> (k, List.of_seq (Queue.to_seq q)) :: acc)
+    grants []
+  |> List.sort compare
+
+let emit_captured obs ~forked (sn : Machine.snapshot) =
+  Obs.Sink.emit_opt obs
+    (Obs.Event.Snapshot_captured
+       { forked; prefix_cycles = sn.Machine.sn_cycles;
+         prefix_steps = sn.Machine.sn_steps;
+         prefix_syscalls = sn.Machine.sn_syscalls })
+
 let snapshot_of_ctx (ctx : slave_ctx) (prog : Ir.program) (world : World.t)
     (paused : Machine.thread) : slave_snapshot =
   let sorted_keys tbl =
     Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
   in
   { ss_snap = Snap.capture ctx.sc_m;
-    ss_grants =
-      Hashtbl.fold
-        (fun k q acc -> (k, List.of_seq (Queue.to_seq q)) :: acc)
-        ctx.sc_grants []
-      |> List.sort compare;
+    ss_grants = grants_list ctx.sc_grants;
     ss_tainted_locks = sorted_keys ctx.sc_tainted_locks;
     ss_tainted_resources = sorted_keys ctx.sc_tainted_resources;
     ss_cursors =
@@ -964,48 +1036,107 @@ let slave_prefix ?obs (config : config)
     ~(specs : source_spec list) (prog : Ir.program) (world : World.t)
     (mo : master_out) : prefix_out =
   let ctx = fresh_slave_ctx ?obs config prog world mo in
-  (* no source is a thread op, and [to_sval] traps on a thread op's
-     array argument *)
-  let pause _th (p : Machine.pending) =
-    (not (Driver.is_thread_op p.Machine.sys))
-    && begin
-      let sargs = List.map Value.to_sval p.Machine.sysargs in
-      let resources =
-        Os.resource_of_syscall ctx.sc_os p.Machine.sys sargs
-      in
-      List.exists
-        (fun spec ->
-           spec_base_match spec ~sys:p.Machine.sys ~site:p.Machine.site
-             ~args:sargs ~resources)
-        specs
-    end
-  in
   match
-    Driver.drive ~pause ~on_stuck:(slave_on_stuck ctx)
-      ~blocked:ctx.sc_blocked ~on_os_call:(slave_on_os_call ctx) ctx.sc_m
+    Driver.drive ~pause:(decouple_point ctx.sc_os specs)
+      ~on_stuck:(slave_on_stuck ctx) ~blocked:ctx.sc_blocked
+      ~on_os_call:(slave_on_os_call ctx) ctx.sc_m
   with
   | `Done -> Prefix_done (slave_finalize ctx)
   | `Paused th ->
-    let m = ctx.sc_m in
-    (match ctx.sc_obs with
-     | None -> ()
-     | Some s ->
-       Obs.Sink.emit s
-         (Obs.Event.Snapshot_captured
-            { prefix_cycles = m.Machine.cycles;
-              prefix_steps = m.Machine.steps;
-              prefix_syscalls = m.Machine.syscalls }));
-    Prefix_paused (snapshot_of_ctx ctx prog world th)
+    let ss = snapshot_of_ctx ctx prog world th in
+    emit_captured obs ~forked:false ss.ss_snap.Snap.sp_machine;
+    Prefix_paused ss
+
+(* The coupled slave's snapshot at the decouple point of the specs [mo]
+   was recorded with, built from the master's capture instead of
+   executing the prefix.  [None] unless the master reached that point
+   and ran the scheduler spec [config]'s slave resolves to; [config]
+   agrees with the recording's on the master-side fields, as for
+   {!run_with_master}.
+
+   Why the capture is the slave's state: until the decouple point no
+   syscall base-matches a spec, so the slave runs with nothing to
+   mutate, and under the master's schedule its lock gate grants every
+   lock as the master did.  Each of its syscalls meets the master's
+   record at the same position with the same site and parameters, with
+   no resource tainted, and copies the outcome; its own [Os.exec] of the
+   call moves its OS as the master's moved.  Cycles never feed back
+   into execution.  So machine and OS are the master's except for:
+   - the pid, the slave's OS being created with [slave_pid];
+   - the clock: each copy sets it to [max clock rcyc + share_copy], plus
+     [sink_compare] at a sink.  Coupled, the slave's clock is the
+     master's plus what earlier copies added, never behind [rcyc], so
+     the [max] never stalls: the sum over the records serviced before
+     the pause is the whole difference.
+   The bookkeeping is what those copies leave: a cursor per thread at
+   its record count, the lock grants after the ones made so far, one
+   [T_copied]/[T_sink_match] trace entry per record, and no report,
+   difference, taint or mutation.  Blocked threads and the paused one go
+   by spawn index, as in any snapshot. *)
+let fork_prefix ?obs (config : config) (prog : Ir.program)
+    (world : World.t) (mo : master_out) : slave_snapshot option =
+  match mo.mdecouple with
+  | Some dc
+    when Sched.spec_of mo.mmachine.Machine.sched
+         = resolve_sched config.slave_sched ~seed:config.slave_seed ->
+    let prefix =
+      List.concat_map
+        (fun (tid, n) -> Array.to_list (Array.sub (records_for mo tid) 0 n))
+        dc.dc_records
+    in
+    let copy_cycles =
+      List.fold_left
+        (fun acc r ->
+           acc + Cost.share_copy + if r.rsink then Cost.sink_compare else 0)
+        0 prefix
+    in
+    let grants = Hashtbl.create 4 in
+    List.iteri
+      (fun i (key, idx) ->
+         let q = queue_for grants key in
+         if i >= dc.dc_grants then Queue.add idx q)
+      mo.mlock_trace;
+    let trace =
+      if not config.record_trace then []
+      else
+        (* newest first, as accumulated; master stamps order the
+           threads' records, since each serviced syscall charges
+           [Cost.syscall] before the next record is stamped *)
+        List.sort (fun a b -> compare b.rcyc a.rcyc) prefix
+        |> List.map (fun r ->
+            { t_pos = Align.to_string r.rpos;
+              t_action = (if r.rsink then T_sink_match else T_copied);
+              t_master = Some (r.rsys, r.rargs);
+              t_slave = Some (r.rsys, r.rargs) })
+    in
+    let snap = dc.dc_snap in
+    let sn = snap.Snap.sp_machine in
+    let sn =
+      { sn with Machine.sn_cycles = sn.Machine.sn_cycles + copy_cycles }
+    in
+    emit_captured obs ~forked:true sn;
+    Some
+      { ss_snap =
+          { snap with
+            Snap.sp_machine = sn;
+            sp_os = { snap.Snap.sp_os with Snap.so_pid = slave_pid };
+            sp_prof = None };
+        ss_grants = grants_list grants;
+        ss_tainted_locks = [];
+        ss_tainted_resources = [];
+        ss_cursors = dc.dc_records;
+        ss_reports = [];
+        ss_diffs = 0;
+        ss_diffs_before_first = -1;
+        ss_mutated = 0;
+        ss_trace = trace;
+        ss_blocked = dc.dc_blocked;
+        ss_paused = dc.dc_paused;
+        ss_fingerprint = slave_fingerprint config prog world }
+  | _ -> None
 
 let ctx_of_snapshot ?obs (config : config) (prog : Ir.program)
-    (world : World.t) (mo : master_out) (ss : slave_snapshot) :
-  slave_ctx * Machine.thread =
-  if not
-      (String.equal ss.ss_fingerprint (slave_fingerprint config prog world))
-  then
-    invalid_arg
-      "Engine.slave_resume: snapshot does not match this \
-       program/world/config";
+    (mo : master_out) (ss : slave_snapshot) : slave_ctx * Machine.thread =
   let m =
     Snap.restore ~fprog:mo.mmachine.Machine.fprog prog ss.ss_snap
   in
@@ -1060,28 +1191,43 @@ let ctx_of_snapshot ?obs (config : config) (prog : Ir.program)
   install_slave_gate ctx;
   (ctx, thread_of ss.ss_paused)
 
-(* Resume one task's suffix from a prefix snapshot.  The snapshot is
-   read-only here (restore copies everything), so any number of resumes
-   — including concurrent ones from different domains — share one
-   capture.  Raises [Invalid_argument] if the snapshot was taken against
-   a different program, world, or shared slave config. *)
-let slave_resume ?obs (config : config)
-    (prog : Ir.program) (world : World.t) (mo : master_out)
-    (ss : slave_snapshot) : slave_out =
-  let ctx, paused = ctx_of_snapshot ?obs config prog world mo ss in
-  let prefix_cycles = ctx.sc_m.Machine.cycles in
-  ignore
-    (Driver.drive ~first:paused ~on_stuck:(slave_on_stuck ctx)
-       ~blocked:ctx.sc_blocked ~on_os_call:(slave_on_os_call ctx) ctx.sc_m);
-  let out = slave_finalize ctx in
-  (match obs with
-   | None -> ()
-   | Some s ->
-     Obs.Sink.emit s
-       (Obs.Event.Snapshot_restored
-          { prefix_cycles;
-            suffix_cycles = ctx.sc_m.Machine.cycles - prefix_cycles }));
-  out
+(* Resume one task's suffix from a prefix snapshot, or [None] when the
+   snapshot was taken against a different program, world, or shared
+   slave config (one fingerprint per call).  The snapshot is read-only
+   here (restore copies everything), so any number of resumes —
+   including concurrent ones from different domains — share one
+   capture. *)
+let slave_resume_opt ?obs (config : config) (prog : Ir.program)
+    (world : World.t) (mo : master_out) (ss : slave_snapshot) :
+  slave_out option =
+  if
+    not (String.equal ss.ss_fingerprint (slave_fingerprint config prog world))
+  then None
+  else begin
+    let ctx, paused = ctx_of_snapshot ?obs config prog mo ss in
+    let prefix_cycles = ctx.sc_m.Machine.cycles in
+    ignore
+      (Driver.drive ~first:paused ~on_stuck:(slave_on_stuck ctx)
+         ~blocked:ctx.sc_blocked ~on_os_call:(slave_on_os_call ctx) ctx.sc_m);
+    let out = slave_finalize ctx in
+    (match obs with
+     | None -> ()
+     | Some s ->
+       Obs.Sink.emit s
+         (Obs.Event.Snapshot_restored
+            { prefix_cycles;
+              suffix_cycles = ctx.sc_m.Machine.cycles - prefix_cycles }));
+    Some out
+  end
+
+let slave_resume ?obs (config : config) (prog : Ir.program)
+    (world : World.t) (mo : master_out) (ss : slave_snapshot) : slave_out =
+  match slave_resume_opt ?obs config prog world mo ss with
+  | Some out -> out
+  | None ->
+    invalid_arg
+      "Engine.slave_resume: snapshot does not match this \
+       program/world/config"
 
 (* ------------------------------------------------------------------ *)
 (* Final-state comparison (future-work extension: leaks through file    *)

@@ -192,6 +192,10 @@ type record = {
   rsink : bool;
 }
 
+(** The master's own state at a decouple point (see {!master_pass}'s
+    [?specs]), the input of {!fork_prefix}. *)
+type decouple_capture
+
 (** The master's outcome log, frozen after the pass.  [mlog] holds one
     record array per thread, sorted by spawn index; consumers keep
     their own cursors, so a recording is immutable and replayable from
@@ -204,6 +208,9 @@ type master_out = {
   mtotal_sinks : int;
   mmachine : Machine.t;
   msched : Schedule.t option;         (** under [config.record_sched] *)
+  mdecouple : decouple_capture option;
+      (** under [master_pass ~specs], when the run reached their
+          decouple point *)
 }
 
 (** The master's compiled program ([mmachine]'s [fprog]) when it was
@@ -229,20 +236,26 @@ val source_matcher :
 (** Run the master: execute everything for real, record outcomes.
     [?obs] installs the observability hooks on the master machine and
     its OS and emits a run summary (see {!run}); [?prof] attaches a
-    cost-attribution profile to the master machine (see {!profiles}). *)
+    cost-attribution profile to the master machine (see {!profiles}).
+    With a non-empty [?specs] (a fan-out's source specs, as
+    {!slave_prefix} takes them) the pass also captures its own state at
+    their decouple point and runs on unperturbed; the capture lands in
+    [mdecouple].  Without, no pause predicate is installed. *)
 val master_pass :
-  ?obs:Ldx_obs.Sink.t -> ?prof:Ldx_vm.Profile.t -> config -> Ir.program ->
-  World.t -> master_out
+  ?obs:Ldx_obs.Sink.t -> ?prof:Ldx_vm.Profile.t -> ?specs:source_spec list ->
+  config -> Ir.program -> World.t -> master_out
 
 (** {1 Decouple-point snapshots}
 
-    The incremental dual-execution path: run the shared slave prefix
-    ONCE, pause at the first syscall any fan-out task's source spec
+    The incremental dual-execution path: capture the complete slave
+    state ONCE at the first syscall any fan-out task's source spec
     base-matches — before it is serviced or mutated, and before any
-    [src_nth] occurrence counter advances — capture the complete slave
-    state, then replay each task's suffix from the capture.  Suffix
-    replays are bit-identical to from-scratch slave passes under the
-    same config ([test_snapshot.ml] asserts this). *)
+    [src_nth] occurrence counter advances — then replay each task's
+    suffix from the capture.  The capture is forked from the master's
+    ({!fork_prefix}) when the slave shares the master's schedule, and
+    the prefix is executed ({!slave_prefix}) otherwise.  Suffix replays
+    are bit-identical to from-scratch slave passes under the same
+    config ([test_snapshot.ml] asserts this). *)
 
 (** One slave pass's outcome, before it is folded into a {!result}. *)
 type slave_out = {
@@ -293,19 +306,42 @@ type prefix_out =
 (** Run the shared slave prefix under [config] — whose own [sources]
     must be a subset of [specs], the union of every fan-out task's
     sources — and pause at the first base match of any spec.  Emits
-    [Snapshot_captured] on pause. *)
+    [Snapshot_captured] (not forked) on pause. *)
 val slave_prefix :
   ?obs:Ldx_obs.Sink.t -> config -> specs:source_spec list -> Ir.program ->
   World.t -> master_out -> prefix_out
+
+(** The snapshot {!slave_prefix} would pause with under the specs [mo]
+    was recorded with ([master_pass ~specs]), built from the master's
+    own capture without executing a slave instruction: the master's
+    machine and OS at the decouple point with the slave's pid and the
+    clock the coupled copies add ([Cost.share_copy] per record serviced
+    before the point, plus [Cost.sink_compare] per sink record), a
+    cursor per thread at its record count, the lock grants after the
+    ones already made, and the copies' trace entries.  [None] (and
+    nothing emitted) unless the master reached the decouple point and
+    [config]'s slave resolves to the master's scheduler spec; [config]
+    must agree with the recording's config on the master-side fields,
+    as for {!run_with_master}.  Emits [Snapshot_captured] (forked)
+    otherwise. *)
+val fork_prefix :
+  ?obs:Ldx_obs.Sink.t -> config -> Ir.program -> World.t -> master_out ->
+  slave_snapshot option
 
 (** Resume one task's suffix from a prefix snapshot; emits
     [Snapshot_restored] when the suffix completes (a campaign's task
     names it by the [Task_begin]/[Task_timing] pair around it).  The
     snapshot's profile counters are rebuilt into a private profile, so
     per-resume profiles stay exact, and the suffix continues the
-    snapshot's recorded schedule exactly.  Raises [Invalid_argument] if
+    snapshot's recorded schedule exactly.  [None], with nothing run, if
     the snapshot's fingerprint does not match (program, world, shared
-    slave config). *)
+    slave config); the check computes [config]'s fingerprint once. *)
+val slave_resume_opt :
+  ?obs:Ldx_obs.Sink.t -> config -> Ir.program -> World.t -> master_out ->
+  slave_snapshot -> slave_out option
+
+(** {!slave_resume_opt}, raising [Invalid_argument] on a fingerprint
+    mismatch. *)
 val slave_resume :
   ?obs:Ldx_obs.Sink.t -> config -> Ir.program -> World.t -> master_out ->
   slave_snapshot -> slave_out

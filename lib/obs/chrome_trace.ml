@@ -17,7 +17,7 @@ let tid_journal = 998
 (* Snapshot lane on the engine track: a capture instant at the decouple
    point, then one slice per restored suffix (duration = suffix
    cycles), so the prefix/suffix split of an incremental campaign is
-   directly visible. *)
+   directly visible; an instant for each fallback to full passes. *)
 let tid_snap = 997
 
 (* Per-task campaign lanes on the engine track: task [i] gets lane
@@ -275,8 +275,8 @@ let of_events (events : Event.t list) : Json.t =
            (obj ~name:("worker " ^ kind) ~cat:"service" ~ph:"i" ~ts:!now
               ~pid:pid_engine ~tid:tid_journal
               (("s", Json.Str "t") :: args [ ("owner", Json.Str owner) ]))
-       | Event.Snapshot_captured { prefix_cycles; prefix_steps; prefix_syscalls }
-         ->
+       | Event.Snapshot_captured
+           { forked; prefix_cycles; prefix_steps; prefix_syscalls } ->
          tick prefix_cycles;
          lane pid_engine tid_snap;
          emit
@@ -284,7 +284,8 @@ let of_events (events : Event.t list) : Json.t =
               ~pid:pid_engine ~tid:tid_snap
               (("s", Json.Str "t")
                :: args
-                    [ ("prefix_cycles", Json.Int prefix_cycles);
+                    [ ("forked", Json.Bool forked);
+                      ("prefix_cycles", Json.Int prefix_cycles);
                       ("prefix_steps", Json.Int prefix_steps);
                       ("prefix_syscalls", Json.Int prefix_syscalls) ]))
        | Event.Snapshot_restored { prefix_cycles; suffix_cycles } ->
@@ -297,6 +298,12 @@ let of_events (events : Event.t list) : Json.t =
                :: args
                     [ ("prefix_cycles", Json.Int prefix_cycles);
                       ("suffix_cycles", Json.Int suffix_cycles) ]))
+       | Event.Snapshot_fallback { reason } ->
+         lane pid_engine tid_snap;
+         emit
+           (obj ~name:"fallback" ~cat:"snap" ~ph:"i" ~ts:!now ~pid:pid_engine
+              ~tid:tid_snap
+              (("s", Json.Str "t") :: args [ ("reason", Json.Str reason) ]))
        | Event.Os_call _ | Event.Cnt_sample _ -> ()
        | Event.Run_summary { side; cycles; steps; syscalls; cnt_instrs; trap }
          ->

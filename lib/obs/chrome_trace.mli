@@ -21,9 +21,11 @@
     — the schedule timeline the exploration mode perturbs.
 
     Incremental campaigns add a "snapshot" lane (tid 997): a capture
-    instant at the decouple point and one ["resume"] slice per restored
-    suffix whose duration is the suffix's cycle cost — the
-    prefix/suffix split, visually.
+    instant at the decouple point (its [forked] argument says whether
+    it was built from the master pass), one ["resume"] slice per
+    restored suffix whose duration is the suffix's cycle cost — the
+    prefix/suffix split, visually — and a ["fallback"] instant, with
+    its reason, wherever full passes ran instead.
 
     Campaign runs add a "journal" lane (tid 998) with
     checkpoint/resume/quarantine instants, and one lane per task

@@ -145,6 +145,8 @@ type t =
   | Lease_expired of { index : int; owner : string; epoch : int }
   | Worker_event of { owner : string; kind : string }
   | Snapshot_captured of {
+      forked : bool;
+          (* built from the master's capture (true) or executed *)
       prefix_cycles : int;     (* slave clock at the decouple point *)
       prefix_steps : int;
       prefix_syscalls : int;   (* syscalls serviced in the shared prefix *)
@@ -153,3 +155,4 @@ type t =
       prefix_cycles : int;     (* inherited from the snapshot *)
       suffix_cycles : int;     (* cycles the suffix added after restore *)
     }
+  | Snapshot_fallback of { reason : string }

@@ -212,6 +212,10 @@ type t =
               ["exited"], ["respawned"] or ["killed"] *)
     }
   | Snapshot_captured of {
+      forked : bool;
+          (** the snapshot was built from the master pass's own capture
+              at the decouple point ([true]), or the slave prefix was
+              executed *)
       prefix_cycles : int;     (** slave clock at the decouple point *)
       prefix_steps : int;
       prefix_syscalls : int;   (** syscalls serviced in the shared prefix *)
@@ -220,3 +224,8 @@ type t =
       prefix_cycles : int;     (** inherited from the snapshot *)
       suffix_cycles : int;     (** cycles the suffix added after restore *)
     }
+  | Snapshot_fallback of { reason : string }
+      (** an incremental campaign ran full slave passes instead: for
+          every task when it was ineligible or its shared prefix
+          raised, for one task when that task's config does not match
+          the snapshot's fingerprint *)

@@ -98,12 +98,14 @@ let absorb t (ev : Event.t) =
     if reclaimed then Metrics.incr m "queue.reclaims"
   | Event.Lease_expired _ -> Metrics.incr m "queue.expiries"
   | Event.Worker_event { kind; _ } -> Metrics.incr m ("service.worker." ^ kind)
-  | Event.Snapshot_captured { prefix_cycles; _ } ->
+  | Event.Snapshot_captured { forked; prefix_cycles; _ } ->
     Metrics.incr m "snap.captured";
+    if forked then Metrics.incr m "snap.forked";
     Metrics.observe m "snap.prefix_cycles" prefix_cycles
   | Event.Snapshot_restored { suffix_cycles; _ } ->
     Metrics.incr m "snap.restored";
     Metrics.observe m "snap.suffix_cycles" suffix_cycles
+  | Event.Snapshot_fallback _ -> Metrics.incr m "snap.fallback"
 
 let sink t =
   Sink.of_fn

@@ -37,7 +37,10 @@
       latest heartbeat (ETA in virtual cycles, mean-based);
     - [snap.captured] / [snap.restored] — decouple-point snapshots
       taken and suffixes resumed from them (the incremental-campaign
-      path);
+      path), [snap.forked] — captures built from the master pass
+      instead of an executed slave prefix, and [snap.fallback] —
+      incremental campaigns or tasks that ran full slave passes
+      instead;
     - [sched.decisions.*] — scheduling decisions per side, and
       [sched.preemptions.*] — decisions that switched away from a
       still-runnable thread;

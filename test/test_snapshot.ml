@@ -7,8 +7,10 @@
    the campaign's incremental mode (shared prefix once, per-task
    suffixes) must render byte-identical tables to full slave passes at
    any job count, survive journal resume, and reject snapshots from a
-   different program/config.  Finally the flat VM's per-block counter
-   batching is pinned against recorded engine counters. *)
+   different program/config.  The snapshot an incremental campaign
+   forks from its master pass must be the one an executed prefix
+   pauses with.  Finally the flat VM's per-block counter batching is
+   pinned against recorded engine counters. *)
 
 module Machine = Ldx_vm.Machine
 module Driver = Ldx_vm.Driver
@@ -23,6 +25,8 @@ module Store = Ldx_store.Store
 module Workload = Ldx_workloads.Workload
 module Registry = Ldx_workloads.Registry
 module Gen_minic = Ldx_genprog.Gen_minic
+module Sched = Ldx_sched.Scheduler
+module Fault = Ldx_osim.Fault
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -203,6 +207,211 @@ let test_snapshot_through_store () =
      | _ -> Alcotest.fail "expected exactly one journaled record")
 
 (* ------------------------------------------------------------------ *)
+(* The forked prefix.  [Engine.fork_prefix] builds the coupled slave's
+   decouple-point snapshot from the master's own capture; it must equal
+   the snapshot [Engine.slave_prefix] pauses with after executing the
+   prefix, and tasks resumed from either must agree. *)
+
+(* VM values by structure, not by sharing: strings and other immutable
+   parts may be shared differently (a copied result string is the
+   master's), while arrays must correspond one to one, since aliasing
+   is semantics for them (a store through one alias shows through the
+   other).  The pairing also ends the walk of a cyclic array. *)
+let values_equal (xs : Value.t list) (ys : Value.t list) : bool =
+  let pairs = ref [] in
+  let rec eq (a : Value.t) (b : Value.t) =
+    match (a, b) with
+    | Arr x, Arr y -> (
+        match List.assq_opt x !pairs with
+        | Some y' -> y' == y
+        | None ->
+          (not (List.exists (fun (_, y') -> y' == y) !pairs))
+          && begin
+            pairs := (x, y) :: !pairs;
+            Array.length x = Array.length y && Array.for_all2 eq x y
+          end)
+    | Tainted x, Tainted y -> eq x y
+    | (Unit | Int _ | Str _ | Fptr _), _ -> a = b
+    | (Arr _ | Tainted _), _ -> false
+  in
+  List.length xs = List.length ys && List.for_all2 eq xs ys
+
+(* A machine snapshot with its VM values taken out, and those values in
+   one fixed order. *)
+let split_values (sn : Machine.snapshot) : Machine.snapshot * Value.t list =
+  let vals = ref [] in
+  let take v = vals := v :: !vals in
+  let thread (th : Machine.sthread) =
+    let table =
+      Array.map
+        (fun (f : Machine.sframe) ->
+           Array.iter take f.Machine.sf_regs;
+           { f with Machine.sf_regs = [||] })
+        th.Machine.sth_table
+    in
+    let status =
+      match th.Machine.sth_status with
+      | Machine.S_awaiting p ->
+        List.iter take p.Machine.sp_args;
+        Machine.S_awaiting { p with Machine.sp_args = [] }
+      | Machine.S_finished v ->
+        take v;
+        Machine.S_finished Value.Unit
+      | Machine.S_runnable -> Machine.S_runnable
+    in
+    { th with Machine.sth_table = table; sth_status = status }
+  in
+  let threads = Array.map thread sn.Machine.sn_threads in
+  ({ sn with Machine.sn_threads = threads }, List.rev !vals)
+
+(* The first component in which two decouple-point snapshots differ. *)
+let snapshot_difference (e : Engine.slave_snapshot)
+    (f : Engine.slave_snapshot) : string option =
+  let em, evals = split_values e.Engine.ss_snap.Snap.sp_machine in
+  let fm, fvals = split_values f.Engine.ss_snap.Snap.sp_machine in
+  List.find_map
+    (fun (what, same) -> if same then None else Some what)
+    [ ("machine", em = fm);
+      ("machine values", values_equal evals fvals);
+      ("os", e.Engine.ss_snap.Snap.sp_os = f.Engine.ss_snap.Snap.sp_os);
+      ( "profile",
+        e.Engine.ss_snap.Snap.sp_prof = f.Engine.ss_snap.Snap.sp_prof );
+      ("grants", e.Engine.ss_grants = f.Engine.ss_grants);
+      ("tainted locks", e.Engine.ss_tainted_locks = f.Engine.ss_tainted_locks);
+      ( "tainted resources",
+        e.Engine.ss_tainted_resources = f.Engine.ss_tainted_resources );
+      ("cursors", e.Engine.ss_cursors = f.Engine.ss_cursors);
+      ("reports", e.Engine.ss_reports = f.Engine.ss_reports);
+      ( "diffs",
+        (e.Engine.ss_diffs, e.Engine.ss_diffs_before_first, e.Engine.ss_mutated)
+        = (f.Engine.ss_diffs, f.Engine.ss_diffs_before_first,
+           f.Engine.ss_mutated) );
+      ("trace", e.Engine.ss_trace = f.Engine.ss_trace);
+      ("blocked", e.Engine.ss_blocked = f.Engine.ss_blocked);
+      ("paused", e.Engine.ss_paused = f.Engine.ss_paused);
+      ("fingerprint", e.Engine.ss_fingerprint = f.Engine.ss_fingerprint) ]
+
+(* Record a master with [specs], execute the prefix and fork it under
+   [config] (sources off, as a campaign's shared prefix runs), and
+   compare; then resume two mutating tasks over [specs] from each
+   snapshot.  [Ok false]: no decouple point, on either side. *)
+let fork_check (config : Engine.config) ~specs prog world :
+  (bool, string) result =
+  let prefix_cfg = { config with Engine.sources = [] } in
+  let mo = Engine.master_pass ~specs config prog world in
+  match
+    ( Engine.slave_prefix prefix_cfg ~specs prog world mo,
+      Engine.fork_prefix prefix_cfg prog world mo )
+  with
+  | Engine.Prefix_done _, None -> Ok false
+  | Engine.Prefix_done _, Some _ -> Error "forked a prefix that never pauses"
+  | Engine.Prefix_paused _, None -> Error "no fork where the prefix pauses"
+  | Engine.Prefix_paused e, Some f -> (
+      match snapshot_difference e f with
+      | Some what -> Error (what ^ " differs")
+      | None ->
+        let differing =
+          List.filter
+            (fun strategy ->
+               let cfg = { config with Engine.sources = specs; strategy } in
+               let result ss =
+                 Engine.finalize_result cfg mo
+                   (Engine.slave_resume cfg prog world mo ss)
+               in
+               result e <> result f)
+            [ Mutation.Off_by_one; Mutation.Bitflip ]
+        in
+        if differing = [] then Ok true
+        else Error "a task resumed from the fork differs")
+
+let test_fork_registry () =
+  let paused = ref 0 in
+  List.iter
+    (fun (w : Workload.t) ->
+       let prog, _ = Workload.instrumented w in
+       List.iter
+         (fun (name, (c : Engine.config)) ->
+            let config = { c with Engine.record_trace = true } in
+            match
+              fork_check config ~specs:c.Engine.sources prog w.Workload.world
+            with
+            | Ok p -> if p then incr paused
+            | Error e -> Alcotest.failf "%s (%s): %s" w.Workload.name name e)
+         (("leak", Workload.leak_config w)
+          :: Option.to_list
+               (Option.map (fun c -> ("benign", c))
+                  (Workload.benign_config w))))
+    Registry.all;
+  (* pinned so the check cannot pass by never reaching a decouple point *)
+  check int "registry configs with a decouple point" 44 !paused
+
+(* Generated programs under a shared schedule, the legacy one or a
+   random one, with trace and schedule recording on or off, and with or
+   without a fault plan (both sides consult it).  The structured and
+   stress generators read the ["in"] socket, so [recv] sources pause
+   them.  The threaded generator has no [recv]: its extra spec names one
+   worker's sends, or prints, or any write, so the pause falls inside
+   the workers, past lock grants, often with threads blocked. *)
+let gen_fork_case gen ~threaded =
+  let open QCheck2.Gen in
+  let* p = gen in
+  let* seed = int_bound 1000 in
+  let* random = bool in
+  let* record_trace = bool in
+  let* record_sched = bool in
+  let* faulty = bool in
+  let* w = int_range 0 2 in
+  let* extra =
+    if not threaded then return []
+    else
+      oneofl
+        [ [ Engine.source ~sys:"send" ~arg:(Printf.sprintf "out%d" w) () ];
+          [ Engine.source ~sys:"print" ~arg:(string_of_int w) () ];
+          [ Engine.source ~sys:"write" () ] ]
+  in
+  let sched = if random then Some (Sched.spec ~seed Sched.Random) else None in
+  let config =
+    { Engine.default_config with
+      Engine.master_seed = seed;
+      slave_seed = seed;
+      master_sched = sched;
+      slave_sched = sched;
+      record_trace;
+      record_sched;
+      faults =
+        (if not faulty then None
+         else
+           Some
+             (Fault.plan ~seed
+                [ Fault.rule ~sys:"recv" ~nth:2 Fault.Drop_message;
+                  Fault.rule ~sys:"recv" ~prob:30 (Fault.Short_read 1);
+                  Fault.rule ~sys:"send" ~prob:20 Fault.Transient;
+                  Fault.rule ~sys:"time" (Fault.Clock_skew 997) ])) }
+  in
+  return (p, config, Engine.source ~sys:"recv" () :: extra)
+
+let print_fork_case (p, (c : Engine.config), specs) =
+  Printf.sprintf
+    "seed %d, %s schedule, trace %b, sched log %b, faults %b, %d specs\n%s"
+    c.Engine.master_seed
+    (if c.Engine.master_sched = None then "legacy" else "random")
+    c.Engine.record_trace c.Engine.record_sched (c.Engine.faults <> None)
+    (List.length specs) (Gen_minic.print_program p)
+
+let prop_fork_exact (p, config, specs) =
+  let prog =
+    fst (Ldx_instrument.Counter.instrument (Ldx_cfg.Lower.lower_program p))
+  in
+  match fork_check config ~specs prog test_world with
+  | Ok _ -> true
+  | Error e -> QCheck2.Test.fail_report e
+
+let qfork ~count name gen ~threaded =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count ~print:print_fork_case
+       (gen_fork_case gen ~threaded) prop_fork_exact)
+
+(* ------------------------------------------------------------------ *)
 (* Incremental campaigns. *)
 
 let camp_src =
@@ -307,6 +516,19 @@ let check_restores_bracketed label ntasks events =
   check (Alcotest.array int) (label ^ ": one restore inside each task")
     (Array.make ntasks 1) restored
 
+(* What the snapshot layer did in a recorded campaign: captures forked
+   from the master pass, captures of an executed prefix, and fallbacks
+   to full passes. *)
+let snap_counts rc =
+  let c = Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc) in
+  (c "snap.forked", c "snap.captured" - c "snap.forked", c "snap.fallback")
+
+let check_snap_counts label ~forked ~executed rc =
+  check
+    Alcotest.(triple int int int)
+    (label ^ ": forked captures, executed captures, fallbacks")
+    (forked, executed, 0) (snap_counts rc)
+
 let test_incremental_identity () =
   List.iter
     (fun c ->
@@ -317,6 +539,7 @@ let test_incremental_identity () =
        let rc1 = Ldx_obs.Recorder.create () in
        check string (c.c_label ^ ": incremental table at jobs=1") full
          (table ~obs:(Ldx_obs.Recorder.sink rc1) true 1);
+       check_snap_counts (c.c_label ^ " at jobs=1") ~forked:1 ~executed:0 rc1;
        check_restores_bracketed (c.c_label ^ " at jobs=1")
          (List.length c.c_params) (Ldx_obs.Recorder.events rc1);
        (* [`Parallel]: the short prefix's master pass is far below the
@@ -328,6 +551,7 @@ let test_incremental_identity () =
        check int (c.c_label ^ ": jobs=4 ran on the domain pool") 1
          (Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
             "campaign.mode.parallel");
+       check_snap_counts (c.c_label ^ " at jobs=4") ~forked:1 ~executed:0 rc;
        check_restores_bracketed (c.c_label ^ " at jobs=4")
          (List.length c.c_params) (Ldx_obs.Recorder.events rc);
        check bool (c.c_label ^ ": the campaign actually leaks") true
@@ -339,6 +563,82 @@ let test_incremental_identity () =
 (* The loop asks the decouple point's predicate about thread ops too,
    and it must answer false: a [spawn] handing its thread an array
    before the first source would otherwise trap the prefix. *)
+(* Campaigns the fork cannot serve.  A slave schedule other than the
+   master's executes the shared prefix: on a threaded program whose
+   workers take a lock around several sends before their one [recv],
+   that prefix replays the master's lock grants through its gate.
+   Sources that never match leave the whole slave run shared, with no
+   decouple point at all.  Each stays byte-identical to full mode
+   without a fallback. *)
+let locked_prefix_prog =
+  lazy
+    (fst
+       (Ldx_instrument.Counter.instrument
+          (Ldx_cfg.Lower.lower_source
+             "fn worker(id) {\n\
+             \  let c = socket(\"in\");\n\
+             \  for (let k = 0; k < 3; k = k + 1) {\n\
+             \    lock(1);\n\
+             \    send(c, \"w\" + itoa(id) + \"k\" + itoa(k));\n\
+             \    unlock(1);\n\
+             \  }\n\
+             \  lock(1);\n\
+             \  let m = recv(c);\n\
+             \  send(c, m + \"/\" + itoa(id));\n\
+             \  unlock(1);\n\
+             \  return id;\n\
+             }\n\
+             fn main() {\n\
+             \  let t0 = spawn(@worker, 0);\n\
+             \  let t1 = spawn(@worker, 1);\n\
+             \  let t2 = spawn(@worker, 2);\n\
+             \  join(t0);\n\
+             \  join(t1);\n\
+             \  join(t2);\n\
+             \  print(\"done\");\n\
+             }\n")))
+
+let test_executed_prefix () =
+  let locked_world =
+    World.(empty |> with_endpoint "in" [ "17"; "23"; "42" ])
+  in
+  let config =
+    { Engine.default_config with
+      Engine.sources = [ Engine.source ~sys:"recv" () ];
+      sinks = Engine.Network_outputs }
+  in
+  let retarget f =
+    List.map f (Campaign.of_strategies config Mutation.all_strategies)
+  in
+  let never =
+    { camp_config with
+      Engine.sources = [ Engine.source ~sys:"recv" ~arg:"nowhere" () ] }
+  in
+  List.iter
+    (fun (label, prog, world, config, params, executed) ->
+       let run ?obs incremental =
+         Campaign.render
+           (Campaign.run ?obs ~incremental ~config prog world params)
+       in
+       let rc = Ldx_obs.Recorder.create () in
+       check string (label ^ ": incremental table") (run false)
+         (run ~obs:(Ldx_obs.Recorder.sink rc) true);
+       check_snap_counts label ~forked:0 ~executed rc;
+       check int (label ^ ": restores")
+         (executed * List.length params)
+         (Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
+            "snap.restored"))
+    [ ( "slave seed 5 against master seed 0",
+        Lazy.force locked_prefix_prog, locked_world, config,
+        retarget (fun p -> { p with Campaign.slave_seed = 5 }), 1 );
+      ( "random slave schedule",
+        Lazy.force locked_prefix_prog, locked_world, config,
+        retarget (fun p ->
+            { p with Campaign.sched = Some (Sched.spec ~seed:3 Sched.Random) }),
+        1 );
+      ( "sources that never match", Lazy.force camp_prog, camp_world, never,
+        Campaign.of_strategies never Mutation.all_strategies, 0 ) ]
+
 let test_prefix_passes_thread_ops () =
   let prog =
     fst
@@ -445,9 +745,15 @@ let test_no_perturbation () =
          (Ldx_obs.Metrics.counter off "snap.captured");
        check int (c.c_label ^ ": no restores without --incremental") 0
          (Ldx_obs.Metrics.counter off "snap.restored");
+       check int (c.c_label ^ ": no fallbacks without --incremental") 0
+         (Ldx_obs.Metrics.counter off "snap.fallback");
        let _, on = metrics true in
        check int (c.c_label ^ ": one capture with --incremental") 1
          (Ldx_obs.Metrics.counter on "snap.captured");
+       check int (c.c_label ^ ": the capture is forked") 1
+         (Ldx_obs.Metrics.counter on "snap.forked");
+       check int (c.c_label ^ ": no fallback with --incremental") 0
+         (Ldx_obs.Metrics.counter on "snap.fallback");
        check int (c.c_label ^ ": one restore per task")
          (List.length c.c_params)
          (Ldx_obs.Metrics.counter on "snap.restored");
@@ -532,6 +838,8 @@ let tests =
       test_incremental_identity;
     Alcotest.test_case "prefix passes thread ops" `Quick
       test_prefix_passes_thread_ops;
+    Alcotest.test_case "unforkable campaigns execute their prefix" `Quick
+      test_executed_prefix;
     Alcotest.test_case "full journal resumes incrementally" `Quick
       test_resume_incremental;
     Alcotest.test_case "foreign-config snapshot rejected" `Quick
@@ -541,4 +849,12 @@ let tests =
     Alcotest.test_case "engine counters pinned (fig6/table3)" `Quick
       test_counters_pinned;
     Alcotest.test_case "version-1 payload refused" `Quick
-      test_old_version_refused ]
+      test_old_version_refused;
+    Alcotest.test_case "F1 forked prefix exact (registry)" `Quick
+      test_fork_registry;
+    qfork ~count:60 "F2 forked prefix exact (structured)"
+      Gen_minic.gen_program ~threaded:false;
+    qfork ~count:60 "F3 forked prefix exact (stress)"
+      Gen_minic.gen_stress_program ~threaded:false;
+    qfork ~count:80 "F4 forked prefix exact (threads)"
+      Gen_minic.gen_conc_program ~threaded:true ]
