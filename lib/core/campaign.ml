@@ -475,9 +475,10 @@ let fallback obs reason =
 
 (* Build the incremental runner: one shared slave prefix over [specs]
    (the tasks' sources, which [mo] was recorded with), forked from the
-   master's capture or executed here on the calling domain, before any
-   fan-out; then per-task suffix resumes.  Attempt-0 task configs match
-   the snapshot's fingerprint by construction; retries jitter the slave
+   master's capture, derived from its log when no source is ever
+   reached, or executed here on the calling domain, before any fan-out;
+   then per-task suffix resumes.  Attempt-0 task configs match the
+   snapshot's fingerprint by construction; retries jitter the slave
    seed, which changes the fingerprint and runs that attempt in full.
    A prefix that raises runs every task in full.  Each fallback emits
    [Snapshot_fallback]: incremental mode is an optimization, never a
@@ -490,23 +491,40 @@ let incremental_runner ?obs (config : Engine.config) (prog : Ir.program)
     fallback obs "task config does not match the snapshot's fingerprint";
     default_runner ?obs cfg prog world mo
   in
+  (* every attempt's config has the prefix config's fingerprinted fields
+     but the slave seed, which a retry jitters: one fingerprint per
+     distinct seed serves the campaign *)
+  let fingerprints = Hashtbl.create 2 and mu = Mutex.create () in
+  let fingerprint (cfg : Engine.config) =
+    Mutex.protect mu (fun () ->
+        let seed = cfg.Engine.slave_seed in
+        match Hashtbl.find_opt fingerprints seed with
+        | Some fp -> fp
+        | None ->
+          let fp = Engine.slave_fingerprint cfg prog world in
+          Hashtbl.replace fingerprints seed fp;
+          fp)
+  in
   match
     match Engine.fork_prefix ?obs prefix_cfg prog world mo with
-    | Some ss -> Engine.Prefix_paused ss
+    | Some prefix -> prefix
     | None -> Engine.slave_prefix ?obs prefix_cfg ~specs prog world mo
   with
   | Engine.Prefix_done so ->
     (* no syscall base-matches any task's sources: the whole slave run
        is shared, and each first attempt finalizes the one outcome under
        its own config (final-state checking may differ per task) *)
-    let fp0 = Engine.slave_fingerprint prefix_cfg prog world in
+    let fp0 = fingerprint prefix_cfg in
     fun ?obs cfg prog world mo ->
-      if String.equal fp0 (Engine.slave_fingerprint cfg prog world) then
+      if String.equal fp0 (fingerprint cfg) then
         Engine.finalize_result ?obs cfg mo so
       else mismatch ?obs cfg prog world mo
   | Engine.Prefix_paused ss ->
     fun ?obs cfg prog world mo ->
-      (match Engine.slave_resume_opt ?obs cfg prog world mo ss with
+      (match
+         Engine.slave_resume_opt ?obs ~fingerprint:(fingerprint cfg) cfg prog
+           world mo ss
+       with
        | Some so -> Engine.finalize_result ?obs cfg mo so
        | None -> mismatch ?obs cfg prog world mo)
   | exception e ->

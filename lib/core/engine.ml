@@ -377,15 +377,17 @@ let install_obs (s : Obs.Sink.t) (side : Obs.Event.side) (m : Machine.t)
                 { side; index = d.Sched.d_index; chosen = d.Sched.d_chosen;
                   ts = t.Machine.cycles }))
 
-let emit_summary obs (side : Obs.Event.side) (m : Machine.t) : unit =
+let emit_summary ?derived_cycles obs (side : Obs.Event.side) (m : Machine.t)
+  : unit =
   match obs with
   | None -> ()
   | Some s ->
     Obs.Sink.emit s
       (Obs.Event.Run_summary
-         { side; cycles = m.Machine.cycles; steps = m.Machine.steps;
-           syscalls = m.Machine.syscalls;
-           cnt_instrs = m.Machine.instr_events; trap = m.Machine.trap })
+         { side; cycles = Option.value derived_cycles ~default:m.Machine.cycles;
+           steps = m.Machine.steps; syscalls = m.Machine.syscalls;
+           cnt_instrs = m.Machine.instr_events; trap = m.Machine.trap;
+           derived = Option.is_some derived_cycles })
 
 let phase_begin obs p = Obs.Sink.emit_opt obs (Obs.Event.Phase_begin p)
 let phase_end obs p = Obs.Sink.emit_opt obs (Obs.Event.Phase_end p)
@@ -1047,12 +1049,72 @@ let slave_prefix ?obs (config : config)
     emit_captured obs ~forked:false ss.ss_snap.Snap.sp_machine;
     Prefix_paused ss
 
-(* The coupled slave's snapshot at the decouple point of the specs [mo]
+(* What coupled copies of [records] add to a slave's clock and, under
+   [record_trace], its trace entries, newest first as accumulated.
+   Master stamps order the threads' records: each serviced syscall
+   charges [Cost.syscall] before the next record is stamped. *)
+let coupled_copies ~record_trace (records : record list) :
+  int * trace_entry list =
+  let cycles =
+    List.fold_left
+      (fun acc r ->
+         acc + Cost.share_copy + if r.rsink then Cost.sink_compare else 0)
+      0 records
+  in
+  let trace =
+    if not record_trace then []
+    else
+      List.sort (fun a b -> compare b.rcyc a.rcyc) records
+      |> List.map (fun r ->
+          { t_pos = Align.to_string r.rpos;
+            t_action = (if r.rsink then T_sink_match else T_copied);
+            t_master = Some (r.rsys, r.rargs);
+            t_slave = Some (r.rsys, r.rargs) })
+  in
+  (cycles, trace)
+
+let same_schedule (config : config) (mo : master_out) =
+  Sched.spec_of mo.mmachine.Machine.sched
+  = resolve_sched config.slave_sched ~seed:config.slave_seed
+
+(* Whether {!derive_slave} is exact: [mo] never reached the decouple
+   point of its specs (which cover [config]'s sources), the slave runs
+   the master's schedule, and the master did not trap on an OS error. *)
+let derivable (config : config) (mo : master_out) =
+  Option.is_none mo.mdecouple && same_schedule config mo
+  && classify_trap mo.msummary.trap <> Os_failure
+
+(* The outcome of {!slave_pass} when [derivable], from the master's log:
+   {!fork_prefix}'s argument carried to the end of the run.  The slave
+   copies every record, so it runs the master's instructions (steps,
+   syscalls, stdout, trap, exit code, faults) and ends with the
+   master's OS; its clock adds the copies'.  The master never records
+   a call it traps on with an OS error, which the executed slave
+   services alone and runs past. *)
+let derive_slave ?obs (config : config) (mo : master_out) : slave_out =
+  let records =
+    Array.to_list mo.mlog |> List.concat_map (fun (_, rs) -> Array.to_list rs)
+  in
+  let copy_cycles, trace =
+    coupled_copies ~record_trace:config.record_trace records
+  in
+  let cycles = mo.msummary.cycles + copy_cycles in
+  emit_summary ~derived_cycles:cycles obs Obs.Event.Slave mo.mmachine;
+  { sreports = []; sdiffs = 0; sdiffs_before_first = 0; smutated = 0;
+    ssummary = { mo.msummary with cycles };
+    strace = List.rev trace;
+    sos =
+      Snap.os_of_sos
+        { (Snap.sos_of_os mo.mmachine.Machine.os) with
+          Snap.so_pid = slave_pid } }
+
+(* The coupled slave's state at the decouple point of the specs [mo]
    was recorded with, built from the master's capture instead of
-   executing the prefix.  [None] unless the master reached that point
-   and ran the scheduler spec [config]'s slave resolves to; [config]
-   agrees with the recording's on the master-side fields, as for
-   {!run_with_master}.
+   executing the prefix: [Prefix_paused] with its snapshot when the
+   master reached that point, [Prefix_done] with {!derive_slave}'s
+   outcome when it never did, [None] when the slave does not run the
+   master's schedule (or {!derivable} fails).  [config] agrees with the
+   recording's on the master-side fields, as for {!run_with_master}.
 
    Why the capture is the slave's state: until the decouple point no
    syscall base-matches a spec, so the slave runs with nothing to
@@ -1074,21 +1136,18 @@ let slave_prefix ?obs (config : config)
    difference, taint or mutation.  Blocked threads and the paused one go
    by spawn index, as in any snapshot. *)
 let fork_prefix ?obs (config : config) (prog : Ir.program)
-    (world : World.t) (mo : master_out) : slave_snapshot option =
+    (world : World.t) (mo : master_out) : prefix_out option =
   match mo.mdecouple with
-  | Some dc
-    when Sched.spec_of mo.mmachine.Machine.sched
-         = resolve_sched config.slave_sched ~seed:config.slave_seed ->
+  | None when derivable config mo ->
+    Some (Prefix_done (derive_slave ?obs config mo))
+  | Some dc when same_schedule config mo ->
     let prefix =
       List.concat_map
         (fun (tid, n) -> Array.to_list (Array.sub (records_for mo tid) 0 n))
         dc.dc_records
     in
-    let copy_cycles =
-      List.fold_left
-        (fun acc r ->
-           acc + Cost.share_copy + if r.rsink then Cost.sink_compare else 0)
-        0 prefix
+    let copy_cycles, trace =
+      coupled_copies ~record_trace:config.record_trace prefix
     in
     let grants = Hashtbl.create 4 in
     List.iteri
@@ -1096,19 +1155,6 @@ let fork_prefix ?obs (config : config) (prog : Ir.program)
          let q = queue_for grants key in
          if i >= dc.dc_grants then Queue.add idx q)
       mo.mlock_trace;
-    let trace =
-      if not config.record_trace then []
-      else
-        (* newest first, as accumulated; master stamps order the
-           threads' records, since each serviced syscall charges
-           [Cost.syscall] before the next record is stamped *)
-        List.sort (fun a b -> compare b.rcyc a.rcyc) prefix
-        |> List.map (fun r ->
-            { t_pos = Align.to_string r.rpos;
-              t_action = (if r.rsink then T_sink_match else T_copied);
-              t_master = Some (r.rsys, r.rargs);
-              t_slave = Some (r.rsys, r.rargs) })
-    in
     let snap = dc.dc_snap in
     let sn = snap.Snap.sp_machine in
     let sn =
@@ -1116,23 +1162,24 @@ let fork_prefix ?obs (config : config) (prog : Ir.program)
     in
     emit_captured obs ~forked:true sn;
     Some
-      { ss_snap =
-          { snap with
-            Snap.sp_machine = sn;
-            sp_os = { snap.Snap.sp_os with Snap.so_pid = slave_pid };
-            sp_prof = None };
-        ss_grants = grants_list grants;
-        ss_tainted_locks = [];
-        ss_tainted_resources = [];
-        ss_cursors = dc.dc_records;
-        ss_reports = [];
-        ss_diffs = 0;
-        ss_diffs_before_first = -1;
-        ss_mutated = 0;
-        ss_trace = trace;
-        ss_blocked = dc.dc_blocked;
-        ss_paused = dc.dc_paused;
-        ss_fingerprint = slave_fingerprint config prog world }
+      (Prefix_paused
+         { ss_snap =
+             { snap with
+               Snap.sp_machine = sn;
+               sp_os = { snap.Snap.sp_os with Snap.so_pid = slave_pid };
+               sp_prof = None };
+           ss_grants = grants_list grants;
+           ss_tainted_locks = [];
+           ss_tainted_resources = [];
+           ss_cursors = dc.dc_records;
+           ss_reports = [];
+           ss_diffs = 0;
+           ss_diffs_before_first = -1;
+           ss_mutated = 0;
+           ss_trace = trace;
+           ss_blocked = dc.dc_blocked;
+           ss_paused = dc.dc_paused;
+           ss_fingerprint = slave_fingerprint config prog world })
   | _ -> None
 
 let ctx_of_snapshot ?obs (config : config) (prog : Ir.program)
@@ -1193,16 +1240,19 @@ let ctx_of_snapshot ?obs (config : config) (prog : Ir.program)
 
 (* Resume one task's suffix from a prefix snapshot, or [None] when the
    snapshot was taken against a different program, world, or shared
-   slave config (one fingerprint per call).  The snapshot is read-only
-   here (restore copies everything), so any number of resumes —
-   including concurrent ones from different domains — share one
-   capture. *)
-let slave_resume_opt ?obs (config : config) (prog : Ir.program)
+   slave config ([?fingerprint], [config]'s when the caller has it, or
+   one computed here).  The snapshot is read-only here (restore copies
+   everything), so any number of resumes — including concurrent ones
+   from different domains — share one capture. *)
+let slave_resume_opt ?obs ?fingerprint (config : config) (prog : Ir.program)
     (world : World.t) (mo : master_out) (ss : slave_snapshot) :
   slave_out option =
-  if
-    not (String.equal ss.ss_fingerprint (slave_fingerprint config prog world))
-  then None
+  let fp =
+    match fingerprint with
+    | Some fp -> fp
+    | None -> slave_fingerprint config prog world
+  in
+  if not (String.equal ss.ss_fingerprint fp) then None
   else begin
     let ctx, paused = ctx_of_snapshot ?obs config prog mo ss in
     let prefix_cycles = ctx.sc_m.Machine.cycles in
@@ -1353,9 +1403,13 @@ let run ?(config = default_config) ?obs ?prof (prog : Ir.program)
   let ps = Option.map (fun p -> p.prof_slave) prof in
   let mo =
     with_phase obs Obs.Event.Master_run (fun () ->
-        master_pass ?obs ?prof:pm config prog world)
+        master_pass ?obs ?prof:pm ~specs:config.sources config prog world)
   in
-  run_with_master ?obs ?prof:ps config prog world mo
+  if Option.is_none prof && derivable config mo then
+    finalize_result ?obs config mo
+      (with_phase obs Obs.Event.Slave_run (fun () ->
+           derive_slave ?obs config mo))
+  else run_with_master ?obs ?prof:ps config prog world mo
 
 (* Parse, check, lower, instrument, dual-execute. *)
 let run_source ?config ?obs ?prof (src : string)

@@ -311,22 +311,23 @@ val slave_prefix :
   ?obs:Ldx_obs.Sink.t -> config -> specs:source_spec list -> Ir.program ->
   World.t -> master_out -> prefix_out
 
-(** The snapshot {!slave_prefix} would pause with under the specs [mo]
-    was recorded with ([master_pass ~specs]), built from the master's
-    own capture without executing a slave instruction: the master's
-    machine and OS at the decouple point with the slave's pid and the
-    clock the coupled copies add ([Cost.share_copy] per record serviced
-    before the point, plus [Cost.sink_compare] per sink record), a
-    cursor per thread at its record count, the lock grants after the
-    ones already made, and the copies' trace entries.  [None] (and
-    nothing emitted) unless the master reached the decouple point and
-    [config]'s slave resolves to the master's scheduler spec; [config]
-    must agree with the recording's config on the master-side fields,
-    as for {!run_with_master}.  Emits [Snapshot_captured] (forked)
-    otherwise. *)
+(** What {!slave_prefix} would return under the specs [mo] was
+    recorded with ([master_pass ~specs]), built from the master pass
+    without executing a slave instruction when [config]'s slave
+    resolves to the master's scheduler spec ([None], nothing emitted,
+    otherwise, or after an OS-error trap); [config] agrees with the
+    recording's on the master-side fields, as for {!run_with_master}.
+    [Prefix_paused]: the master's machine and OS at the decouple point
+    with the slave's pid and the clock the coupled copies add
+    ([Cost.share_copy] per record serviced before it, plus
+    [Cost.sink_compare] per sink record), a cursor per thread at its
+    record count, the lock grants after those made, the copies' trace;
+    emits [Snapshot_captured] (forked).  [Prefix_done] (no decouple
+    point): the whole slave derived the same way, as {!run} does;
+    emits its [Run_summary] (derived). *)
 val fork_prefix :
   ?obs:Ldx_obs.Sink.t -> config -> Ir.program -> World.t -> master_out ->
-  slave_snapshot option
+  prefix_out option
 
 (** Resume one task's suffix from a prefix snapshot; emits
     [Snapshot_restored] when the suffix completes (a campaign's task
@@ -335,10 +336,11 @@ val fork_prefix :
     per-resume profiles stay exact, and the suffix continues the
     snapshot's recorded schedule exactly.  [None], with nothing run, if
     the snapshot's fingerprint does not match (program, world, shared
-    slave config); the check computes [config]'s fingerprint once. *)
+    slave config): [?fingerprint], {!slave_fingerprint} of [config]
+    when the caller has it, or computed here. *)
 val slave_resume_opt :
-  ?obs:Ldx_obs.Sink.t -> config -> Ir.program -> World.t -> master_out ->
-  slave_snapshot -> slave_out option
+  ?obs:Ldx_obs.Sink.t -> ?fingerprint:string -> config -> Ir.program ->
+  World.t -> master_out -> slave_snapshot -> slave_out option
 
 (** {!slave_resume_opt}, raising [Invalid_argument] on a fingerprint
     mismatch. *)
@@ -380,7 +382,10 @@ type profiles = {
 (** A fresh, empty profile pair. *)
 val fresh_profiles : unit -> profiles
 
-(** Dual-execute an (instrumented) program. *)
+(** Dual-execute an (instrumented) program.  A slave that no source of
+    [config] reaches is derived from the master's log as {!fork_prefix}'s
+    [Prefix_done] is, unless [?prof] asks for an executed slave's
+    profile: the same result, and no per-syscall slave events. *)
 val run :
   ?config:config -> ?obs:Ldx_obs.Sink.t -> ?prof:profiles -> Ir.program ->
   World.t -> result

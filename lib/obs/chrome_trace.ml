@@ -305,19 +305,20 @@ let of_events (events : Event.t list) : Json.t =
               ~tid:tid_snap
               (("s", Json.Str "t") :: args [ ("reason", Json.Str reason) ]))
        | Event.Os_call _ | Event.Cnt_sample _ -> ()
-       | Event.Run_summary { side; cycles; steps; syscalls; cnt_instrs; trap }
-         ->
+       | Event.Run_summary
+           { side; cycles; steps; syscalls; cnt_instrs; trap; derived } ->
          tick cycles;
          summaries :=
            ( Event.side_to_string side,
              Json.Obj
-               [ ("cycles", Json.Int cycles);
-                 ("steps", Json.Int steps);
-                 ("syscalls", Json.Int syscalls);
-                 ("cnt_instrs", Json.Int cnt_instrs);
-                 ( "trap",
-                   match trap with Some m -> Json.Str m | None -> Json.Null )
-               ] )
+               ([ ("cycles", Json.Int cycles);
+                  ("steps", Json.Int steps);
+                  ("syscalls", Json.Int syscalls);
+                  ("cnt_instrs", Json.Int cnt_instrs);
+                  ( "trap",
+                    match trap with Some m -> Json.Str m | None -> Json.Null )
+                ]
+                @ if derived then [ ("derived", Json.Bool true) ] else []) )
            :: !summaries)
     events;
   let meta =

@@ -88,6 +88,7 @@ type t =
       syscalls : int;
       cnt_instrs : int;
       trap : string option;
+      derived : bool;
     }
   | Fault_injected of { side : side; sys : string; site : int; action : string }
   | Task_done of {

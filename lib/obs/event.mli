@@ -118,6 +118,9 @@ type t =
       syscalls : int;
       cnt_instrs : int;        (** counter-maintenance instructions (Fig. 6) *)
       trap : string option;
+      derived : bool;
+          (** the side was derived from the master's log, not executed
+              (a slave no source reaches: [Engine.run]) *)
     }
   | Fault_injected of {
       side : side;

@@ -32,8 +32,10 @@ let absorb t (ev : Event.t) =
   | Event.Barrier_wait { side; _ } -> Metrics.incr m (side_key "barriers" side)
   | Event.Cnt_sample { side; value } ->
     Metrics.observe m (side_key "dyn_cnt" side) value
-  | Event.Run_summary { side; cycles; steps; syscalls; cnt_instrs; trap } ->
+  | Event.Run_summary
+      { side; cycles; steps; syscalls; cnt_instrs; trap; derived } ->
     let p = Event.side_to_string side in
+    if derived then Metrics.incr m ("engine." ^ p ^ "_derived");
     Metrics.set m (p ^ ".cycles") cycles;
     Metrics.set m (p ^ ".steps") steps;
     Metrics.set m (p ^ ".syscalls") syscalls;

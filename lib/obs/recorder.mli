@@ -9,6 +9,8 @@
     - [engine.copies] — coupled outcomes the slave consumed;
     - [engine.sink_compares] — coupled sink-argument comparisons;
     - [engine.mutations] — source mutations that changed a value;
+    - [engine.slave_derived] — slaves derived from the master's log
+      instead of executed (no per-syscall slave events);
     - [divergence.case1/case2/case3] — sink reports by the paper's case
       number (these equal the run's [sink_report] tally);
     - [divergence.final-state] — final-state extension reports;

@@ -11,6 +11,7 @@ let describe name =
   | "engine.copies" -> "coupled outcomes the slave consumed"
   | "engine.sink_compares" -> "coupled sink-argument comparisons"
   | "engine.mutations" -> "source mutations that changed a value"
+  | "engine.slave_derived" -> "slaves derived from the master's log, not run"
   | "run.wall_cycles" -> "max of the two clocks (virtual two-CPU wall time)"
   | "master.cnt_instrs" | "slave.cnt_instrs" ->
     "counter-maintenance instructions (Fig. 6 numerator)"

@@ -157,7 +157,7 @@ let test_schedule_independent_alignment () =
            master_seed = ms;
            slave_seed = ss }
        in
-       let r = Engine.run_source ~config src world in
+       let r = Executed.run_source ~config src world in
        clean r;
        check int (Printf.sprintf "seeds %d/%d: no diffs" ms ss) 0
          r.Engine.syscall_diffs;

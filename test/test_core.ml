@@ -37,7 +37,7 @@ let aligned_src =
 let aligned_world = World.(empty |> with_file "/data" "03abcdabcdabcd")
 
 let test_no_mutation_no_diffs () =
-  let r = run ~config:no_sources ~world:aligned_world aligned_src in
+  let r = Executed.run_source ~config:no_sources aligned_src aligned_world in
   check int "no diffs" 0 r.Engine.syscall_diffs;
   check int "no reports" 0 (List.length r.Engine.reports);
   check bool "no leak" false r.Engine.leak;
@@ -52,7 +52,7 @@ let test_vacuous_source_match_no_mutation () =
     { Engine.default_config with
       Engine.sources = [ Engine.source ~sys:"recv" () ] }
   in
-  let r = run ~config ~world:aligned_world aligned_src in
+  let r = Executed.run_source ~config aligned_src aligned_world in
   check int "no diffs" 0 r.Engine.syscall_diffs;
   check bool "no leak" false r.Engine.leak
 
@@ -257,7 +257,7 @@ let test_loop_trip_count_divergence () =
     r.Engine.slave.Engine.trap
 
 let test_loop_equal_inputs_align () =
-  let r = Engine.run_source ~config:no_sources loop_src (loop_world "0303") in
+  let r = Executed.run_source ~config:no_sources loop_src (loop_world "0303") in
   check int "no diffs" 0 r.Engine.syscall_diffs;
   check bool "no leak" false r.Engine.leak
 

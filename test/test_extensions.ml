@@ -202,7 +202,9 @@ let test_final_state_metadata () =
 let test_final_state_quiet_when_aligned () =
   let config = { conf_source with Engine.sources = [];
                  Engine.check_final_state = true } in
-  let r = Engine.run ~config (instrument benign_chunked_reader) benign_world in
+  let r =
+    Executed.run ~config (instrument benign_chunked_reader) benign_world
+  in
   check bool "no reports" false r.Engine.leak
 
 (* --- trace view --- *)

@@ -195,7 +195,7 @@ let no_source_config faults =
    so every faulted outcome is copied through the coupling. *)
 let test_fp_invariant_heavy () =
   let r =
-    Engine.run ~config:(no_source_config heavy_plan)
+    Executed.run ~config:(no_source_config heavy_plan)
       (instrument chaos_src) chaos_world
   in
   check bool "no leak" false r.Engine.leak;
@@ -249,7 +249,7 @@ let prop_fp_invariant ((p, seed) : Ldx_lang.Ast.program * int) =
   let prog, _ = Counter.instrument (Lower.lower_program p) in
   let plan = Fault.random ~rand:(Random.State.make [| seed |]) () in
   let r =
-    Engine.run ~config:(no_source_config plan) prog qcheck_world
+    Executed.run ~config:(no_source_config plan) prog qcheck_world
   in
   (not r.Engine.leak) && r.Engine.reports = [] && r.Engine.syscall_diffs = 0
   && r.Engine.master.Engine.faults_injected

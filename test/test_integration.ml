@@ -92,7 +92,7 @@ let net_sinks sources =
   { Engine.default_config with Engine.sources; sinks = Engine.Network_outputs }
 
 let test_aligned () =
-  let r = Engine.run_source ~config:(net_sinks []) kitchen_sink world in
+  let r = Executed.run_source ~config:(net_sinks []) kitchen_sink world in
   (match r.Engine.master.Engine.trap with
    | None -> ()
    | Some m -> Alcotest.failf "master: %s" m);

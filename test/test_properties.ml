@@ -71,13 +71,13 @@ let prop_instrumentation_transparent (p : Ast.program) =
 (* P3: alignment completeness — dual-executing any structured program
    with NO mutation yields zero syscall differences, no reports, and a
    clean slave.  This exercises Algorithm 1 + 3 + fresh frames on random
-   CFGs. *)
+   CFGs, so the slave is executed ([Executed.run]), never derived. *)
 let no_sources =
   { Engine.default_config with Engine.sources = [] }
 
 let prop_alignment_complete (p : Ast.program) =
   let prog, _ = Counter.instrument (lower_gen p) in
-  let r = Engine.run ~config:no_sources prog test_world in
+  let r = Executed.run ~config:no_sources prog test_world in
   r.Engine.syscall_diffs = 0
   && (not r.Engine.leak)
   && r.Engine.slave.Engine.trap = None
@@ -136,7 +136,8 @@ let prop_vacuous_mutation_aligned (p : Ast.program) =
 
 (* P13: schedule independence — random race-free concurrent programs,
    dual-executed without mutation under random seed pairs, always align
-   perfectly.  Generalizes the hand-written concurrency tests. *)
+   perfectly.  Generalizes the hand-written concurrency tests; the
+   slave is executed even when the two seeds are equal. *)
 let gen_conc_with_seeds =
   QCheck2.Gen.triple Gen_minic.gen_conc_program
     (QCheck2.Gen.int_range 0 1000) (QCheck2.Gen.int_range 0 1000)
@@ -149,7 +150,7 @@ let prop_concurrent_alignment (p, ms, ss) =
       Engine.master_seed = ms;
       slave_seed = ss }
   in
-  let r = Engine.run ~config prog World.empty in
+  let r = Executed.run ~config prog World.empty in
   r.Engine.syscall_diffs = 0
   && (not r.Engine.leak)
   && r.Engine.slave.Engine.trap = None

@@ -378,7 +378,7 @@ let prop_zero_source_any_schedule_and_faults ((p, seed, faulty) :
       slave_sched = Some spec;
       faults = (if faulty then Some (fault_plan seed) else None) }
   in
-  let r = Engine.run ~config prog conc_world in
+  let r = Executed.run ~config prog conc_world in
   r.Engine.reports = [] && not r.Engine.leak
 
 let qcheck_tests =

@@ -92,7 +92,7 @@ let test_dual_alignment_with_longjmp () =
     { Engine.default_config with
       Engine.sources = []; sinks = Engine.Network_outputs }
   in
-  let r = Engine.run_source ~config src world in
+  let r = Executed.run_source ~config src world in
   check (Alcotest.option string) "slave clean" None r.Engine.slave.Engine.trap;
   check Alcotest.int "no diffs" 0 r.Engine.syscall_diffs;
   check bool "no leak" false r.Engine.leak

@@ -104,7 +104,7 @@ let test_dual_alignment_with_signals () =
     { Engine.default_config with
       Engine.sources = []; sinks = Engine.Network_outputs }
   in
-  let r = Engine.run_source ~config src world in
+  let r = Executed.run_source ~config src world in
   check (Alcotest.option string) "slave clean" None r.Engine.slave.Engine.trap;
   check int "aligned" 0 r.Engine.syscall_diffs;
   check bool "no leak" false r.Engine.leak

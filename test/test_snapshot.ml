@@ -291,10 +291,25 @@ let snapshot_difference (e : Engine.slave_snapshot)
       ("paused", e.Engine.ss_paused = f.Engine.ss_paused);
       ("fingerprint", e.Engine.ss_fingerprint = f.Engine.ss_fingerprint) ]
 
+(* The first component in which two whole slave outcomes differ; final
+   OS states compare in their canonical form. *)
+let slave_out_difference (e : Engine.slave_out) (f : Engine.slave_out) :
+  string option =
+  List.find_map
+    (fun (what, same) -> if same then None else Some what)
+    [ ("reports", e.Engine.sreports = f.Engine.sreports);
+      ( "diffs",
+        (e.Engine.sdiffs, e.Engine.sdiffs_before_first, e.Engine.smutated)
+        = (f.Engine.sdiffs, f.Engine.sdiffs_before_first, f.Engine.smutated) );
+      ("summary", e.Engine.ssummary = f.Engine.ssummary);
+      ("trace", e.Engine.strace = f.Engine.strace);
+      ("os", Snap.sos_of_os e.Engine.sos = Snap.sos_of_os f.Engine.sos) ]
+
 (* Record a master with [specs], execute the prefix and fork it under
    [config] (sources off, as a campaign's shared prefix runs), and
    compare; then resume two mutating tasks over [specs] from each
-   snapshot.  [Ok false]: no decouple point, on either side. *)
+   snapshot.  [Ok false]: no decouple point, on either side, where the
+   derived whole slave must be the executed one. *)
 let fork_check (config : Engine.config) ~specs prog world :
   (bool, string) result =
   let prefix_cfg = { config with Engine.sources = [] } in
@@ -303,10 +318,16 @@ let fork_check (config : Engine.config) ~specs prog world :
     ( Engine.slave_prefix prefix_cfg ~specs prog world mo,
       Engine.fork_prefix prefix_cfg prog world mo )
   with
-  | Engine.Prefix_done _, None -> Ok false
-  | Engine.Prefix_done _, Some _ -> Error "forked a prefix that never pauses"
-  | Engine.Prefix_paused _, None -> Error "no fork where the prefix pauses"
-  | Engine.Prefix_paused e, Some f -> (
+  | Engine.Prefix_done e, Some (Engine.Prefix_done f) -> (
+      match slave_out_difference e f with
+      | Some what -> Error ("derived slave: " ^ what ^ " differs")
+      | None -> Ok false)
+  | Engine.Prefix_done _, Some (Engine.Prefix_paused _) ->
+    Error "forked a prefix that never pauses"
+  | Engine.Prefix_paused _, Some (Engine.Prefix_done _) ->
+    Error "derived a whole slave where the prefix pauses"
+  | _, None -> Error "nothing forked under the master's schedule"
+  | Engine.Prefix_paused e, Some (Engine.Prefix_paused f) -> (
       match snapshot_difference e f with
       | Some what -> Error (what ^ " differs")
       | None ->
@@ -410,6 +431,166 @@ let qfork ~count name gen ~threaded =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count ~print:print_fork_case
        (gen_fork_case gen ~threaded) prop_fork_exact)
+
+(* ------------------------------------------------------------------ *)
+(* The derived slave.  [Engine.run] derives the slave of a run that no
+   source reaches from the master's log; its result must be the one the
+   executed slave gives ([master_pass] + [run_with_master]). *)
+
+let result_difference (d : Engine.result) (e : Engine.result) : string option =
+  List.find_map
+    (fun (what, same) -> if same then None else Some what)
+    [ ("slave summary", d.Engine.slave = e.Engine.slave);
+      ("trace", d.Engine.trace = e.Engine.trace);
+      ("reports", d.Engine.reports = e.Engine.reports);
+      ( "counts",
+        ( d.Engine.syscall_diffs, d.Engine.diffs_before_first_report,
+          d.Engine.mutated_inputs, d.Engine.total_sinks )
+        = ( e.Engine.syscall_diffs, e.Engine.diffs_before_first_report,
+            e.Engine.mutated_inputs, e.Engine.total_sinks ) );
+      ("result", d = e) ]
+
+(* [Ok (derived, r)]: the two results agree on [r], and whether
+   [Engine.run] derived its slave. *)
+let derive_check (config : Engine.config) prog world :
+  (bool * Engine.result, string) result =
+  let rc = Ldx_obs.Recorder.create () in
+  let d = Engine.run ~config ~obs:(Ldx_obs.Recorder.sink rc) prog world in
+  let e = Executed.run ~config prog world in
+  match result_difference d e with
+  | Some what -> Error (what ^ " differs from the executed slave's")
+  | None ->
+    Ok
+      ( Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
+          "engine.slave_derived"
+        = 1,
+        e )
+
+let test_derive_registry () =
+  let kinds = ref [] and runs = ref 0 in
+  List.iter
+    (fun (w : Workload.t) ->
+       let prog, _ = Workload.instrumented w in
+       List.iter
+         (fun (name, (c : Engine.config)) ->
+            List.iter
+              (fun (record_trace, check_final_state) ->
+                 let config =
+                   { c with Engine.record_trace; check_final_state }
+                 in
+                 match derive_check config prog w.Workload.world with
+                 | Ok (false, _) -> ()
+                 | Ok (true, _) ->
+                   incr runs;
+                   if not (List.mem (w.Workload.name, name) !kinds) then
+                     kinds := (w.Workload.name, name) :: !kinds
+                 | Error e ->
+                   Alcotest.failf "%s (%s, trace %b, final state %b): %s"
+                     w.Workload.name name record_trace check_final_state e)
+              [ (false, false); (true, false); (false, true); (true, true) ])
+         ([ ("leak", Workload.leak_config w);
+            ("no-mutation", Workload.no_mutation_config w) ]
+          @ Option.to_list
+              (Option.map (fun c -> ("benign", c)) (Workload.benign_config w))))
+    Registry.all;
+  (* pinned so the check cannot pass by never deriving: every
+     no-mutation config and the benign configs whose sources never
+     fire, under each of the four flag settings *)
+  check (Alcotest.pair int int) "registry kinds and runs derived" (33, 132)
+    (List.length !kinds, !runs)
+
+(* A master that traps on an OS error never records the failing call,
+   which the executed slave services on its own and runs past: that
+   slave is executed, not derived. *)
+let test_derive_os_error () =
+  let prog =
+    fst
+      (Ldx_instrument.Counter.instrument
+         (Ldx_cfg.Lower.lower_source
+            "fn main() { print(\"a\"); let fd = open(5); print(\"x\"); }"))
+  in
+  let config = { Engine.default_config with Engine.sources = [] } in
+  match derive_check config prog test_world with
+  | Ok (derived, r) ->
+    check bool "an OS-error trap" true
+      (Engine.classify_trap r.Engine.master.Engine.trap = Engine.Os_failure);
+    check bool "derived" false derived
+  | Error e -> Alcotest.fail e
+
+(* Generated programs with no source, a spec that never matches or the
+   [recv] sources, under the legacy or a random schedule, the slave's
+   seed the master's or not, each flag on or off, with or without a
+   fault plan, and at times with so little fuel that both sides trap.
+   With no source and the master's schedule the slave must be derived
+   (an OS-error trap aside). *)
+let gen_derive_case gen =
+  let open QCheck2.Gen in
+  let* p = gen in
+  let* seed = int_bound 1000 in
+  let* slave_seed = oneof [ return seed; int_bound 1000 ] in
+  let* random = bool in
+  let* record_trace = bool in
+  let* record_sched = bool in
+  let* check_final_state = bool in
+  let* faulty = bool in
+  let* max_steps = oneof [ return 30_000_000; int_range 10 600 ] in
+  let* sources =
+    oneofl
+      [ []; [ Engine.source ~sys:"recv" ~arg:"nowhere" () ];
+        [ Engine.source ~sys:"recv" () ] ]
+  in
+  let sched s =
+    if random then Some (Sched.spec ~seed:s Sched.Random) else None
+  in
+  return
+    ( p,
+      { Engine.default_config with
+        Engine.sources;
+        master_seed = seed;
+        slave_seed;
+        master_sched = sched seed;
+        slave_sched = sched slave_seed;
+        max_steps;
+        record_trace;
+        record_sched;
+        check_final_state;
+        faults =
+          (if not faulty then None
+           else
+             Some
+               (Fault.plan ~seed
+                  [ Fault.rule ~sys:"recv" ~nth:2 Fault.Drop_message;
+                    Fault.rule ~sys:"recv" ~prob:30 (Fault.Short_read 1);
+                    Fault.rule ~sys:"send" ~prob:20 Fault.Transient;
+                    Fault.rule ~sys:"time" (Fault.Clock_skew 997) ])) } )
+
+let print_derive_case (p, (c : Engine.config)) =
+  Printf.sprintf
+    "seeds %d/%d, %s schedule, %d sources, fuel %d, trace %b, sched log %b, \
+     final state %b, faults %b\n%s"
+    c.Engine.master_seed c.Engine.slave_seed
+    (if c.Engine.master_sched = None then "legacy" else "random")
+    (List.length c.Engine.sources) c.Engine.max_steps c.Engine.record_trace
+    c.Engine.record_sched c.Engine.check_final_state (c.Engine.faults <> None)
+    (Gen_minic.print_program p)
+
+let prop_derive_exact (p, (config : Engine.config)) =
+  let prog =
+    fst (Ldx_instrument.Counter.instrument (Ldx_cfg.Lower.lower_program p))
+  in
+  match derive_check config prog test_world with
+  | Error e -> QCheck2.Test.fail_report e
+  | Ok (derived, r) ->
+    derived
+    || config.Engine.sources <> []
+    || config.Engine.slave_seed <> config.Engine.master_seed
+    || Engine.classify_trap r.Engine.master.Engine.trap = Engine.Os_failure
+    || QCheck2.Test.fail_report "no source, the master's schedule: executed"
+
+let qderive ~count name gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count ~print:print_derive_case
+       (gen_derive_case gen) prop_derive_exact)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental campaigns. *)
@@ -568,8 +749,9 @@ let test_incremental_identity () =
    workers take a lock around several sends before their one [recv],
    that prefix replays the master's lock grants through its gate.
    Sources that never match leave the whole slave run shared, with no
-   decouple point at all.  Each stays byte-identical to full mode
-   without a fallback. *)
+   decouple point at all: that slave is derived from the master's log,
+   and no slave instruction runs.  Each stays byte-identical to full
+   mode without a fallback. *)
 let locked_prefix_prog =
   lazy
     (fst
@@ -624,10 +806,16 @@ let test_executed_prefix () =
        check string (label ^ ": incremental table") (run false)
          (run ~obs:(Ldx_obs.Recorder.sink rc) true);
        check_snap_counts label ~forked:0 ~executed rc;
+       let c = Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc) in
        check int (label ^ ": restores")
          (executed * List.length params)
-         (Ldx_obs.Metrics.counter (Ldx_obs.Recorder.snapshot rc)
-            "snap.restored"))
+         (c "snap.restored");
+       let derived = 1 - executed in
+       check
+         Alcotest.(pair int bool)
+         (label ^ ": derived slaves, slave syscalls executed")
+         (derived, derived = 0)
+         (c "engine.slave_derived", c "syscalls.slave" > 0))
     [ ( "slave seed 5 against master seed 0",
         Lazy.force locked_prefix_prog, locked_world, config,
         retarget (fun p -> { p with Campaign.slave_seed = 5 }), 1 );
@@ -857,4 +1045,14 @@ let tests =
     qfork ~count:60 "F3 forked prefix exact (stress)"
       Gen_minic.gen_stress_program ~threaded:false;
     qfork ~count:80 "F4 forked prefix exact (threads)"
-      Gen_minic.gen_conc_program ~threaded:true ]
+      Gen_minic.gen_conc_program ~threaded:true;
+    Alcotest.test_case "D1 derived slave exact (registry)" `Quick
+      test_derive_registry;
+    qderive ~count:150 "D2 derived slave exact (structured)"
+      Gen_minic.gen_program;
+    qderive ~count:100 "D3 derived slave exact (stress)"
+      Gen_minic.gen_stress_program;
+    qderive ~count:150 "D4 derived slave exact (threads)"
+      Gen_minic.gen_conc_program;
+    Alcotest.test_case "D5 OS-error trap executes the slave" `Quick
+      test_derive_os_error ]

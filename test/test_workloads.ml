@@ -23,7 +23,9 @@ let native_ok (w : Workload.t) () =
 
 let aligned_ok (w : Workload.t) () =
   let prog, _ = Workload.instrumented w in
-  let r = Engine.run ~config:(Workload.no_mutation_config w) prog w.Workload.world in
+  let r =
+    Executed.run ~config:(Workload.no_mutation_config w) prog w.Workload.world
+  in
   (match r.Engine.master.Engine.trap with
    | None -> ()
    | Some m -> Alcotest.failf "%s master trapped: %s" w.Workload.name m);
