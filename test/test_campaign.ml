@@ -848,6 +848,33 @@ let test_campaign_resume_fingerprint_mismatch () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "matching config rejected: %s" e
 
+(* The fingerprint a journal stores, pinned for each named sink set on
+   one fixed campaign, and once under the retry policy the CLIs derive
+   from --max-retries 2 --backoff 2 --retry-fuel-budget 1000: the
+   sink-set tag and the retry text are persisted bytes, so a journal of
+   an earlier build resumes only while these stay put. *)
+let test_fingerprint_pinned () =
+  let prog = instrumented attribution_src in
+  let fp ?retry sinks =
+    let config = { attribution_config with Engine.sinks } in
+    Campaign.fingerprint ?retry ~config prog attribution_world
+      (campaign_params config)
+  in
+  List.iter
+    (fun (name, sinks, expected) ->
+       Alcotest.(check string) name expected (fp sinks))
+    [ ("outputs", Engine.Output_syscalls, "97e27d28b6f58486");
+      ("network", Engine.Network_outputs, "e4d4d76b2037f4ac");
+      ("files", Engine.File_outputs, "f8c14780fd1f78ed");
+      ("attack", Engine.Attack_sinks, "7462b11770f1eeb9") ];
+  Alcotest.(check string) "network, CLI retry policy" "f5f926e16e9ef1ea"
+    (fp
+       ~retry:
+         { Campaign.no_retries with
+           Campaign.max_retries = 2; backoff = 2; fuel_budget = Some 1000;
+           quarantine = true }
+       Engine.Network_outputs)
+
 (* A [Custom_sinks] predicate is a closure with no digest, so every
    path that would journal such a campaign refuses it before writing:
    [run ?journal] leaves no file behind, and [resume], [Service.init]
@@ -1184,6 +1211,8 @@ let tests =
       test_custom_sinks_run_unjournaled;
     Alcotest.test_case "resume rejects a fingerprint mismatch" `Quick
       test_campaign_resume_fingerprint_mismatch;
+    Alcotest.test_case "fingerprint pinned per sink set" `Quick
+      test_fingerprint_pinned;
     Alcotest.test_case "drain finishes in-flight, resume completes" `Quick
       test_campaign_drain_and_resume;
     Alcotest.test_case "parallel campaigns honour stop" `Quick
