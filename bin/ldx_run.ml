@@ -9,53 +9,9 @@
 
 open Cmdliner
 module Engine = Ldx_core.Engine
-module Mutation = Ldx_core.Mutation
-module World = Ldx_osim.World
 module Sched = Ldx_sched.Scheduler
 module Schedule = Ldx_sched.Schedule
-
-let split_once ch s =
-  match String.index_opt s ch with
-  | None -> (s, "")
-  | Some i ->
-    (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-let prog_file =
-  Arg.(value & pos 0 (some file) None & info [] ~docv:"PROGRAM.minic")
-
-let workload_arg =
-  let doc =
-    "Run a registry workload (e.g. 403.gcc, 473.astar) instead of a \
-     program file: its world, sources, sinks and strategy come from the \
-     registry entry's leak configuration."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "workload" ] ~docv:"NAME" ~doc)
-
-let files =
-  let doc = "Add a file to the simulated world: PATH=CONTENTS (repeatable)." in
-  Arg.(value & opt_all string [] & info [ "file" ] ~docv:"PATH=DATA" ~doc)
-
-let endpoints =
-  let doc =
-    "Add a network endpoint: NAME=MSG1,MSG2,... (inbound script, repeatable)."
-  in
-  Arg.(value & opt_all string [] & info [ "endpoint" ] ~docv:"NAME=MSGS" ~doc)
-
-let sources =
-  let doc =
-    "Source syscalls to mutate in the slave, e.g. 'recv' or \
-     'read@/etc/secret' (syscall@resource-substring, repeatable)."
-  in
-  Arg.(value & opt_all string [ "recv" ] & info [ "source" ] ~docv:"SPEC" ~doc)
-
-let sink =
-  let doc = "Sink set: network | files | outputs | attack." in
-  Arg.(value & opt string "outputs" & info [ "sink" ] ~docv:"KIND" ~doc)
-
-let strategy =
-  let doc = "Mutation strategy: off-by-one | bitflip | zero | random." in
-  Arg.(value & opt string "off-by-one" & info [ "strategy" ] ~docv:"NAME" ~doc)
+module Service_common = Ldx_service_cli.Service_common
 
 let verbose =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print per-sink reports.")
@@ -76,21 +32,6 @@ let attribute =
          ~doc:"Record one master pass, then run one isolated-source slave \
                pass per source and print which source each flagged sink \
                depends on.")
-
-let sweep_strategies =
-  Arg.(value & flag
-       & info [ "sweep-strategies" ]
-         ~doc:"Record one master pass, then run one slave pass per \
-               mutation strategy and print the comparison table \
-               (Sec. 8.3 study).")
-
-let sweep_seeds =
-  Arg.(value & opt (some int) None
-       & info [ "sweep-seeds" ] ~docv:"N"
-         ~doc:"Record one master pass, then run one slave pass per \
-               slave scheduler seed 0..N-1 and print the comparison \
-               table.  The single-process reference for the \
-               ldx_campaignd service (identical task list and table).")
 
 let jobs =
   Arg.(value & opt int 1
@@ -212,48 +153,12 @@ let resume_arg =
                missing tasks.  The rendered table is byte-identical to \
                an uninterrupted run.")
 
-let task_deadline =
-  Arg.(value & opt (some int) None
-       & info [ "task-deadline" ] ~docv:"STEPS"
-         ~doc:"Campaign modes: cap each slave task at $(docv) VM steps \
-               (fuel-derived, so bit-deterministic — no wall clocks); a \
-               task cut off below the configured budget finishes as \
-               timed-out.")
-
-let max_retries =
-  Arg.(value & opt int 0
-       & info [ "max-retries" ] ~docv:"N"
-         ~doc:"Campaign modes: retry crashed/fuel-exhausted/timed-out \
-               tasks up to $(docv) times under jittered slave seeds; a \
-               task that crashes on every attempt is quarantined.")
-
-let backoff =
-  Arg.(value & opt int 1
-       & info [ "backoff" ] ~docv:"BASE"
-         ~doc:"Retry seed-jitter growth base: 1 = linear jitter \
-               (default), larger = jitter grows BASE^(k-1) on retry k — \
-               exponential backoff in seed space.")
-
-let retry_budget =
-  Arg.(value & opt (some int) None
-       & info [ "retry-fuel-budget" ] ~docv:"STEPS"
-         ~doc:"Cumulative VM-step budget one task may spend across all \
-               its attempts; once spent, no further retries.")
-
 let abort_after =
   Arg.(value & opt (some int) None
        & info [ "abort-after" ] ~docv:"N"
          ~doc:"Crash-simulation hook for resume testing: exit(17) when \
                the campaign starts its (N+1)-th slave pass, leaving \
                exactly the completed outcomes in the --journal.")
-
-let sync_flag =
-  Arg.(value & flag
-       & info [ "sync" ]
-         ~doc:"With --journal: fsync the journal on checkpoint and \
-               every outcome append.  The default (off) survives \
-               process crashes; --sync also survives power loss, at \
-               one disk round-trip per task.")
 
 let incremental_flag =
   Arg.(value & flag
@@ -269,52 +174,14 @@ let incremental_flag =
                full slave passes automatically, each fallback counted \
                as snap.fallback under --metrics.")
 
-let build_world files endpoints =
-  let w = ref World.empty in
-  List.iter
-    (fun spec ->
-       let path, data = split_once '=' spec in
-       w := World.with_file path data !w)
-    files;
-  List.iter
-    (fun spec ->
-       let name, msgs = split_once '=' spec in
-       let script = if msgs = "" then [] else String.split_on_char ',' msgs in
-       w := World.with_endpoint name script !w)
-    endpoints;
-  !w
-
-let parse_sources specs =
-  List.map
-    (fun spec ->
-       let sys, arg = split_once '@' spec in
-       Engine.source ~sys ?arg:(if arg = "" then None else Some arg) ())
-    specs
-
-let parse_sinks = function
-  | "network" -> Ok Engine.Network_outputs
-  | "files" -> Ok Engine.File_outputs
-  | "outputs" -> Ok Engine.Output_syscalls
-  | "attack" -> Ok Engine.Attack_sinks
-  | s -> Error (Printf.sprintf "unknown sink set %S" s)
-
-let parse_strategy = function
-  | "off-by-one" -> Ok Mutation.Off_by_one
-  | "bitflip" -> Ok Mutation.Bitflip
-  | "zero" -> Ok Mutation.Zero
-  | "random" -> Ok (Mutation.Random_replace 7)
-  | s -> Error (Printf.sprintf "unknown strategy %S" s)
-
-let run prog_file workload files endpoints sources sink strategy verbose trace
-    dot attribute sweep_strategies sweep_seeds jobs final_state trace_out
-    metrics metrics_json profile_flag profile_json profile_folded progress
-    faults fault_seed sched_policy sched_seed sched_replay sched_record journal
-    resume task_deadline max_retries backoff retry_budget abort_after sync
-    incremental
+let run (spec : Service_common.spec) verbose trace dot attribute jobs
+    final_state trace_out metrics metrics_json profile_flag profile_json
+    profile_folded progress faults fault_seed sched_policy sched_seed
+    sched_replay sched_record journal resume abort_after incremental
   =
   let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e) in
-  let* sinks = parse_sinks sink in
-  let* strategy = parse_strategy strategy in
+  let* input = Service_common.read_input spec in
+  let world, base_config = Service_common.setup spec input in
   let* fault_plan =
     match faults with
     | None -> Ok None
@@ -340,31 +207,6 @@ let run prog_file workload files endpoints sources sink strategy verbose trace
           | Ok p -> Ok (Some (Sched.spec ~seed:sched_seed p))
           | Error e -> Error ("bad --sched policy: " ^ e)))
   in
-  let* input =
-    match (workload, prog_file) with
-    | Some _, Some _ -> Error "give PROGRAM.minic or --workload, not both"
-    | None, None -> Error "a PROGRAM.minic argument or --workload is required"
-    | None, Some path ->
-      Ok (`Src (In_channel.with_open_text path In_channel.input_all))
-    | Some name, None ->
-      (match Ldx_workloads.Registry.find name with
-       | Some w -> Ok (`Workload w)
-       | None -> Error (Printf.sprintf "unknown workload %S" name))
-  in
-  let world =
-    match input with
-    | `Workload w -> w.Ldx_workloads.Workload.world
-    | `Src _ -> build_world files endpoints
-  in
-  let base_config =
-    match input with
-    | `Workload w -> Ldx_workloads.Workload.leak_config w
-    | `Src _ ->
-      { Engine.default_config with
-        Engine.sources = parse_sources sources;
-        sinks;
-        strategy }
-  in
   let config =
     { base_config with
       Engine.record_trace = trace;
@@ -374,16 +216,7 @@ let run prog_file workload files endpoints sources sink strategy verbose trace
       slave_sched = sched_spec;
       record_sched = sched_record <> None }
   in
-  (* lowering shared by every mode: a registry workload arrives already
-     instrumented; a source file is lowered and instrumented here *)
-  let lowered () =
-    match input with
-    | `Workload w -> Ok (fst (Ldx_workloads.Workload.instrumented w))
-    | `Src src ->
-      (match Ldx_cfg.Lower.lower_source src with
-       | exception Failure msg -> Error msg
-       | prog -> Ok (fst (Ldx_instrument.Counter.instrument prog)))
-  in
+  let lowered () = Service_common.lower input in
   let recorder =
     if trace_out <> None || metrics || metrics_json <> None then
       Some (Ldx_obs.Recorder.create ())
@@ -479,16 +312,9 @@ let run prog_file workload files endpoints sources sink strategy verbose trace
          `Ok ()
        with Sys_error msg -> `Error (false, msg))
   in
-  let retry =
-    if max_retries = 0 && retry_budget = None then None
-    else
-      Some
-        { Ldx_core.Campaign.no_retries with
-          Ldx_core.Campaign.max_retries;
-          backoff;
-          fuel_budget = retry_budget;
-          quarantine = max_retries > 0 }
-  in
+  let retry = Service_common.retry spec
+  and task_deadline = spec.Service_common.task_deadline
+  and sync = spec.Service_common.sync in
   (* the crash-simulation hook: completes the first N slave passes (and
      their journal appends), then dies as a killed process would *)
   let abort_runner =
@@ -521,18 +347,11 @@ let run prog_file workload files endpoints sources sink strategy verbose trace
       print_string (Ldx_core.Attribute.render attrs);
       emit_observability ()
   end
-  else if sweep_strategies || sweep_seeds <> None then begin
+  else if spec.Service_common.sweep <> None then begin
     match lowered () with
     | Error msg -> `Error (false, msg)
     | Ok prog ->
-      let params =
-        match sweep_seeds with
-        | Some n ->
-          Ldx_core.Campaign.of_seeds config (List.init (max 0 n) Fun.id)
-        | None ->
-          Ldx_core.Campaign.of_strategies config
-            Ldx_core.Mutation.all_strategies
-      in
+      let params = Service_common.tasks spec config in
       (* graceful drain for journaled campaigns: the handler flips a
          flag, the campaign stops claiming new tasks (in-flight tasks
          finish and are journaled), and we exit 21 — a later --resume
@@ -652,13 +471,11 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ prog_file $ workload_arg $ files $ endpoints $ sources
-         $ sink $ strategy $ verbose $ trace $ dot $ attribute
-         $ sweep_strategies $ sweep_seeds $ jobs $ final_state $ trace_out
-         $ metrics $ metrics_json $ profile_flag $ profile_json
-         $ profile_folded $ progress $ faults $ fault_seed $ sched_policy
-         $ sched_seed $ sched_replay $ sched_record $ journal_arg $ resume_arg
-         $ task_deadline $ max_retries $ backoff $ retry_budget
-         $ abort_after $ sync_flag $ incremental_flag))
+        (const run $ Service_common.term $ verbose $ trace $ dot $ attribute
+         $ jobs $ final_state $ trace_out $ metrics $ metrics_json
+         $ profile_flag $ profile_json $ profile_folded $ progress $ faults
+         $ fault_seed $ sched_policy $ sched_seed $ sched_replay
+         $ sched_record $ journal_arg $ resume_arg $ abort_after
+         $ incremental_flag))
 
 let () = exit (Cmd.eval cmd)

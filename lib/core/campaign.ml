@@ -75,12 +75,19 @@ let of_strategies (c : Engine.config)
     (fun (label, strategy) -> { (params_of_config c) with label; strategy })
     strategies
 
+(* A task re-seeded: its slave seed and, when it names one, the seed of
+   its scheduler spec, which [Engine.resolve_sched] prefers to the slave
+   seed. *)
+let with_seed (p : slave_params) seed =
+  { p with
+    slave_seed = seed;
+    sched = Option.map (fun s -> { s with Engine.Sched.seed }) p.sched }
+
 let of_seeds (c : Engine.config) (seeds : int list) : slave_params list =
   List.map
     (fun s ->
-       { (params_of_config c) with
-         label = Printf.sprintf "seed=%d" s;
-         slave_seed = s })
+       { (with_seed (params_of_config c) s) with
+         label = Printf.sprintf "seed=%d" s })
     seeds
 
 let of_scheds (c : Engine.config)
@@ -131,24 +138,20 @@ let result_exn (o : outcome) : Engine.result =
       (Printf.sprintf "campaign task %s quarantined: %s" o.params.label exn)
 
 (* Bounded retries for crashed/fuel-exhausted/timed-out tasks.  Retry
-   [k] (1-based) re-runs with [slave_seed + seed_jitter * stride k]:
-   linear when [backoff <= 1] (bit-identical to the historical policy),
-   else [backoff^(k-1)] — exponential backoff in seed space.  A
-   transient failure (schedule-dependent deadlock, fuel blow-up under
-   an unlucky interleaving) clears under a perturbed schedule, a
-   deterministic one reproduces — which is exactly the signal the
-   attempt count carries, and what [quarantine] acts on. *)
+   [k] (1-based) re-runs with [slave_seed + stride k]: linear when
+   [backoff <= 1] (bit-identical to the historical policy), else
+   [backoff^(k-1)] — exponential backoff in seed space.  A transient
+   failure (schedule-dependent deadlock, fuel blow-up under an unlucky
+   interleaving) clears under a perturbed schedule, a deterministic one
+   reproduces — which is exactly the signal the attempt count carries,
+   and what quarantine acts on. *)
 type retry_policy = {
   max_retries : int;
-  seed_jitter : int;
   backoff : int;
   fuel_budget : int option;
-  quarantine : bool;
 }
 
-let no_retries =
-  { max_retries = 0; seed_jitter = 1; backoff = 1; fuel_budget = None;
-    quarantine = false }
+let no_retries = { max_retries = 0; backoff = 1; fuel_budget = None }
 
 type runner =
   ?obs:Obs.Sink.t ->
@@ -225,20 +228,10 @@ let decode_outcome = decode_status
 
 (* The configuration fingerprint a journal stores and [resume] checks.
    Slave params, faults and scheduler specs are plain data (audited, as
-   for outcomes) and are hashed via [Marshal].  The one config field
-   that can hold a closure, [Custom_sinks], has no digest that tells
-   two predicates apart, so it is refused: a journal of such a campaign
-   could replay into one with a different predicate. *)
-let sinks_tag : Engine.sink_config -> string = function
-  | Engine.Output_syscalls -> "output"
-  | Engine.Network_outputs -> "network"
-  | Engine.File_outputs -> "file"
-  | Engine.Attack_sinks -> "attack"
-  | Engine.Custom_sinks _ ->
-    invalid_arg
-      "Campaign.fingerprint: a Custom_sinks predicate cannot be \
-       fingerprinted, so its campaign cannot be journaled"
-
+   for outcomes) and are hashed via [Marshal]; the sink set enters as
+   its tag.  The retry text keeps the slots of two retired fields, a
+   seed jitter of 1 and quarantine whenever retries are on, so journals
+   of earlier builds keep resuming. *)
 let fingerprint ?(retry = no_retries) ?deadline ~(config : Engine.config)
     (prog : Ir.program) (world : World.t) (params : slave_params list) : string =
   let m x = Marshal.to_string x [] in
@@ -248,15 +241,14 @@ let fingerprint ?(retry = no_retries) ?deadline ~(config : Engine.config)
        m world;
        string_of_int config.Engine.master_seed;
        string_of_int config.Engine.max_steps;
-       sinks_tag config.Engine.sinks;
+       Engine.sinks_tag config.Engine.sinks;
        m config.Engine.faults;
        m config.Engine.master_sched;
        string_of_bool config.Engine.record_sched;
        (match deadline with None -> "-" | Some d -> string_of_int d);
-       Printf.sprintf "%d,%d,%d,%s,%b" retry.max_retries retry.seed_jitter
-         retry.backoff
+       Printf.sprintf "%d,1,%d,%s,%b" retry.max_retries retry.backoff
          (match retry.fuel_budget with None -> "-" | Some b -> string_of_int b)
-         retry.quarantine ]
+         (retry.max_retries > 0) ]
      @ List.map m params)
 
 (* ---------- one task ---------- *)
@@ -314,10 +306,7 @@ let run_task ~(retry : retry_policy) ?deadline ?obs ~(runner : runner)
   (* [attempt] counts retries already performed (0 = first run) *)
   let rec go attempt spent all_crashed =
     let p' =
-      if attempt = 0 then p
-      else
-        { p with
-          slave_seed = p.slave_seed + (retry.seed_jitter * stride attempt) }
+      if attempt = 0 then p else with_seed p (p.slave_seed + stride attempt)
     in
     let s, cost = attempt_once p' in
     let spent = spent + cost in
@@ -333,8 +322,7 @@ let run_task ~(retry : retry_policy) ?deadline ?obs ~(runner : runner)
         let attempts = attempt + 1 in
         let s =
           match s with
-          | Crashed { exn; backtrace }
-            when retry.quarantine && all_crashed && attempts > 1 ->
+          | Crashed { exn; backtrace } when all_crashed && attempts > 1 ->
             (* the crash reproduced under a perturbed seed: it is
                deterministic, park it *)
             Quarantined { exn; backtrace }

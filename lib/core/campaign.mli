@@ -55,7 +55,9 @@ val of_sources : Engine.config -> slave_params list
 val of_strategies :
   Engine.config -> (string * Mutation.strategy) list -> slave_params list
 
-(** One task per slave scheduler seed (concurrency sweeps, Table 4). *)
+(** One task per slave scheduler seed (concurrency sweeps, Table 4).
+    A task's seed also re-seeds a configured slave scheduler spec
+    ([sched]), as a retry's jittered seed does. *)
 val of_seeds : Engine.config -> int list -> slave_params list
 
 (** One task per labelled scheduler spec (schedule sweeps: how does the
@@ -99,11 +101,11 @@ val result_of : status -> Engine.result option
 val result_exn : outcome -> Engine.result
 
 (** Bounded retries for crashed, fuel-exhausted and timed-out tasks.
-    Attempt [k] (1-based) re-runs with
-    [slave_seed + seed_jitter * stride k], where [stride k] is [k]
-    when [backoff <= 1] (the legacy linear jitter) and
-    [backoff^(k-1)] otherwise — exponential backoff in {e seed space},
-    the derandomized analogue of backoff in time: transient
+    Attempt [k] (1-based) re-runs with [slave_seed + stride k] (and a
+    configured slave scheduler spec re-seeded to match), where
+    [stride k] is [k] when [backoff <= 1] (the legacy linear jitter)
+    and [backoff^(k-1)] otherwise — exponential backoff in {e seed
+    space}, the derandomized analogue of backoff in time: transient
     (schedule-dependent) failures clear under an increasingly perturbed
     schedule while deterministic ones reproduce.
 
@@ -113,18 +115,16 @@ val result_exn : outcome -> Engine.result
     spent, no further retries are attempted — a pathological task
     cannot multiply its cost unbounded through the retry loop.
 
-    [quarantine] parks a task whose every attempt crashed (at least
-    one retry was performed, so the crash reproduced under a perturbed
-    seed) as [Quarantined] instead of [Crashed] — surfaced in
+    A task whose every attempt crashed (at least one retry was
+    performed, so the crash reproduced under a perturbed seed) is
+    parked as [Quarantined] instead of [Crashed] — surfaced in
     {!render}, the [campaign.quarantined] metrics counter and a
     [Quarantine] event. *)
 type retry_policy = {
   max_retries : int;   (** 0 = fail fast (the default) *)
-  seed_jitter : int;
   backoff : int;       (** jitter growth base; [<= 1] = linear (legacy) *)
   fuel_budget : int option;
       (** cumulative per-task step cap across attempts; [None] = off *)
-  quarantine : bool;   (** park deterministic crashers *)
 }
 
 val no_retries : retry_policy
@@ -187,9 +187,7 @@ val fan_out :
     list) is checkpointed via atomic rename before any task runs, and
     each task's outcome is appended — checksummed and flushed — by the
     domain that ran the task, as soon as it finishes.  A campaign
-    killed at any point resumes via {!resume}.  A [Custom_sinks]
-    campaign has no {!fingerprint}, so [?journal] raises
-    [Invalid_argument] for it before the manifest is written.
+    killed at any point resumes via {!resume}.
 
     [?obs] observes the master pass (bracketed in [Master_run] phase
     events) and every slave pass.  The sink is never called
@@ -279,10 +277,7 @@ val resume :
     a digest over the program, the world, the master-side config
     fields, every task's slave parameters, and the retry/deadline
     controls.  Exposed for tools that want to check resumability
-    without loading the engine.
-    @raise Invalid_argument when [config.sinks] is [Custom_sinks]: a
-    closure has no digest, so {!run} with [?journal], {!resume} and
-    {!Service} refuse such a campaign before they write anything. *)
+    without loading the engine. *)
 val fingerprint :
   ?retry:retry_policy -> ?deadline:int ->
   config:Engine.config ->

@@ -59,7 +59,19 @@ type sink_config =
   | Network_outputs             (* send only *)
   | File_outputs                (* write/print *)
   | Attack_sinks                (* retaddr + malloc sizes *)
-  | Custom_sinks of (string -> int -> Sval.t list -> bool)
+
+(* The named sink sets, one row each: the name the command line takes,
+   the set, and the tag fingerprints hash.  Journals persist the tag, so
+   a tag never changes. *)
+let sink_sets =
+  [ ("outputs", Output_syscalls, "output");
+    ("network", Network_outputs, "network");
+    ("files", File_outputs, "file");
+    ("attack", Attack_sinks, "attack") ]
+
+let sinks_tag (sinks : sink_config) =
+  let _, _, tag = List.find (fun (_, s, _) -> s = sinks) sink_sets in
+  tag
 
 type config = {
   sources : source_spec list;
@@ -124,7 +136,6 @@ let sink_pred = function
   | Network_outputs -> fun sys _ _ -> String.equal sys "send"
   | File_outputs -> fun sys _ _ -> sys = "write" || sys = "print"
   | Attack_sinks -> fun sys _ _ -> sys = "retaddr" || sys = "malloc"
-  | Custom_sinks f -> f
 
 let contains hay needle =
   (* allocation-free char-compare scan: this runs per source spec at
@@ -784,18 +795,22 @@ let slave_on_os_call (ctx : slave_ctx) th (p : Machine.pending) sargs :
     drop_master_only ctx ~tid recs.(!cur);
     incr cur
   done;
+  (* a call the OS refuses traps the slave, as it traps the master *)
   let private_exec () =
     slave_taint ctx resources;
-    try Os.exec ~site os sys sargs with Os.Os_error _ -> Sval.I (-1)
+    Driver.os_exec os p sargs
   in
+  (* serviced before it counts: the master records nothing for a call it
+     traps on, so the slave's trap on that call is no difference *)
   let slave_only () =
+    let r = private_exec () in
     ctx.sc_diffs <- ctx.sc_diffs + 1;
     slave_note ctx ~tid ~pos ~action:T_slave_only ~sinkp ~master_ts:(-1)
       ~master:None ~slave:(Some (sys, sargs));
     if sinkp then
       slave_report ctx Missing_in_master ~sys ~site ~pos ~master_args:None
         ~slave_args:(Some sargs);
-    private_exec ()
+    r
   in
   let res =
     if !cur >= Array.length recs then slave_only ()
@@ -965,9 +980,7 @@ type slave_snapshot = {
    ([sources], [strategy], [check_final_state]) are deliberately NOT
    pinned — varying them per suffix is the point.  [sinks] IS
    prefix-relevant (sink matches cost [Cost.sink_compare] on copies), so
-   its constructor is pinned; [Custom_sinks] closures cannot be hashed
-   and all map to one tag — callers vary custom sinks per task at their
-   own risk. *)
+   its tag is pinned. *)
 let slave_fingerprint (config : config) (prog : Ir.program)
     (world : World.t) : string =
   Ldx_store.Store.fingerprint
@@ -975,12 +988,7 @@ let slave_fingerprint (config : config) (prog : Ir.program)
       Marshal.to_string prog [];
       Marshal.to_string world [];
       Marshal.to_string config.faults [];
-      (match config.sinks with
-       | Output_syscalls -> "output"
-       | Network_outputs -> "net"
-       | File_outputs -> "file"
-       | Attack_sinks -> "attack"
-       | Custom_sinks _ -> "custom");
+      sinks_tag config.sinks;
       string_of_int config.slave_seed;
       string_of_int config.max_steps;
       string_of_bool config.record_trace;
@@ -1089,8 +1097,8 @@ let derivable (config : config) (mo : master_out) =
    copies every record, so it runs the master's instructions (steps,
    syscalls, stdout, trap, exit code, faults) and ends with the
    master's OS; its clock adds the copies'.  The master never records
-   a call it traps on with an OS error, which the executed slave
-   services alone and runs past. *)
+   a call it traps on with an OS error; the executed slave finds no
+   record there, services the call itself and traps on it too. *)
 let derive_slave ?obs (config : config) (mo : master_out) : slave_out =
   let records =
     Array.to_list mo.mlog |> List.concat_map (fun (_, rs) -> Array.to_list rs)

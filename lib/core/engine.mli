@@ -41,7 +41,14 @@ type sink_config =
   | Network_outputs           (** send only *)
   | File_outputs              (** write/print *)
   | Attack_sinks              (** retaddr + malloc sizes (Sec. 8 attacks) *)
-  | Custom_sinks of (string -> int -> Sval.t list -> bool)
+
+(** The named sink sets, one row each: the name the command line takes,
+    the set, and the tag {!slave_fingerprint} and
+    [Campaign.fingerprint] hash.  Journals persist the tag. *)
+val sink_sets : (string * sink_config * string) list
+
+(** The fingerprint tag of a sink set. *)
+val sinks_tag : sink_config -> string
 
 type config = {
   sources : source_spec list;

@@ -558,7 +558,7 @@ let test_campaign_retry_transient () =
    | _ -> Alcotest.fail "expected Crashed without retries");
   let with_retry =
     Campaign.run ~runner:transient_runner
-      ~retry:{ Campaign.no_retries with Campaign.max_retries = 1; seed_jitter = 3 }
+      ~retry:{ Campaign.no_retries with Campaign.max_retries = 1 }
       ~config prog attribution_world params
   in
   match (List.hd with_retry).Campaign.status with
@@ -628,8 +628,8 @@ let test_campaign_deadline () =
   | Campaign.Ok _ -> ()
   | _ -> Alcotest.fail "expected Ok under a slack deadline"
 
-(* Retry attempt k re-runs with slave_seed + jitter * backoff^(k-1):
-   exponential backoff in seed space, linear when backoff <= 1. *)
+(* Retry attempt k re-runs with slave_seed + backoff^(k-1): exponential
+   backoff in seed space, linear when backoff <= 1. *)
 let test_campaign_backoff_seeds () =
   let prog = instrumented attribution_src in
   let config = net_cfg [ Engine.source ~sys:"recv" () ] in
@@ -652,18 +652,69 @@ let test_campaign_backoff_seeds () =
   let exp_seeds, exp_attempts =
     run
       { Campaign.no_retries with
-        Campaign.max_retries = 3; seed_jitter = 2; backoff = 3 }
+        Campaign.max_retries = 3; backoff = 3 }
   in
   check bool "exponential strides 1,3,9" true
-    (exp_seeds = [ 100; 102; 106; 118 ]);
+    (exp_seeds = [ 100; 101; 103; 109 ]);
   check int "every attempt recorded" 4 exp_attempts;
   let lin_seeds, _ =
     run
       { Campaign.no_retries with
-        Campaign.max_retries = 3; seed_jitter = 2; backoff = 1 }
+        Campaign.max_retries = 3; backoff = 1 }
   in
   check bool "backoff <= 1 keeps the legacy linear jitter" true
-    (lin_seeds = [ 100; 102; 104; 106 ])
+    (lin_seeds = [ 100; 101; 102; 103 ])
+
+(* A configured slave scheduler spec is what [Engine.resolve_sched]
+   runs, ahead of the slave seed: a seed sweep and a retry re-seed the
+   spec with the task, or every task reruns one schedule.  Pbzip2's
+   rows differ under a random policy once they are re-seeded. *)
+let test_seed_sweep_reseeds_sched () =
+  let w = Option.get (Ldx_workloads.Registry.find "Pbzip2") in
+  let prog, _ = Ldx_workloads.Workload.instrumented w in
+  let world = w.Ldx_workloads.Workload.world in
+  let config =
+    { (Ldx_workloads.Workload.leak_config w) with
+      Engine.slave_sched =
+        Some (Engine.Sched.spec ~seed:3 Engine.Sched.Random) }
+  in
+  let seeds = ref [] in
+  let logger ?obs (cfg : Engine.config) prog world mo =
+    seeds :=
+      ( cfg.Engine.slave_seed,
+        Option.map (fun s -> s.Engine.Sched.seed) cfg.Engine.slave_sched )
+      :: !seeds;
+    Engine.run_with_master ?obs cfg prog world mo
+  in
+  let outs =
+    Campaign.run ~runner:logger ~config prog world
+      (Campaign.of_seeds config [ 0; 1; 2; 3 ])
+  in
+  check bool "each task's spec carries its seed" true
+    (List.sort compare !seeds
+     = [ (0, Some 0); (1, Some 1); (2, Some 2); (3, Some 3) ]);
+  let rows =
+    List.map
+      (fun o ->
+         let r = Campaign.result_exn o in
+         (r.Engine.syscall_diffs, r.Engine.slave.Engine.cycles))
+      outs
+  in
+  check bool "the seeds run distinct schedules" true
+    (List.length (List.sort_uniq compare rows) > 1);
+  seeds := [];
+  let crash ?obs cfg prog world mo =
+    ignore (logger ?obs cfg prog world mo);
+    raise (Deliberate "always")
+  in
+  ignore
+    (Campaign.run ~runner:crash
+       ~retry:{ Campaign.no_retries with Campaign.max_retries = 2 }
+       ~config prog world
+       [ { (Campaign.params_of_config config) with
+           Campaign.slave_seed = 10 } ]);
+  check bool "a retry re-seeds the spec" true
+    (List.rev !seeds = [ (10, Some 3); (11, Some 11); (12, Some 12) ])
 
 (* The cumulative fuel budget stops the retry loop early: crashed
    attempts are charged the per-attempt step cap, so a pathological
@@ -703,8 +754,7 @@ let test_campaign_quarantine () =
   let outs =
     Campaign.run ~obs:(Obs.Recorder.sink rc) ~runner:always_crash
       ~retry:
-        { Campaign.no_retries with
-          Campaign.max_retries = 2; quarantine = true }
+        { Campaign.no_retries with Campaign.max_retries = 2 }
       ~config prog attribution_world params
   in
   (match List.hd outs with
@@ -722,7 +772,7 @@ let test_campaign_quarantine () =
   (* without retries there is no reproduction evidence: stays Crashed *)
   let no_retry =
     Campaign.run ~runner:always_crash
-      ~retry:{ Campaign.no_retries with Campaign.quarantine = true }
+      ~retry:Campaign.no_retries
       ~config prog attribution_world params
   in
   match (List.hd no_retry).Campaign.status with
@@ -870,64 +920,8 @@ let test_fingerprint_pinned () =
   Alcotest.(check string) "network, CLI retry policy" "f5f926e16e9ef1ea"
     (fp
        ~retry:
-         { Campaign.no_retries with
-           Campaign.max_retries = 2; backoff = 2; fuel_budget = Some 1000;
-           quarantine = true }
+         { Campaign.max_retries = 2; backoff = 2; fuel_budget = Some 1000 }
        Engine.Network_outputs)
-
-(* A [Custom_sinks] predicate is a closure with no digest, so every
-   path that would journal such a campaign refuses it before writing:
-   [run ?journal] leaves no file behind, and [resume], [Service.init]
-   and [Service.worker] leave an existing journal byte-unchanged. *)
-let custom_sink_config =
-  { attribution_config with
-    Engine.sinks =
-      Engine.Custom_sinks (fun sys _ _ -> String.equal sys "send") }
-
-let test_custom_sinks_not_journaled () =
-  let prog = instrumented attribution_src in
-  let params = campaign_params custom_sink_config in
-  let refused what f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s accepted a Custom_sinks campaign" what
-  in
-  with_journal @@ fun path ->
-  Sys.remove path;
-  refused "run ?journal" (fun () ->
-      Campaign.run ~journal:path ~config:custom_sink_config prog
-        attribution_world params);
-  check bool "run ?journal wrote no file" false (Sys.file_exists path);
-  refused "Service.init" (fun () ->
-      Campaign.Service.init ~path ~config:custom_sink_config prog
-        attribution_world params);
-  check bool "Service.init wrote no file" false (Sys.file_exists path);
-  (* a journal of the same campaign under a data sink, for the paths
-     that read one first *)
-  ignore
-    (Campaign.run ~journal:path ~config:attribution_config prog
-       attribution_world (campaign_params attribution_config));
-  let before = read_file path in
-  refused "resume" (fun () ->
-      Campaign.resume ~journal:path ~config:custom_sink_config prog
-        attribution_world params);
-  refused "Service.worker" (fun () ->
-      Campaign.Service.worker ~path ~owner:"w-custom" ~ttl_us:1_000_000
-        ~heartbeat_us:0 ~poll_us:1_000 ~config:custom_sink_config prog
-        attribution_world params);
-  check bool "the journal is byte-unchanged" true
-    (String.equal before (read_file path))
-
-(* Without a journal nothing is fingerprinted, and the predicate (here
-   the one [Network_outputs] names) renders that campaign's table. *)
-let test_custom_sinks_run_unjournaled () =
-  let prog = instrumented attribution_src in
-  let table config =
-    Campaign.render
-      (Campaign.run ~config prog attribution_world (campaign_params config))
-  in
-  Alcotest.(check string) "custom predicate = Network_outputs"
-    (table attribution_config) (table custom_sink_config)
 
 (* Graceful drain: a [stop] that turns true mid-campaign finishes the
    in-flight task, journals it, marks the unclaimed rest as drained
@@ -1197,6 +1191,8 @@ let tests =
       test_campaign_deadline;
     Alcotest.test_case "retry seeds follow exponential backoff" `Quick
       test_campaign_backoff_seeds;
+    Alcotest.test_case "seed sweep re-seeds a scheduler spec" `Quick
+      test_seed_sweep_reseeds_sched;
     Alcotest.test_case "fuel budget caps cumulative retries" `Quick
       test_campaign_retry_fuel_budget;
     Alcotest.test_case "deterministic crashers quarantined" `Quick
@@ -1205,11 +1201,7 @@ let tests =
       `Quick test_campaign_parallel_obs_order;
     Alcotest.test_case "resume of a complete journal replays verbatim"
       `Quick test_campaign_resume_complete;
-    Alcotest.test_case "Custom_sinks campaigns are never journaled" `Quick
-      test_custom_sinks_not_journaled;
-    Alcotest.test_case "Custom_sinks campaigns run without a journal" `Quick
-      test_custom_sinks_run_unjournaled;
-    Alcotest.test_case "resume rejects a fingerprint mismatch" `Quick
+Alcotest.test_case "resume rejects a fingerprint mismatch" `Quick
       test_campaign_resume_fingerprint_mismatch;
     Alcotest.test_case "fingerprint pinned per sink set" `Quick
       test_fingerprint_pinned;

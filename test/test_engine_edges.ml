@@ -1,5 +1,6 @@
 (* Engine edge cases: directory tainting (the Sec. 7 example), exit
-   divergence, custom sinks, site-scoped sources, multi-source runs,
+   divergence, a send outside the sink set, site-scoped sources,
+   multi-source runs, a slave call the OS refuses,
    rename/unlink tainting, dot export smoke. *)
 
 module Engine = Ldx_core.Engine
@@ -98,7 +99,8 @@ let test_exit_divergence () =
        r.Engine.reports)
 
 let test_custom_sinks () =
-  (* only sends to the "audit" endpoint are sinks *)
+  (* under [File_outputs] no send is a sink: the data-dependent send
+     differs, and that difference is counted but is no leak *)
   let src =
     {| fn main() {
          let a = socket("audit");
@@ -106,24 +108,44 @@ let test_custom_sinks () =
          let s = socket("c");
          let v = recv(s);
          send(b, v);               // data-dependent but NOT a sink
-         send(a, "fixed");         // sink but constant
+         send(a, "fixed");         // constant
        } |}
   in
   let world = World.(empty |> with_endpoint "c" [ "x" ]) in
-  let is_audit_send sys _ args =
-    String.equal sys "send"
-    && match args with Sval.I fd :: _ -> fd = 3 | _ -> false
-  in
   let config =
     { Engine.default_config with
       Engine.sources = [ Engine.source ~sys:"recv" ~arg:"ep:c" () ];
-      sinks = Engine.Custom_sinks is_audit_send }
+      sinks = Engine.File_outputs }
   in
   let r = Engine.run_source ~config src world in
   clean r;
-  check bool "audit send constant: no leak" false r.Engine.leak;
+  check bool "no send is a sink: no leak" false r.Engine.leak;
   check bool "peer send differed (diff counted)" true
     (r.Engine.syscall_diffs > 0)
+
+(* A call the OS refuses traps the master, which records nothing for it.
+   The slave makes the same call and must trap on it too: serviced as a
+   failed call it would run past the trap, and its later outputs, or the
+   refused call itself when it is a sink, would read as causality. *)
+let test_slave_os_error () =
+  List.iter
+    (fun (src, sinks) ->
+       let config =
+         { Engine.default_config with
+           Engine.sources = [ Engine.source ~sys:"read" ~arg:"/nowhere" () ];
+           sinks }
+       in
+       let r = Engine.run_source ~config src World.empty in
+       check bool (src ^ ": no leak") false r.Engine.leak;
+       check int (src ^ ": no difference") 0 r.Engine.syscall_diffs;
+       check bool (src ^ ": the slave traps as the master does") true
+         (Engine.classify_trap r.Engine.slave.Engine.trap = Engine.Os_failure))
+    [ ({| fn main() { print("a"); let fd = open(5); print("x"); } |},
+       Engine.Output_syscalls);
+      ({| fn main() { print("a"); send("x", "y"); print("b"); } |},
+       Engine.Network_outputs);
+      ({| fn main() { print("a"); write("f", "x"); print("b"); } |},
+       Engine.File_outputs) ]
 
 let test_site_scoped_source () =
   (* two recvs from the same endpoint; scope the source by static site *)
@@ -191,6 +213,7 @@ let tests =
     Alcotest.test_case "rename tainting" `Quick test_rename_tainting;
     Alcotest.test_case "exit divergence" `Quick test_exit_divergence;
     Alcotest.test_case "custom sinks" `Quick test_custom_sinks;
+    Alcotest.test_case "slave OS-error call traps" `Quick test_slave_os_error;
     Alcotest.test_case "site-scoped source" `Quick test_site_scoped_source;
     Alcotest.test_case "multi-source single run" `Quick
       test_multi_source_single_run;

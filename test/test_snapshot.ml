@@ -499,9 +499,9 @@ let test_derive_registry () =
   check (Alcotest.pair int int) "registry kinds and runs derived" (33, 132)
     (List.length !kinds, !runs)
 
-(* A master that traps on an OS error never records the failing call,
-   which the executed slave services on its own and runs past: that
-   slave is executed, not derived. *)
+(* A master that traps on an OS error never records the failing call.
+   The executed slave finds no record there, services the call itself
+   and traps on it too: that slave is executed, not derived. *)
 let test_derive_os_error () =
   let prog =
     fst
