@@ -657,6 +657,63 @@ let install_slave_gate (ctx : slave_ctx) : unit =
              end
              else false)
 
+let tbl_of f kvs =
+  let t = Hashtbl.create (max 4 (List.length kvs)) in
+  List.iter (fun (k, v) -> Hashtbl.replace t k (f v)) kvs;
+  t
+
+(* Remaining lock grants, key-sorted; a key whose grants are all
+   consumed stays, with none left. *)
+let grants_list (grants : (string, int Queue.t) Hashtbl.t) =
+  Hashtbl.fold (fun k q acc -> (k, List.of_seq (Queue.to_seq q)) :: acc)
+    grants []
+  |> List.sort compare
+
+(* The master's lock grants after the first [made]: what a slave gates
+   on once it has consumed those. *)
+let grants_after (mo : master_out) ~made =
+  let grants = Hashtbl.create 4 in
+  List.iteri
+    (fun i (key, idx) ->
+       let q = queue_for grants key in
+       if i >= made then Queue.add idx q)
+    mo.mlock_trace;
+  grants
+
+(* The one constructor of a [slave_ctx]: the slave's machine [m], new
+   or restored, with the obs hooks and the replay gate installed, the
+   remaining lock [grants], and the rest of the bookkeeping a pass
+   starts from as a {!slave_snapshot} holds it (taint keys sorted,
+   reports and trace newest first). *)
+let make_slave_ctx ?obs (config : config) (mo : master_out) (m : Machine.t)
+    ~grants ~tainted_locks ~tainted_resources ~cursors ~reports ~diffs
+    ~diffs_before_first ~mutated ~trace ~blocked : slave_ctx =
+  (match obs with
+   | Some s -> install_obs s Obs.Event.Slave m m.Machine.os
+   | None -> ());
+  let keys ks = tbl_of Fun.id (List.map (fun k -> (k, ())) ks) in
+  let ctx =
+    { sc_config = config;
+      sc_obs = obs;
+      sc_mo = mo;
+      sc_m = m;
+      sc_os = m.Machine.os;
+      sc_grants = grants;
+      sc_tainted_locks = keys tainted_locks;
+      sc_tainted_resources = keys tainted_resources;
+      sc_cursors = tbl_of ref cursors;
+      sc_is_sink = sink_pred config.sinks;
+      sc_is_source = source_matcher config;
+      sc_reports = reports;
+      sc_diffs = diffs;
+      sc_diffs_before_first = diffs_before_first;
+      sc_mutated = mutated;
+      sc_trace = trace;
+      sc_blocked = ref blocked }
+  in
+  install_slave_gate ctx;
+  ctx
+
 let fresh_slave_ctx ?obs ?prof (config : config) (prog : Ir.program)
     (world : World.t) (mo : master_out) : slave_ctx =
   let os = Os.create ~pid:slave_pid world in
@@ -673,34 +730,10 @@ let fresh_slave_ctx ?obs ?prof (config : config) (prog : Ir.program)
     Machine.create ~seed:config.slave_seed ~sched ~max_steps:config.max_steps
       ?prof ?fprog:(compiled_for mo prog) prog os
   in
-  (match obs with
-   | Some s -> install_obs s Obs.Event.Slave m os
-   | None -> ());
-  let grants : (string, int Queue.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (key, idx) -> Queue.add idx (queue_for grants key))
-    mo.mlock_trace;
-  let ctx =
-    { sc_config = config;
-      sc_obs = obs;
-      sc_mo = mo;
-      sc_m = m;
-      sc_os = os;
-      sc_grants = grants;
-      sc_tainted_locks = Hashtbl.create 4;
-      sc_tainted_resources = Hashtbl.create 8;
-      sc_cursors = Hashtbl.create 4;
-      sc_is_sink = sink_pred config.sinks;
-      sc_is_source = source_matcher config;
-      sc_reports = [];
-      sc_diffs = 0;
-      sc_diffs_before_first = -1;
-      sc_mutated = 0;
-      sc_trace = [];
-      sc_blocked = ref [] }
-  in
-  install_slave_gate ctx;
-  ctx
+  make_slave_ctx ?obs config mo m ~grants:(grants_after mo ~made:0)
+    ~tainted_locks:[] ~tainted_resources:[] ~cursors:[] ~reports:[] ~diffs:0
+    ~diffs_before_first:(-1) ~mutated:0 ~trace:[] ~blocked:[]
+
 (* One alignment decision: feeds the (opt-in) trace log and the (opt-in)
    observability sink.  [master_ts] is the producing master cycle stamp,
    -1 when there is no master counterpart; the slave stamp is read off
@@ -938,12 +971,16 @@ let slave_finalize (ctx : slave_ctx) : slave_out =
     strace = List.rev ctx.sc_trace;
     sos = ctx.sc_os }
 
+(* Every slave pass, whole, prefix or resumed suffix, is this one call:
+   [Driver.drive] with the slave's OS-call wrapper and stuck hook. *)
+let drive_slave ?pause ?first (ctx : slave_ctx) =
+  Driver.drive ?pause ?first ~on_stuck:(slave_on_stuck ctx)
+    ~blocked:ctx.sc_blocked ~on_os_call:(slave_on_os_call ctx) ctx.sc_m
+
 let slave_pass ?obs ?prof (config : config) (prog : Ir.program)
     (world : World.t) (mo : master_out) : slave_out =
   let ctx = fresh_slave_ctx ?obs ?prof config prog world mo in
-  ignore
-    (Driver.drive ~on_stuck:(slave_on_stuck ctx) ~blocked:ctx.sc_blocked
-       ~on_os_call:(slave_on_os_call ctx) ctx.sc_m);
+  ignore (drive_slave ctx);
   slave_finalize ctx
 
 (* ------------------------------------------------------------------ *)
@@ -959,7 +996,7 @@ let slave_pass ?obs ?prof (config : config) (prog : Ir.program)
    and executed ({!slave_prefix}) otherwise. *)
 
 type slave_snapshot = {
-  ss_snap : Snap.t;                (* machine + OS + profile counters *)
+  ss_snap : Snap.t;                (* machine + OS *)
   ss_grants : (string * int list) list;
       (* remaining (unconsumed) master lock grants, key-sorted *)
   ss_tainted_locks : string list;            (* sorted *)
@@ -996,13 +1033,6 @@ let slave_fingerprint (config : config) (prog : Ir.program)
       (match config.slave_sched with
        | None -> "-"
        | Some s -> Sched.spec_to_string s) ]
-
-(* Remaining lock grants, key-sorted; a key whose grants are all
-   consumed stays, with none left. *)
-let grants_list (grants : (string, int Queue.t) Hashtbl.t) =
-  Hashtbl.fold (fun k q acc -> (k, List.of_seq (Queue.to_seq q)) :: acc)
-    grants []
-  |> List.sort compare
 
 let emit_captured obs ~forked (sn : Machine.snapshot) =
   Obs.Sink.emit_opt obs
@@ -1046,11 +1076,7 @@ let slave_prefix ?obs (config : config)
     ~(specs : source_spec list) (prog : Ir.program) (world : World.t)
     (mo : master_out) : prefix_out =
   let ctx = fresh_slave_ctx ?obs config prog world mo in
-  match
-    Driver.drive ~pause:(decouple_point ctx.sc_os specs)
-      ~on_stuck:(slave_on_stuck ctx) ~blocked:ctx.sc_blocked
-      ~on_os_call:(slave_on_os_call ctx) ctx.sc_m
-  with
+  match drive_slave ~pause:(decouple_point ctx.sc_os specs) ctx with
   | `Done -> Prefix_done (slave_finalize ctx)
   | `Paused th ->
     let ss = snapshot_of_ctx ctx prog world th in
@@ -1086,19 +1112,19 @@ let same_schedule (config : config) (mo : master_out) =
   = resolve_sched config.slave_sched ~seed:config.slave_seed
 
 (* Whether {!derive_slave} is exact: [mo] never reached the decouple
-   point of its specs (which cover [config]'s sources), the slave runs
-   the master's schedule, and the master did not trap on an OS error. *)
+   point of its specs (which cover [config]'s sources), and the slave
+   runs the master's schedule. *)
 let derivable (config : config) (mo : master_out) =
   Option.is_none mo.mdecouple && same_schedule config mo
-  && classify_trap mo.msummary.trap <> Os_failure
 
 (* The outcome of {!slave_pass} when [derivable], from the master's log:
    {!fork_prefix}'s argument carried to the end of the run.  The slave
    copies every record, so it runs the master's instructions (steps,
    syscalls, stdout, trap, exit code, faults) and ends with the
-   master's OS; its clock adds the copies'.  The master never records
-   a call it traps on with an OS error; the executed slave finds no
-   record there, services the call itself and traps on it too. *)
+   master's OS; its clock adds the copies'.  That holds for a master
+   that traps on an OS error too: it records nothing for the refused
+   call, and the executed slave, finding no record there, services the
+   call itself and traps on it before it counts anything. *)
 let derive_slave ?obs (config : config) (mo : master_out) : slave_out =
   let records =
     Array.to_list mo.mlog |> List.concat_map (fun (_, rs) -> Array.to_list rs)
@@ -1121,8 +1147,8 @@ let derive_slave ?obs (config : config) (mo : master_out) : slave_out =
    executing the prefix: [Prefix_paused] with its snapshot when the
    master reached that point, [Prefix_done] with {!derive_slave}'s
    outcome when it never did, [None] when the slave does not run the
-   master's schedule (or {!derivable} fails).  [config] agrees with the
-   recording's on the master-side fields, as for {!run_with_master}.
+   master's schedule.  [config] agrees with the recording's on the
+   master-side fields, as for {!run_with_master}.
 
    Why the capture is the slave's state: until the decouple point no
    syscall base-matches a spec, so the slave runs with nothing to
@@ -1146,9 +1172,9 @@ let derive_slave ?obs (config : config) (mo : master_out) : slave_out =
 let fork_prefix ?obs (config : config) (prog : Ir.program)
     (world : World.t) (mo : master_out) : prefix_out option =
   match mo.mdecouple with
-  | None when derivable config mo ->
-    Some (Prefix_done (derive_slave ?obs config mo))
-  | Some dc when same_schedule config mo ->
+  | _ when not (same_schedule config mo) -> None
+  | None -> Some (Prefix_done (derive_slave ?obs config mo))
+  | Some dc ->
     let prefix =
       List.concat_map
         (fun (tid, n) -> Array.to_list (Array.sub (records_for mo tid) 0 n))
@@ -1157,12 +1183,6 @@ let fork_prefix ?obs (config : config) (prog : Ir.program)
     let copy_cycles, trace =
       coupled_copies ~record_trace:config.record_trace prefix
     in
-    let grants = Hashtbl.create 4 in
-    List.iteri
-      (fun i (key, idx) ->
-         let q = queue_for grants key in
-         if i >= dc.dc_grants then Queue.add idx q)
-      mo.mlock_trace;
     let snap = dc.dc_snap in
     let sn = snap.Snap.sp_machine in
     let sn =
@@ -1174,9 +1194,8 @@ let fork_prefix ?obs (config : config) (prog : Ir.program)
          { ss_snap =
              { snap with
                Snap.sp_machine = sn;
-               sp_os = { snap.Snap.sp_os with Snap.so_pid = slave_pid };
-               sp_prof = None };
-           ss_grants = grants_list grants;
+               sp_os = { snap.Snap.sp_os with Snap.so_pid = slave_pid } };
+           ss_grants = grants_list (grants_after mo ~made:dc.dc_grants);
            ss_tainted_locks = [];
            ss_tainted_resources = [];
            ss_cursors = dc.dc_records;
@@ -1188,63 +1207,25 @@ let fork_prefix ?obs (config : config) (prog : Ir.program)
            ss_blocked = dc.dc_blocked;
            ss_paused = dc.dc_paused;
            ss_fingerprint = slave_fingerprint config prog world })
-  | _ -> None
 
 let ctx_of_snapshot ?obs (config : config) (prog : Ir.program)
     (mo : master_out) (ss : slave_snapshot) : slave_ctx * Machine.thread =
-  let m =
-    Snap.restore ~fprog:mo.mmachine.Machine.fprog prog ss.ss_snap
-  in
-  let os = m.Machine.os in
-  (match obs with
-   | Some s -> install_obs s Obs.Event.Slave m os
-   | None -> ());
-  let grants : (string, int Queue.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (key, idxs) ->
-       let q = Queue.create () in
-       List.iter (fun i -> Queue.add i q) idxs;
-       Hashtbl.replace grants key q)
-    ss.ss_grants;
-  let tbl_of keys =
-    let t = Hashtbl.create (max 4 (List.length keys)) in
-    List.iter (fun k -> Hashtbl.replace t k ()) keys;
-    t
-  in
-  let cursors : (int, int ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (tid, v) -> Hashtbl.replace cursors tid (ref v))
-    ss.ss_cursors;
+  let m = Snap.restore ~fprog:mo.mmachine.Machine.fprog prog ss.ss_snap in
   let thread_of idx =
     match
-      List.find_opt
-        (fun th -> th.Machine.spawn_index = idx)
-        m.Machine.threads
+      List.find_opt (fun th -> th.Machine.spawn_index = idx) m.Machine.threads
     with
     | Some th -> th
     | None -> invalid_arg "Engine.slave_resume: unknown thread in snapshot"
   in
-  let ctx =
-    { sc_config = config;
-      sc_obs = obs;
-      sc_mo = mo;
-      sc_m = m;
-      sc_os = os;
-      sc_grants = grants;
-      sc_tainted_locks = tbl_of ss.ss_tainted_locks;
-      sc_tainted_resources = tbl_of ss.ss_tainted_resources;
-      sc_cursors = cursors;
-      sc_is_sink = sink_pred config.sinks;
-      sc_is_source = source_matcher config;
-      sc_reports = ss.ss_reports;
-      sc_diffs = ss.ss_diffs;
-      sc_diffs_before_first = ss.ss_diffs_before_first;
-      sc_mutated = ss.ss_mutated;
-      sc_trace = ss.ss_trace;
-      sc_blocked = ref (List.map thread_of ss.ss_blocked) }
-  in
-  install_slave_gate ctx;
-  (ctx, thread_of ss.ss_paused)
+  ( make_slave_ctx ?obs config mo m
+      ~grants:(tbl_of (fun l -> Queue.of_seq (List.to_seq l)) ss.ss_grants)
+      ~tainted_locks:ss.ss_tainted_locks
+      ~tainted_resources:ss.ss_tainted_resources ~cursors:ss.ss_cursors
+      ~reports:ss.ss_reports ~diffs:ss.ss_diffs
+      ~diffs_before_first:ss.ss_diffs_before_first ~mutated:ss.ss_mutated
+      ~trace:ss.ss_trace ~blocked:(List.map thread_of ss.ss_blocked),
+    thread_of ss.ss_paused )
 
 (* Resume one task's suffix from a prefix snapshot, or [None] when the
    snapshot was taken against a different program, world, or shared
@@ -1264,9 +1245,7 @@ let slave_resume_opt ?obs ?fingerprint (config : config) (prog : Ir.program)
   else begin
     let ctx, paused = ctx_of_snapshot ?obs config prog mo ss in
     let prefix_cycles = ctx.sc_m.Machine.cycles in
-    ignore
-      (Driver.drive ~first:paused ~on_stuck:(slave_on_stuck ctx)
-         ~blocked:ctx.sc_blocked ~on_os_call:(slave_on_os_call ctx) ctx.sc_m);
+    ignore (drive_slave ~first:paused ctx);
     let out = slave_finalize ctx in
     (match obs with
      | None -> ()

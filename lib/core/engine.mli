@@ -275,7 +275,7 @@ type slave_out = {
   sos : Os.t;                 (** the slave's private OS (final state) *)
 }
 
-(** Complete slave-side state at a decouple point: the machine/OS/profile
+(** Complete slave-side state at a decouple point: the machine/OS
     snapshot ({!Ldx_snap.Snap.t}) plus the engine bookkeeping layered on
     top — unconsumed lock grants, taint sets, master-log cursors,
     divergence accumulators, the paused and blocked threads — and a
@@ -322,7 +322,7 @@ val slave_prefix :
     recorded with ([master_pass ~specs]), built from the master pass
     without executing a slave instruction when [config]'s slave
     resolves to the master's scheduler spec ([None], nothing emitted,
-    otherwise, or after an OS-error trap); [config] agrees with the
+    otherwise); [config] agrees with the
     recording's on the master-side fields, as for {!run_with_master}.
     [Prefix_paused]: the master's machine and OS at the decouple point
     with the slave's pid and the clock the coupled copies add
@@ -339,8 +339,7 @@ val fork_prefix :
 (** Resume one task's suffix from a prefix snapshot; emits
     [Snapshot_restored] when the suffix completes (a campaign's task
     names it by the [Task_begin]/[Task_timing] pair around it).  The
-    snapshot's profile counters are rebuilt into a private profile, so
-    per-resume profiles stay exact, and the suffix continues the
+    resumed slave is unprofiled, and the suffix continues the
     snapshot's recorded schedule exactly.  [None], with nothing run, if
     the snapshot's fingerprint does not match (program, world, shared
     slave config): [?fingerprint], {!slave_fingerprint} of [config]
@@ -390,9 +389,11 @@ type profiles = {
 val fresh_profiles : unit -> profiles
 
 (** Dual-execute an (instrumented) program.  A slave that no source of
-    [config] reaches is derived from the master's log as {!fork_prefix}'s
-    [Prefix_done] is, unless [?prof] asks for an executed slave's
-    profile: the same result, and no per-syscall slave events. *)
+    [config] reaches and that runs the master's schedule is derived from
+    the master's log as {!fork_prefix}'s [Prefix_done] is, whether or
+    not the master trapped (on an OS error too), unless [?prof] asks for
+    an executed slave's profile: the same result, and no per-syscall
+    slave events. *)
 val run :
   ?config:config -> ?obs:Ldx_obs.Sink.t -> ?prof:profiles -> Ir.program ->
   World.t -> result

@@ -3,8 +3,7 @@
    The machine half ([Machine.snapshot]) is already canonical pure
    data; this module adds the canonical projection of the osim world
    (the Hashtbl-bearing [Os]/[Vfs]/[Net] state becomes sorted assoc
-   lists), optional profile counters, a format version, and the
-   identity/wire operations.
+   lists), a format version, and the identity/wire operations.
 
    Canonicality is the load-bearing property: because a snapshot
    contains no Hashtbls, no closures and no nondeterministically
@@ -15,7 +14,6 @@
    digest them, and the wire form round-trips bit-exactly. *)
 
 module Machine = Ldx_vm.Machine
-module Profile = Ldx_vm.Profile
 module Ir = Ldx_cfg.Ir
 module Flat = Ldx_cfg.Flat
 module Os = Ldx_osim.Os
@@ -53,10 +51,9 @@ type t = {
   sp_version : int;
   sp_machine : Machine.snapshot;
   sp_os : sos;
-  sp_prof : Profile.snapshot option;
 }
 
-let version = 3
+let version = 4
 
 (* ------------------------------------------------------------------ *)
 (* The osim world, canonically.                                        *)
@@ -156,13 +153,10 @@ let os_of_sos (s : sos) : Os.t =
 let capture (m : Machine.t) : t =
   { sp_version = version;
     sp_machine = Machine.snapshot m;
-    sp_os = sos_of_os m.Machine.os;
-    sp_prof = Option.map Profile.snapshot m.Machine.prof }
+    sp_os = sos_of_os m.Machine.os }
 
 let restore ~fprog (prog : Ir.program) (snap : t) : Machine.t =
-  let os = os_of_sos snap.sp_os in
-  let prof = Option.map (Profile.of_snapshot prog) snap.sp_prof in
-  Machine.restore ?prof ~prog ~fprog os snap.sp_machine
+  Machine.restore ~prog ~fprog (os_of_sos snap.sp_os) snap.sp_machine
 
 (* ------------------------------------------------------------------ *)
 (* Identity.                                                           *)
@@ -175,12 +169,12 @@ let payload (t : t) : string = Marshal.to_string t []
 
 let equal (a : t) (b : t) : bool = String.equal (payload a) (payload b)
 
-let header = "ldx-snap/3"
+let header = "ldx-snap/4"
 
 let fingerprint (t : t) : string = Store.fingerprint [ header; payload t ]
 
 (* ------------------------------------------------------------------ *)
-(* Wire form: one line, ["ldx-snap/3 <digest> <hex payload>"].         *)
+(* Wire form: one line, ["ldx-snap/4 <digest> <hex payload>"].         *)
 
 let to_string (t : t) : string =
   let body = payload t in

@@ -1,10 +1,9 @@
 (** Decouple-point snapshots: versioned, self-contained captures of a
-    complete execution — VM machine state ([Machine.snapshot]: frames,
-    register slots, per-thread stacks, spawn indices, fuel), the osim
-    world (fds, filesystem, network, clock, rng, fault counters), the
-    scheduler cursor, and profile counters — with restore, equality,
-    fingerprinting, and an opt-in serialized form that crosses process
-    boundaries (e.g. through an [Ldx_store] journal).
+    complete execution's machine and OS — VM machine state
+    ([Machine.snapshot]: frames, register slots, per-thread stacks,
+    spawn indices, fuel, the scheduler cursor) and the osim world (fds,
+    filesystem, network, clock, rng, fault counters) — with restore,
+    equality, fingerprinting, and an opt-in one-line serialized form.
 
     Everything inside a snapshot is {e canonical pure data}: Hashtbls
     are projected to sorted assoc lists at capture, there are no
@@ -21,7 +20,6 @@
     arrays) inside each copy while severing it from the others. *)
 
 module Machine = Ldx_vm.Machine
-module Profile = Ldx_vm.Profile
 module Ir = Ldx_cfg.Ir
 
 (** {1 The osim world, canonically} *)
@@ -55,15 +53,16 @@ type sos = {
 
 (** {1 Snapshots} *)
 
+(** A machine and its OS world, nothing else: no profile, no obs hooks,
+    no lock gate. *)
 type t = {
   sp_version : int;                   (** format version; see {!version} *)
   sp_machine : Machine.snapshot;
   sp_os : sos;
-  sp_prof : Profile.snapshot option;  (** counters when profiling was on *)
 }
 
-(** The current snapshot format version (3: the machine snapshot no
-    longer records a stepper mode, nor a pending syscall's destination
+(** The current snapshot format version (4: the profile counters are
+    gone; 3 dropped the stepper mode and a pending syscall's destination
     name; 2 dropped the barrier status and gave the scheduler state its
     last decision). *)
 val version : int
@@ -84,10 +83,9 @@ val os_of_sos : sos -> Ldx_osim.Os.t
     shape validation raises [Invalid_argument] on mismatch — callers
     wanting a proper verdict should check {!fingerprint} first).
     [fprog] is [prog]'s compilation: the capturing machine's, or one
-    {!Machine.compile} shared by every restore.  The snapshot's profile
-    counters, if any, are rebuilt into a private profile, and the
-    scheduler resumes from its recorded state.  Obs hooks and the lock
-    gate start unset. *)
+    {!Machine.compile} shared by every restore.  The scheduler resumes
+    from its recorded state.  The machine is unprofiled, and its obs
+    hooks and lock gate start unset. *)
 val restore : fprog:Machine.compiled -> Ir.program -> t -> Machine.t
 
 (** {1 Identity} *)
@@ -103,9 +101,10 @@ val fingerprint : t -> string
 
 (** {1 Wire form}
 
-    A single line — ["ldx-snap/3 <digest> <hex payload>"] — so a
-    snapshot can ride anywhere a newline-free string can: an
-    [Ldx_store] journal record, an environment block, a file. *)
+    A single line — ["ldx-snap/4 <digest> <hex payload>"] — so a
+    snapshot can ride anywhere a newline-free string can.  A string of
+    another format version is refused at its header, before anything is
+    unmarshalled. *)
 
 val header : string
 

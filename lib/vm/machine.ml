@@ -917,8 +917,8 @@ let dyn_cnt_avg t =
    [equal] and [fingerprint] rest on.
 
    NOT captured: the program ([prog]/[fprog] are immutable and shared —
-   [restore] takes them as inputs), the profile (pass [?prof] to
-   [restore]), the obs hooks and lock gate (consumers reinstall after
+   [restore] takes them as inputs), the profile (a restored machine is
+   unprofiled), the obs hooks and lock gate (consumers reinstall after
    restore), the OS world (the caller's business: a canonical
    projection in [Ldx_snap]), and the scratch buffers
    (rebuilt on demand).  Capture is a pull operation — a machine that
@@ -1116,10 +1116,8 @@ let snapshot (t : t) : snapshot =
     sn_cnt_samples = t.cnt_samples;
     sn_max_seg_depth = t.max_seg_depth }
 
-let restore ?prof ~(prog : Ir.program)
-    ~(fprog : compiled) (os : Ldx_osim.Os.t)
+let restore ~(prog : Ir.program) ~(fprog : compiled) (os : Ldx_osim.Os.t)
     (snap : snapshot) : t =
-  (match prof with Some p -> Profile.attach p prog | None -> ());
   let vmemo = ref [] in
   let rv v = copy_value vmemo v in
   let build_frame (sf : sframe) : frame =
@@ -1140,11 +1138,8 @@ let restore ?prof ~(prog : Ir.program)
       Array.init fl.Flat.nslots (fun i ->
           if sf.sf_undef.(i) then undef else rv sf.sf_regs.(i))
     in
-    let prof_base =
-      match prof with Some p -> Profile.base_of p sf.sf_fname | None -> 0
-    in
     { fn = fl.Flat.f_ir; fl; bid = sf.sf_bid; idx = sf.sf_idx;
-      regs; ret_dst = sf.sf_ret_dst; fresh = sf.sf_fresh; prof_base }
+      regs; ret_dst = sf.sf_ret_dst; fresh = sf.sf_fresh; prof_base = 0 }
   in
   let build_thread (st : sthread) : thread =
     let table = Array.map build_frame st.sth_table in
@@ -1213,7 +1208,7 @@ let restore ?prof ~(prog : Ir.program)
       on_obs_barrier = None;
       on_obs_cnt_sample = None;
       on_obs_sched = None;
-      prof }
+      prof = None }
   in
   List.iter (register_thread t) threads;
   t

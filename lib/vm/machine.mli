@@ -255,11 +255,11 @@ val dyn_cnt_avg : t -> float
     [fingerprint] and wire form rest on.
 
     Not captured: the program (immutable, passed back to {!restore}),
-    the profile ([?prof]), the obs hooks and lock gate (reinstall after
-    restore), the OS world (snapshot it alongside with [Ldx_snap]'s
-    canonical projection), and the scratch buffers.
-    Capture is a pull operation: a machine that is never snapshotted
-    pays nothing. *)
+    the profile (a restored machine is unprofiled), the obs hooks and
+    lock gate (reinstall after restore), the OS world (snapshot it
+    alongside with [Ldx_snap]'s canonical projection), and the scratch
+    buffers.  Capture is a pull operation: a machine that is never
+    snapshotted pays nothing. *)
 
 type sframe = {
   sf_fname : string;
@@ -350,12 +350,11 @@ val compile :
 
 (** Rebuild a machine from a snapshot over [os] (which must itself be
     consistent with the capture point, e.g. rebuilt by [Ldx_snap] from
-    its projection).  [?prof] attaches a profile ({!create}
-    discipline); the scheduler resumes from a private copy of the
-    snapshot's state.  Obs hooks and the lock gate start unset.
+    its projection).  The scheduler resumes from a private copy of the
+    snapshot's state.  The machine is unprofiled, and its obs hooks and
+    lock gate start unset.
     @raise Invalid_argument when the snapshot does not fit [prog]
     (unknown function, register-file shape mismatch) — the cheap guard
     behind [Ldx_snap]'s fingerprint validation. *)
 val restore :
-  ?prof:Profile.t -> prog:Ir.program ->
-  fprog:compiled -> Ldx_osim.Os.t -> snapshot -> t
+  prog:Ir.program -> fprog:compiled -> Ldx_osim.Os.t -> snapshot -> t

@@ -167,51 +167,6 @@ type snapshot = {
   s_total_cycles : int;       (* ops + engine: equals the side's clock *)
 }
 
-(* Rebuild a profile from its snapshot (snapshots drop only zero rows,
-   so this inverse is exact: [snapshot (of_snapshot prog (snapshot p))]
-   equals [snapshot p] whenever [p] is attached to [prog]).  Used by
-   [Ldx_snap] to carry profile counters across the wire, where the live
-   [t] (Hashtbls, shared layout) cannot travel. *)
-let of_snapshot (prog : Ir.program) (s : snapshot) : t =
-  let p = create () in
-  attach p prog;
-  let idx_of names name =
-    let r = ref (-1) in
-    Array.iteri (fun i n -> if String.equal n name then r := i) names;
-    !r
-  in
-  List.iter
-    (fun r ->
-       let i = idx_of op_names r.r_name in
-       if i >= 0 then begin
-         p.op_steps.(i) <- r.r_steps;
-         p.op_cycles.(i) <- r.r_cycles
-       end)
-    s.s_ops;
-  List.iter
-    (fun r ->
-       let i = idx_of eng_names r.r_name in
-       if i >= 0 then begin
-         p.eng_counts.(i) <- r.r_steps;
-         p.eng_cycles.(i) <- r.r_cycles
-       end)
-    s.s_engine;
-  List.iter
-    (fun r ->
-       Hashtbl.replace p.sys_counts r.r_name (ref r.r_steps);
-       if r.r_cycles <> 0 then
-         Hashtbl.replace p.sys_cycles r.r_name (ref r.r_cycles))
-    s.s_syscalls;
-  List.iter
-    (fun b ->
-       let i = base_of p b.b_func + b.b_bid in
-       if i < Array.length p.blk_steps then begin
-         p.blk_steps.(i) <- b.b_steps;
-         p.blk_cycles.(i) <- b.b_cycles
-       end)
-    s.s_blocks;
-  p
-
 let snapshot (p : t) : snapshot =
   let rows names counts cycles =
     let acc = ref [] in

@@ -74,7 +74,10 @@ val charge_syscall : t -> sys:string -> cost:int -> unit
 (** Engine coupling category charge. *)
 val charge_engine : t -> cat:int -> cycles:int -> unit
 
-(** {1 Snapshots} *)
+(** {1 Snapshots} — the counters as pure data, for rendering
+    ([Ldx_prof]) and comparison.  Nothing rebuilds a profile from one:
+    an [Ldx_snap] snapshot carries no profile, and a machine restored
+    from it is unprofiled. *)
 
 type row = { r_name : string; r_steps : int; r_cycles : int }
 
@@ -96,8 +99,3 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-
-(** Rebuild a profile from its snapshot, attached to [prog].  Exact
-    inverse on attached profiles (snapshots drop only zero rows) — how
-    [Ldx_snap] carries profile counters across a process boundary. *)
-val of_snapshot : Ldx_cfg.Ir.program -> snapshot -> t

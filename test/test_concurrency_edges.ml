@@ -81,43 +81,60 @@ let test_slave_only_thread () =
        (fun rep -> rep.Engine.kind = Engine.Missing_in_master)
        r.Engine.reports)
 
-(* Divergence changes who locks: the slave's main thread skips its
-   critical section, so the gate's expected next owner never arrives.
-   The engine must taint the lock and finish (no deadlock). *)
-let test_lock_taint_recovery () =
+(* Divergence changes who locks: the mutated slave's main skips the
+   critical section the master's main ran, so one grant the master made
+   never comes.  [critical_first] puts that section before main spawns
+   the worker; [grants] pins the master's grant order (spawn index 0 is
+   main), which decides what the slave's lock gate meets:
+   - the worker first: the gate grants the worker, and main's grant is
+     simply never asked for;
+   - main first: the gate holds the worker back for main's grant, main
+     waits in [join], and every thread is blocked.  The stall hook
+     taints the lock and the worker goes on.
+   Either way the slave finishes without a deadlock trap, and the sum
+   leaks the secret (master 11, slave 1). *)
+let lock_recovery ~critical_first grants () =
+  let critical =
+    "if (secret == 1) { lock(1); shared[0] = shared[0] + 10; unlock(1); }"
+  and spawn = "let t = spawn(@worker, shared);" in
+  let first, second =
+    if critical_first then (critical, spawn) else (spawn, critical)
+  in
   let src =
-    {| fn worker(shared) {
-         lock(1);
-         shared[0] = shared[0] + 1;
-         unlock(1);
-         return 0;
-       }
-       fn main() {
-         let c = socket("c");
-         let secret = atoi(recv(c));
-         let shared = mkarray(1, 0);
-         let t = spawn(@worker, shared);
-         if (secret == 1) {
+    Printf.sprintf
+      {| fn worker(shared) {
            lock(1);
-           shared[0] = shared[0] + 10;
+           shared[0] = shared[0] + 1;
            unlock(1);
+           return 0;
          }
-         join(t);
-         send(c, itoa(shared[0]));
-       } |}
+         fn main() {
+           let c = socket("c");
+           let secret = atoi(recv(c));
+           let shared = mkarray(1, 0);
+           %s
+           %s
+           join(t);
+           send(c, itoa(shared[0]));
+         } |}
+      first second
+  in
+  let prog =
+    fst
+      (Ldx_instrument.Counter.instrument (Ldx_cfg.Lower.lower_source src))
   in
   let world = World.(empty |> with_endpoint "c" [ "1" ]) in
   let config =
     { Engine.default_config with
       Engine.sources = [ Engine.source ~sys:"recv" () ];
-      sinks = Engine.Network_outputs;
-      (* force the master's main to lock FIRST so the slave's gate waits
-         for an acquisition that never comes *)
-      master_seed = 0; slave_seed = 0 }
+      sinks = Engine.Network_outputs }
   in
-  let r = Engine.run_source ~config src world in
+  let mo = Engine.master_pass config prog world in
+  check
+    Alcotest.(list (pair string int))
+    "the master's grants (lock, spawn index)" grants mo.Engine.mlock_trace;
+  let r = Engine.run_with_master config prog world mo in
   clean r;
-  (* master result 11, slave 1: the sum leaks the secret *)
   check bool "leak" true r.Engine.leak
 
 (* With no mutation and no races, per-thread alignment must be exact for
@@ -185,7 +202,10 @@ let test_verdict_stable_under_schedules () =
 let tests =
   [ Alcotest.test_case "master-only thread" `Quick test_master_only_thread;
     Alcotest.test_case "slave-only thread" `Quick test_slave_only_thread;
-    Alcotest.test_case "lock taint recovery" `Quick test_lock_taint_recovery;
+    Alcotest.test_case "lock taint recovery" `Quick
+      (lock_recovery ~critical_first:false [ ("i:1", 1); ("i:1", 0) ]);
+    Alcotest.test_case "gate stall recovery" `Quick
+      (lock_recovery ~critical_first:true [ ("i:1", 0); ("i:1", 1) ]);
     Alcotest.test_case "schedule-independent alignment" `Quick
       test_schedule_independent_alignment;
     Alcotest.test_case "verdict stable under schedules" `Quick

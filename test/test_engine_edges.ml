@@ -123,6 +123,17 @@ let test_custom_sinks () =
   check bool "peer send differed (diff counted)" true
     (r.Engine.syscall_diffs > 0)
 
+(* Programs that make a call the OS refuses, each with its sinks: in the
+   last two the refused call is itself a sink.  The snapshot tests' D5
+   derives their slaves. *)
+let os_error_cases =
+  [ ({| fn main() { print("a"); let fd = open(5); print("x"); } |},
+     Engine.Output_syscalls);
+    ({| fn main() { print("a"); send("x", "y"); print("b"); } |},
+     Engine.Network_outputs);
+    ({| fn main() { print("a"); write("f", "x"); print("b"); } |},
+     Engine.File_outputs) ]
+
 (* A call the OS refuses traps the master, which records nothing for it.
    The slave makes the same call and must trap on it too: serviced as a
    failed call it would run past the trap, and its later outputs, or the
@@ -135,17 +146,14 @@ let test_slave_os_error () =
            Engine.sources = [ Engine.source ~sys:"read" ~arg:"/nowhere" () ];
            sinks }
        in
-       let r = Engine.run_source ~config src World.empty in
+       (* executed: [Engine.run] derives this slave, since its source
+          never matches *)
+       let r = Executed.run_source ~config src World.empty in
        check bool (src ^ ": no leak") false r.Engine.leak;
        check int (src ^ ": no difference") 0 r.Engine.syscall_diffs;
        check bool (src ^ ": the slave traps as the master does") true
          (Engine.classify_trap r.Engine.slave.Engine.trap = Engine.Os_failure))
-    [ ({| fn main() { print("a"); let fd = open(5); print("x"); } |},
-       Engine.Output_syscalls);
-      ({| fn main() { print("a"); send("x", "y"); print("b"); } |},
-       Engine.Network_outputs);
-      ({| fn main() { print("a"); write("f", "x"); print("b"); } |},
-       Engine.File_outputs) ]
+    os_error_cases
 
 let test_site_scoped_source () =
   (* two recvs from the same endpoint; scope the source by static site *)

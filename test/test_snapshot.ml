@@ -148,7 +148,7 @@ let test_capture_deterministic () =
   check bool "captures of one state are equal" true (Snap.equal s1 s2);
   check string "fingerprints agree" (Snap.fingerprint s1)
     (Snap.fingerprint s2);
-  check int "format version" 3 s1.Snap.sp_version
+  check int "format version" 4 s1.Snap.sp_version
 
 let test_wire_roundtrip () =
   let _, m = paused_snapshot () in
@@ -176,6 +176,17 @@ let test_old_version_refused () =
          check string "version refusal"
            (Printf.sprintf "ldx-snap: unsupported version %d" v) e)
     [ 1; 2 ]
+
+(* A wire snapshot of format 3, whose payload carried a profile, is
+   refused at its header, before anything is unmarshalled. *)
+let test_old_header_refused () =
+  let _, m = paused_snapshot () in
+  let line = Snap.to_string (Snap.capture m) in
+  let n = String.length Snap.header in
+  let old = "ldx-snap/3" ^ String.sub line n (String.length line - n) in
+  match Snap.of_string old with
+  | Ok _ -> Alcotest.fail "an ldx-snap/3 string was accepted"
+  | Error e -> check string "header refusal" "ldx-snap: bad header" e
 
 (* The wire form rides an Ldx_store journal record across the process
    boundary: append it as an outcome payload, load the journal back,
@@ -274,8 +285,6 @@ let snapshot_difference (e : Engine.slave_snapshot)
     [ ("machine", em = fm);
       ("machine values", values_equal evals fvals);
       ("os", e.Engine.ss_snap.Snap.sp_os = f.Engine.ss_snap.Snap.sp_os);
-      ( "profile",
-        e.Engine.ss_snap.Snap.sp_prof = f.Engine.ss_snap.Snap.sp_prof );
       ("grants", e.Engine.ss_grants = f.Engine.ss_grants);
       ("tainted locks", e.Engine.ss_tainted_locks = f.Engine.ss_tainted_locks);
       ( "tainted resources",
@@ -501,28 +510,46 @@ let test_derive_registry () =
 
 (* A master that traps on an OS error never records the failing call.
    The executed slave finds no record there, services the call itself
-   and traps on it too: that slave is executed, not derived. *)
+   and traps on it too, counting nothing: the derivation is exact, and
+   taken, also where the refused call is a sink.  Each program of
+   [slave OS-error call traps], with no source or one that never
+   matches, [record_trace] and [check_final_state] each on and off. *)
 let test_derive_os_error () =
-  let prog =
-    fst
-      (Ldx_instrument.Counter.instrument
-         (Ldx_cfg.Lower.lower_source
-            "fn main() { print(\"a\"); let fd = open(5); print(\"x\"); }"))
-  in
-  let config = { Engine.default_config with Engine.sources = [] } in
-  match derive_check config prog test_world with
-  | Ok (derived, r) ->
-    check bool "an OS-error trap" true
-      (Engine.classify_trap r.Engine.master.Engine.trap = Engine.Os_failure);
-    check bool "derived" false derived
-  | Error e -> Alcotest.fail e
+  List.iter
+    (fun (src, sinks) ->
+       let prog =
+         fst
+           (Ldx_instrument.Counter.instrument (Ldx_cfg.Lower.lower_source src))
+       in
+       List.iter
+         (fun (sources, record_trace, check_final_state) ->
+            let config =
+              { Engine.default_config with
+                Engine.sources; sinks; record_trace; check_final_state }
+            in
+            let what =
+              Printf.sprintf "%s (%d sources, trace %b, final state %b)" src
+                (List.length sources) record_trace check_final_state
+            in
+            match derive_check config prog test_world with
+            | Ok (derived, r) ->
+              check bool (what ^ ": an OS-error trap") true
+                (Engine.classify_trap r.Engine.master.Engine.trap
+                 = Engine.Os_failure);
+              check bool (what ^ ": derived") true derived
+            | Error e -> Alcotest.failf "%s: %s" what e)
+         (List.concat_map
+            (fun sources ->
+               [ (sources, false, false); (sources, true, false);
+                 (sources, false, true); (sources, true, true) ])
+            [ []; [ Engine.source ~sys:"read" ~arg:"/nowhere" () ] ]))
+    Test_engine_edges.os_error_cases
 
 (* Generated programs with no source, a spec that never matches or the
    [recv] sources, under the legacy or a random schedule, the slave's
    seed the master's or not, each flag on or off, with or without a
    fault plan, and at times with so little fuel that both sides trap.
-   With no source and the master's schedule the slave must be derived
-   (an OS-error trap aside). *)
+   With no source and the master's schedule the slave must be derived. *)
 let gen_derive_case gen =
   let open QCheck2.Gen in
   let* p = gen in
@@ -580,11 +607,10 @@ let prop_derive_exact (p, (config : Engine.config)) =
   in
   match derive_check config prog test_world with
   | Error e -> QCheck2.Test.fail_report e
-  | Ok (derived, r) ->
+  | Ok (derived, _) ->
     derived
     || config.Engine.sources <> []
     || config.Engine.slave_seed <> config.Engine.master_seed
-    || Engine.classify_trap r.Engine.master.Engine.trap = Engine.Os_failure
     || QCheck2.Test.fail_report "no source, the master's schedule: executed"
 
 let qderive ~count name gen =
@@ -827,6 +853,61 @@ let test_executed_prefix () =
       ( "sources that never match", Lazy.force camp_prog, camp_world, never,
         Campaign.of_strategies never Mutation.all_strategies, 0 ) ]
 
+(* An executed prefix can pause with state a fork never has: here the
+   worker's racy increments reach main's [write] at another count under
+   slave seed 5 than under the master's seed 0, so the prefix taints
+   [/log] before the [recv].  The suffix must keep that taint: main's
+   reads of [/log] after the [recv] are decoupled, as in a full pass. *)
+let test_prefix_taint_resumed () =
+  let prog =
+    fst
+      (Ldx_instrument.Counter.instrument
+         (Ldx_cfg.Lower.lower_source
+            "fn worker(a) {\n\
+            \  for (let k = 0; k < 300; k = k + 1) { a[0] = a[0] + 1; }\n\
+            \  return 0;\n\
+             }\n\
+             fn main() {\n\
+            \  let a = mkarray(1, 0);\n\
+            \  let t = spawn(@worker, a);\n\
+            \  let x = 0;\n\
+            \  for (let i = 0; i < 100; i = i + 1) { x = x + i; }\n\
+            \  let fd = open(\"/log\");\n\
+            \  write(fd, itoa(a[0]));\n\
+            \  close(fd);\n\
+            \  join(t);\n\
+            \  let c = socket(\"in\");\n\
+            \  let m = recv(c);\n\
+            \  let g = open(\"/log\");\n\
+            \  let s = read(g, 16);\n\
+            \  send(c, s + \"/\" + m);\n\
+             }\n"))
+  in
+  let world =
+    World.(empty |> with_endpoint "in" [ "7" ] |> with_file "/log" "")
+  in
+  let specs = [ Engine.source ~sys:"recv" () ] in
+  let config =
+    { Engine.default_config with
+      Engine.sources = specs;
+      sinks = Engine.Network_outputs;
+      slave_seed = 5 }
+  in
+  let mo = Engine.master_pass ~specs config prog world in
+  (match
+     Engine.slave_prefix { config with Engine.sources = [] } ~specs prog
+       world mo
+   with
+   | Engine.Prefix_paused ss ->
+     check (Alcotest.list string) "the prefix's tainted resources"
+       [ "path:/log" ] ss.Engine.ss_tainted_resources
+   | Engine.Prefix_done _ -> Alcotest.fail "the prefix never paused");
+  let params = Campaign.of_strategies config Mutation.all_strategies in
+  let table incremental =
+    Campaign.render (Campaign.run ~incremental ~config prog world params)
+  in
+  check string "incremental table" (table false) (table true)
+
 let test_prefix_passes_thread_ops () =
   let prog =
     fst
@@ -1028,6 +1109,8 @@ let tests =
       test_prefix_passes_thread_ops;
     Alcotest.test_case "unforkable campaigns execute their prefix" `Quick
       test_executed_prefix;
+    Alcotest.test_case "prefix taint reaches the suffix" `Quick
+      test_prefix_taint_resumed;
     Alcotest.test_case "full journal resumes incrementally" `Quick
       test_resume_incremental;
     Alcotest.test_case "foreign-config snapshot rejected" `Quick
@@ -1038,6 +1121,8 @@ let tests =
       test_counters_pinned;
     Alcotest.test_case "version-1 payload refused" `Quick
       test_old_version_refused;
+    Alcotest.test_case "ldx-snap/3 wire form refused" `Quick
+      test_old_header_refused;
     Alcotest.test_case "F1 forked prefix exact (registry)" `Quick
       test_fork_registry;
     qfork ~count:60 "F2 forked prefix exact (structured)"
@@ -1054,5 +1139,5 @@ let tests =
       Gen_minic.gen_stress_program;
     qderive ~count:150 "D4 derived slave exact (threads)"
       Gen_minic.gen_conc_program;
-    Alcotest.test_case "D5 OS-error trap executes the slave" `Quick
+    Alcotest.test_case "D5 OS-error trap: slave derived" `Quick
       test_derive_os_error ]
